@@ -9,8 +9,10 @@ probe their convergence and distributional behavior.
 from .crossval import CvReport, cv_score, select_alpha
 from .engine import (
     DEFAULT_ALPHA,
+    DirectionPath,
     StreamState,
     default_warmup,
+    direction_path,
     init_stream,
     iter_stream,
     predict_next,
@@ -23,6 +25,7 @@ from .errors import (
     EmptySliceError,
     InsufficientDataError,
     NoSupportError,
+    NonFiniteInputError,
     NumericalBreakdownError,
     SingularMatrixError,
     StreamSirError,
@@ -66,12 +69,14 @@ __all__ = [
     "CsvFormatError",
     "CvReport",
     "DEFAULT_ALPHA",
+    "DirectionPath",
     "EmptySliceError",
     "GridAccumulator",
     "InsufficientDataError",
     "KernelSpec",
     "MomentState",
     "NoSupportError",
+    "NonFiniteInputError",
     "NumericalBreakdownError",
     "ProjectionLog",
     "Sample",
@@ -91,6 +96,7 @@ __all__ = [
     "default_warmup",
     "direction_distance",
     "direction_from_moments",
+    "direction_path",
     "draw",
     "draw_eval_points",
     "epanechnikov",

@@ -8,9 +8,11 @@ is empty) are skipped and counted; a grid point whose skip fraction
 exceeds 5 percent is flagged because its score then averages over
 noticeably fewer terms than its neighbours.
 
-Grid evaluations are independent, so they can run in a process pool; the
-report is assembled in grid order either way and is identical for serial
-and parallel runs.
+The logged projections u_k = theta_{k-1}' x_k do not depend on the
+exponent, so the direction path runs once and every candidate replays only
+the kernel log over the fixed (k, u_k, y_k).  Candidate replays are
+independent, so they can run in a process pool; the report is assembled in
+grid order either way and is identical for serial and parallel runs.
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ from typing import Any
 
 import numpy as np
 
-from .engine import default_warmup, init_stream, predict_next, stream_step
+from .engine import DirectionPath, default_warmup, direction_path
 from .errors import InsufficientDataError, NoSupportError
-from .kernels import KernelSpec
+from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
+from .linkreg import ProjectionLog, evaluate
 from .moments import Slicer
 from .simulate import Sample
+
+# Not called here: the per-layer tracer (perfbench/tracing.py) patches these
+# names by module attribute, so they stay importable.
+from .engine import init_stream, predict_next, stream_step  # noqa: F401
 
 SKIP_FLAG_FRACTION = 0.05
 
@@ -70,37 +77,41 @@ class CvReport:
         }
 
 
-def _replay(
-    sample: Sample,
-    alpha: float,
-    slicer: Slicer | None,
-    warmup: int | None,
-    kernel: KernelSpec | None,
-) -> tuple[float, int, int]:
-    """One full pass; returns (score, skipped, counted)."""
+def _path(sample: Sample, slicer: Slicer | None, warmup: int | None) -> DirectionPath:
+    """The one direction pass every candidate exponent shares."""
     n0 = default_warmup(sample.p) if warmup is None else int(warmup)
     if sample.n <= n0:
         raise InsufficientDataError(
             f"sample has {sample.n} rows but scoring needs more than the warm-up ({n0})"
         )
     boundary = slicer.boundary if slicer is not None else None
-    state = init_stream(sample.head(n0), alpha=alpha, kernel=kernel, boundary=boundary)
-    xs, ys = sample.covariates, sample.responses
+    return direction_path(sample, warmup=n0, boundary=boundary)
+
+
+def _replay(
+    path: DirectionPath, alpha: float, kernel: KernelSpec | None = None
+) -> tuple[float, int, int]:
+    """Score one exponent over the path's projections; returns (score, skipped, counted).
+
+    Each streamed response is predicted from the log of the entries before
+    it, then pushed: exactly what predict_next then stream_step compute.
+    """
+    if kernel is None:
+        kernel = epanechnikov()
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=alpha), first_index=path.warmup_n + 1)
     score = 0.0
     skipped = 0
     counted = 0
-    for i in range(n0, sample.n):
-        x = xs[i]
-        y = float(ys[i])
+    for u, y in zip(path.projections.tolist(), path.responses.tolist()):
         try:
-            pred = predict_next(state, x)
+            pred = evaluate(log, u)
         except NoSupportError:
             skipped += 1
         else:
             err = y - pred
             score += err * err
             counted += 1
-        state = stream_step(state, x, y)
+        log.push(u, y)
     return score, skipped, counted
 
 
@@ -117,16 +128,14 @@ def cv_score(
     predictions, and the number of post-warm-up observations whose
     prediction had no kernel support and therefore did not enter the score.
     """
-    score, skipped, _ = _replay(sample, alpha, slicer, warmup, kernel)
+    score, skipped, _ = _replay(_path(sample, slicer, warmup), alpha, kernel)
     return score, skipped
 
 
-def _grid_task(args: tuple[Sample, float, float | None, int | None]) -> tuple[float, int, int]:
-    sample, alpha, boundary, warmup = args
-    slicer = None if boundary is None else Slicer(boundary=boundary)
+def _grid_task(args: tuple[DirectionPath, float]) -> tuple[float, int, int]:
     # Worker processes use the default kernel; custom kernels run serially
     # because their evaluators may not survive pickling.
-    return _replay(sample, alpha, slicer, warmup, None)
+    return _replay(*args)
 
 
 def select_alpha(
@@ -156,13 +165,12 @@ def select_alpha(
     if workers > 1 and kernel is not None:
         raise ValueError("parallel grid evaluation supports only the default kernel")
 
+    path = _path(sample, slicer, warmup)
     if workers > 1:
-        boundary = slicer.boundary if slicer is not None else None
-        tasks = [(sample, a, boundary, warmup) for a in cand]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_task, tasks))
+            results = list(pool.map(_grid_task, [(path, a) for a in cand]))
     else:
-        results = [_replay(sample, a, slicer, warmup, kernel) for a in cand]
+        results = [_replay(path, a, kernel) for a in cand]
 
     scores = tuple(r[0] for r in results)
     skipped = tuple(r[1] for r in results)
@@ -181,5 +189,5 @@ def select_alpha(
         argmin_index=best,
         argmin_alpha=cand[best],
         n=sample.n,
-        warmup_n=default_warmup(sample.p) if warmup is None else int(warmup),
+        warmup_n=path.warmup_n,
     )

@@ -1,18 +1,27 @@
-"""Sequential engine: one pass that owns the per-observation ordering.
+"""Sequential engine: direction path, then projections, then kernel sums.
 
-For every observation past warm-up the engine does, in this order:
+The estimator runs in two stages over one stream.
 
-1. project the new covariate on the direction estimate from the previous
-   step and append (projection, response) to the regression log;
-2. advance the direction estimate by the closed-form recursion.
+1. Direction path.  A batch warm-up over the first n0 observations fixes
+   the slice boundary (median of the warm-up responses unless overridden)
+   and seeds the inverse covariance and the direction estimate.  Each later
+   observation k is first projected on the estimate from the previous step,
+   u_k = theta_{k-1}' x_k, and then advances theta by the closed-form
+   recursion.  Neither the bandwidth exponent nor the curve grid enters
+   this stage.
+2. Kernel sums.  The recursive Nadaraya-Watson estimate runs over the
+   frozen log (k, u_k, y_k) with h_k = k ** (-alpha).  The log starts at
+   arrival index n0 + 1, so bandwidths line up with global observation
+   counts.
 
 The ordering is the whole point: the logged projection and any prediction
-made for the new point must depend only on data seen strictly before it.
-Warm-up runs as a single batch over the first n0 observations; it fixes
-the slice boundary (median of the warm-up responses unless overridden)
-and seeds both the inverse covariance and the direction estimate.  The
-regression log starts at arrival index n0 + 1, so bandwidths line up with
-global observation counts.
+made for the new point depend only on data seen strictly before it.
+
+direction_path runs stage 1 once over a whole sample on preallocated
+buffers and returns the projections; run_stream, cross-validation and the
+studies build their logs, grids and scores from them.  init_stream,
+stream_step and predict_next are the per-arrival API over the same
+recursion step.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ import numpy as np
 from .errors import InsufficientDataError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
 from .linkreg import GridAccumulator, ProjectionLog, append, evaluate
-from .moments import Slicer
-from .sir import SirState, recursive_step, warm_start
+from .moments import RunningMoments, Slicer, finite_covariates, require_finite_rows
+from .sir import SirState, advance, recursive_step, warm_start
 from .simulate import Sample
 
 DEFAULT_ALPHA = 0.35
@@ -35,6 +44,18 @@ DEFAULT_ALPHA = 0.35
 def default_warmup(p: int) -> int:
     """Default warm-up length max(2 p, 30)."""
     return max(2 * p, 30)
+
+
+def _warmup_length(sample: Sample, warmup: int | None) -> int:
+    """The warm-up length to use on a sample; the default is max(2 p, 30).
+
+    Raises:
+        InsufficientDataError: the sample is shorter than the warm-up.
+    """
+    n0 = default_warmup(sample.p) if warmup is None else int(warmup)
+    if sample.n < n0:
+        raise InsufficientDataError(f"sample has {sample.n} rows but warm-up needs {n0}")
+    return n0
 
 
 @dataclass
@@ -65,13 +86,98 @@ class StreamState:
         return self.sir.theta_hat
 
 
+@dataclass(frozen=True)
+class DirectionPath:
+    """Stage 1 over one sample: what the kernel stage needs, and the final direction.
+
+    Attributes:
+        sir: direction estimate and moments after the last row.
+        slicer: frozen slice boundary.
+        warmup_n: rows absorbed by the batch warm-up.
+        projections: u_k = theta_{k-1}' x_k for k = warmup_n + 1, ..., n.
+        responses: y_k for the same k.
+        snapshots: theta_hat after n observations, for each requested
+            checkpoint n that the path reaches.
+    """
+
+    sir: SirState
+    slicer: Slicer
+    warmup_n: int
+    projections: np.ndarray
+    responses: np.ndarray
+    snapshots: dict[int, np.ndarray]
+
+
+def direction_path(
+    sample: Sample,
+    warmup: int | None = None,
+    boundary: float | None = None,
+    checkpoints: tuple[int, ...] = (),
+) -> DirectionPath:
+    """Run the direction recursion once over a sample, in arrival order.
+
+    Gives the same bits as init_stream followed by one stream_step per row:
+    the step is sir.advance on one set of buffers, without per-step copies.
+
+    Raises:
+        NonFiniteInputError: some row holds NaN or inf (checked once, up front).
+        InsufficientDataError: the sample is shorter than the warm-up.
+    """
+    n0 = _warmup_length(sample, warmup)
+    xs, ys = sample.covariates, sample.responses
+    require_finite_rows(xs, ys)
+    head = sample.head(n0)
+    if boundary is None:
+        boundary = float(np.median(head.responses))
+    slicer = Slicer(boundary=boundary)
+    sir = warm_start(head, slicer)
+    run = RunningMoments(sir.moments)
+    theta = sir.theta_hat.copy()
+
+    want = {int(c) for c in checkpoints}
+    snapshots: dict[int, np.ndarray] = {}
+    if n0 in want:
+        snapshots[n0] = theta.copy()
+    xs, ys = xs[n0:], ys[n0:]
+    u = np.empty(ys.size, dtype=np.float64)
+    for j, i in enumerate((slicer.slices_of(ys) - 1).tolist()):
+        x = xs[j]
+        u[j] = theta @ x
+        advance(run, theta, x, i)
+        if run.n in want:
+            snapshots[run.n] = theta.copy()
+    return DirectionPath(
+        sir=SirState(moments=run.freeze(), theta_hat=theta),
+        slicer=slicer,
+        warmup_n=n0,
+        projections=u,
+        responses=ys,
+        snapshots=snapshots,
+    )
+
+
+def _stream_state(
+    sir: SirState,
+    slicer: Slicer,
+    n0: int,
+    alpha: float,
+    kernel: KernelSpec | None,
+    grid_points: np.ndarray | None,
+) -> StreamState:
+    """Engine state with an empty log (and grid) after n0 observations."""
+    if kernel is None:
+        kernel = epanechnikov()
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=alpha), first_index=n0 + 1)
+    grid = GridAccumulator(points=np.asarray(grid_points)) if grid_points is not None else None
+    return StreamState(sir=sir, log=log, grid=grid, slicer=slicer, warmup_n=n0)
+
+
 def init_stream(
     warmup_sample: Sample,
     alpha: float = DEFAULT_ALPHA,
     kernel: KernelSpec | None = None,
     boundary: float | None = None,
     grid_points: np.ndarray | None = None,
-    track_history: bool = False,
 ) -> StreamState:
     """Batch warm-up over an entire sample; streaming continues after it.
 
@@ -87,8 +193,6 @@ def init_stream(
         Slice boundary; defaults to the median of the warm-up responses.
     grid_points : array, optional
         When given, a GridAccumulator tracks the curve on these abscissas.
-    track_history : bool
-        Record (n, theta_hat) snapshots on every step.
     """
     n0, p = warmup_sample.n, warmup_sample.p
     if n0 < p + 2:
@@ -96,13 +200,7 @@ def init_stream(
     if boundary is None:
         boundary = float(np.median(warmup_sample.responses))
     slicer = Slicer(boundary=boundary)
-    sir = warm_start(warmup_sample, slicer, track_history=track_history)
-    if kernel is None:
-        kernel = epanechnikov()
-    schedule = BandwidthSchedule(alpha=alpha)
-    log = ProjectionLog(kernel, schedule, first_index=n0 + 1)
-    grid = GridAccumulator(points=np.asarray(grid_points)) if grid_points is not None else None
-    return StreamState(sir=sir, log=log, grid=grid, slicer=slicer, warmup_n=n0)
+    return _stream_state(warm_start(warmup_sample, slicer), slicer, n0, alpha, kernel, grid_points)
 
 
 def predict_next(state: StreamState, x: np.ndarray) -> float:
@@ -112,16 +210,22 @@ def predict_next(state: StreamState, x: np.ndarray) -> float:
     log, exactly the quantities a later stream_step(state, x, y) would use.
 
     Raises:
+        NonFiniteInputError: x holds NaN or inf.
         NoSupportError: the projection falls outside all kernel windows.
     """
-    u = float(state.theta_hat @ np.asarray(x, dtype=np.float64))
+    u = float(state.theta_hat @ finite_covariates(x))
     return evaluate(state.log, u)
 
 
 def stream_step(state: StreamState, x: np.ndarray, y: float) -> StreamState:
-    """Absorb one observation: log first, then advance the direction."""
-    append(state.log, state.grid, x, y, state.theta_hat)
+    """Absorb one observation: log it on the previous direction, advance the direction.
+
+    The direction step runs first and works on copies, so when it raises
+    (NonFiniteInputError, NumericalBreakdownError) neither the log nor the
+    given state has changed.
+    """
     sir = recursive_step(state.sir, x, y, state.slicer)
+    append(state.log, state.grid, x, y, state.theta_hat)
     return replace(state, sir=sir)
 
 
@@ -132,10 +236,13 @@ def run_stream(
     warmup: int | None = None,
     boundary: float | None = None,
     grid_points: np.ndarray | None = None,
-    track_history: bool = False,
     checkpoints: tuple[int, ...] = (),
 ) -> StreamState | tuple[StreamState, dict[int, np.ndarray]]:
     """Run the full pipeline over a sample in arrival order.
+
+    Same result, bit for bit, as init_stream followed by one stream_step
+    per row: the direction path runs first, then the log and grid are
+    filled from its projections in one vectorized pass each.
 
     Parameters
     ----------
@@ -149,30 +256,17 @@ def run_stream(
         returned in a dict alongside the final state.
 
     Raises:
+        NonFiniteInputError: some row holds NaN or inf.
         InsufficientDataError: the sample is shorter than the warm-up.
     """
-    n0 = default_warmup(sample.p) if warmup is None else int(warmup)
-    if sample.n < n0:
-        raise InsufficientDataError(f"sample has {sample.n} rows but warm-up needs {n0}")
-    state = init_stream(
-        sample.head(n0),
-        alpha=alpha,
-        kernel=kernel,
-        boundary=boundary,
-        grid_points=grid_points,
-        track_history=track_history,
-    )
-    want = set(int(c) for c in checkpoints)
-    snaps: dict[int, np.ndarray] = {}
-    if state.n in want:
-        snaps[state.n] = state.theta_hat.copy()
-    xs, ys = sample.covariates, sample.responses
-    for i in range(n0, sample.n):
-        state = stream_step(state, xs[i], float(ys[i]))
-        if state.n in want:
-            snaps[state.n] = state.theta_hat.copy()
+    path = direction_path(sample, warmup=warmup, boundary=boundary, checkpoints=checkpoints)
+    state = _stream_state(path.sir, path.slicer, path.warmup_n, alpha, kernel, grid_points)
+    log = state.log
+    log.extend(path.projections, path.responses)
+    if state.grid is not None:
+        state.grid.absorb(log.kernel, log.projections, log.responses, log.bandwidths)
     if checkpoints:
-        return state, snaps
+        return state, path.snapshots
     return state
 
 
@@ -189,9 +283,7 @@ def iter_stream(
     The yielded object is the live engine state, not a copy; callers that
     need a historical value must copy it before advancing.
     """
-    n0 = default_warmup(sample.p) if warmup is None else int(warmup)
-    if sample.n < n0:
-        raise InsufficientDataError(f"sample has {sample.n} rows but warm-up needs {n0}")
+    n0 = _warmup_length(sample, warmup)
     state = init_stream(
         sample.head(n0), alpha=alpha, kernel=kernel, boundary=boundary, grid_points=grid_points
     )

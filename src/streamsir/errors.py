@@ -52,6 +52,15 @@ class NoSupportError(StreamSirError):
         self.nearest_u = None if nearest_u is None else float(nearest_u)
 
 
+class NonFiniteInputError(StreamSirError):
+    """An observation holds a NaN or infinite covariate or response.
+
+    Raised before any state changes: one such value would otherwise turn
+    the maintained inverse and the direction estimate into NaN for the
+    rest of the stream.
+    """
+
+
 class InsufficientDataError(StreamSirError):
     """Fewer observations than the requested warm-up needs."""
 

@@ -222,11 +222,6 @@ def write_moment_state(state: MomentState, slicer: Slicer, path: str | Path) -> 
     write_json(moment_state_to_dict(state, slicer), path)
 
 
-def read_moment_state(path: str | Path) -> tuple[MomentState, Slicer]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return moment_state_from_dict(doc)
-
-
 def write_records_csv(
     columns: Sequence[str], records: Sequence[dict[str, Any]], path: str | Path
 ) -> None:

@@ -12,6 +12,9 @@ the log.
 The log keeps (k, u_k, y_k) with precomputed h_k; a GridAccumulator
 maintains running numerator and denominator sums on a fixed abscissa grid
 so the whole curve is available at any time without rescanning the log.
+Both take entries one at a time or as arrays, with the same bits either
+way.  The grid and evaluate sum the same terms in different orders, so
+they agree to rounding, not exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ from .errors import NoSupportError
 from .kernels import BandwidthSchedule, KernelSpec
 
 _INITIAL_CAPACITY = 64
+
+# Entries per block when a grid absorbs an array: 1024 entries on a
+# 121-point grid keep each temporary near 1 MB.
+_GRID_CHUNK = 1024
+
+
+def _running_total(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0] + terms[1] + ..., added strictly left to right per column."""
+    return np.cumsum(np.vstack((total, terms)), axis=0)[-1].copy()
 
 
 class ProjectionLog:
@@ -68,8 +80,11 @@ class ProjectionLog:
     def bandwidths(self) -> np.ndarray:
         return self._h[: self._size]
 
-    def _grow(self) -> None:
-        cap = self._k.size * 2
+    def _reserve(self, extra: int) -> None:
+        need = self._size + extra
+        if need <= self._k.size:
+            return
+        cap = max(2 * self._k.size, need)
         for name in ("_k", "_u", "_y", "_h"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
@@ -79,7 +94,7 @@ class ProjectionLog:
     def push(self, u: float, y: float) -> int:
         """Record one projected observation; returns its arrival index."""
         if self._size == self._k.size:
-            self._grow()
+            self._reserve(1)
         k = self.next_index
         i = self._size
         self._k[i] = k
@@ -89,6 +104,31 @@ class ProjectionLog:
         self._size = i + 1
         self.next_index = k + 1
         return k
+
+    def _write(self, indices: np.ndarray, projections: np.ndarray, responses: np.ndarray) -> None:
+        m = indices.size
+        if m == 0:
+            return
+        self._reserve(m)
+        rows = slice(self._size, self._size + m)
+        self._k[rows] = indices
+        self._u[rows] = projections
+        self._y[rows] = responses
+        # The vectorized power gives the same bits as the scalar one push uses.
+        self._h[rows] = self.schedule.h(indices)
+        self._size += m
+        self.next_index = int(indices[-1]) + 1
+
+    def extend(self, projections: np.ndarray, responses: np.ndarray) -> None:
+        """Push many entries at once; they get consecutive indices from next_index."""
+        projections = np.asarray(projections, dtype=np.float64)
+        responses = np.asarray(responses, dtype=np.float64)
+        if projections.ndim != 1 or projections.shape != responses.shape:
+            raise ValueError("projections and responses must be 1-d with identical shapes")
+        first = self.next_index
+        self._write(
+            np.arange(first, first + projections.size, dtype=np.int64), projections, responses
+        )
 
     @classmethod
     def from_entries(
@@ -103,15 +143,13 @@ class ProjectionLog:
         indices = np.asarray(indices, dtype=np.int64)
         projections = np.asarray(projections, dtype=np.float64)
         responses = np.asarray(responses, dtype=np.float64)
-        if not (indices.shape == projections.shape == responses.shape):
-            raise ValueError("entry arrays must have identical shapes")
+        if indices.ndim != 1 or not (indices.shape == projections.shape == responses.shape):
+            raise ValueError("entry arrays must be 1-d with identical shapes")
         if indices.size > 0 and (not np.all(np.diff(indices) > 0) or indices[0] < 1):
             raise ValueError("entry indices must be strictly increasing and >= 1")
         first = int(indices[0]) if indices.size > 0 else 1
         log = cls(kernel, schedule, first_index=first)
-        for k, u, y in zip(indices, projections, responses):
-            log.next_index = int(k)
-            log.push(float(u), float(y))
+        log._write(indices, projections, responses)
         return log
 
 
@@ -145,13 +183,29 @@ class GridAccumulator:
         self.denominator = np.zeros(pts.size, dtype=np.float64)
         self.contributing = np.zeros(pts.size, dtype=np.int64)
 
-    def absorb(self, kernel: KernelSpec, u: float, y: float, h: float) -> None:
-        """Add one observation's weight profile to every grid point."""
-        w = np.asarray(kernel.eval((self.points - u) / h)) / h
-        self.numerator += w * y
-        self.denominator += w
-        self.contributing += w > 0.0
-        self.n_entries += 1
+    def absorb(
+        self,
+        kernel: KernelSpec,
+        u: float | np.ndarray,
+        y: float | np.ndarray,
+        h: float | np.ndarray,
+    ) -> None:
+        """Add the weight profiles of one or more entries to every grid point.
+
+        The sums run through the entries in order (a cumulative sum along
+        the entry axis, seeded with the running totals), so absorbing an
+        array gives the same bits as absorbing its entries one at a time.
+        Entries go in chunks to bound the temporary (chunk, m) arrays.
+        """
+        u, y, h = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (u, y, h))
+        for a in range(0, u.size, _GRID_CHUNK):
+            rows = slice(a, a + _GRID_CHUNK)
+            hc = h[rows, None]
+            w = np.asarray(kernel.eval((self.points - u[rows, None]) / hc)) / hc
+            self.numerator = _running_total(self.numerator, w * y[rows, None])
+            self.denominator = _running_total(self.denominator, w)
+            self.contributing += np.count_nonzero(w > 0.0, axis=0)
+            self.n_entries += w.shape[0]
 
     def estimates(self) -> np.ndarray:
         """Current estimate per point; NaN where no weight has arrived."""
@@ -167,20 +221,18 @@ def append(
     x_new: np.ndarray,
     y_new: float,
     theta_prev: np.ndarray,
-) -> tuple[ProjectionLog, GridAccumulator | None]:
+) -> None:
     """Absorb one observation into the log (and grid, when present).
 
     The projection uses theta_prev, the direction estimate from before this
     observation: each logged u_k must be the prediction-time projection, or
-    the streaming estimate would peek at its own input.  Returns the same
-    (mutated) objects for call-site symmetry with the value-style updates.
+    the streaming estimate would peek at its own input.
     """
     u = float(np.asarray(theta_prev, dtype=np.float64) @ np.asarray(x_new, dtype=np.float64))
     y = float(y_new)
     k = log.push(u, y)
     if grid is not None:
         grid.absorb(log.kernel, u, y, float(log.schedule.h(k)))
-    return log, grid
 
 
 def evaluate(log: ProjectionLog, x: float) -> float:

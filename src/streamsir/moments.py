@@ -22,13 +22,15 @@ slice mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptySliceError,
     InsufficientDataError,
+    NonFiniteInputError,
     NumericalBreakdownError,
     SingularMatrixError,
 )
@@ -99,11 +101,13 @@ def batch_moments(sample: Sample, slicer: Slicer) -> MomentState:
     must reproduce.  The covariance uses the biased 1/n normalization.
 
     Raises:
+        NonFiniteInputError: a covariate or response is NaN or infinite.
         InsufficientDataError: fewer than p + 2 observations.
         SingularMatrixError: covariance singular value ratio below tolerance.
         EmptySliceError: a slice received no observations.
     """
     xs, ys = sample.covariates, sample.responses
+    require_finite_rows(xs, ys)
     n, p = xs.shape
     if n < p + 2:
         raise InsufficientDataError(f"need at least p + 2 = {p + 2} observations, got {n}")
@@ -135,6 +139,114 @@ def batch_moments(sample: Sample, slicer: Slicer) -> MomentState:
     )
 
 
+def finite_covariates(x: np.ndarray) -> np.ndarray:
+    """x as a float64 array, refusing NaN and infinite entries.
+
+    Raises:
+        NonFiniteInputError: some entry of x is NaN or infinite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError(f"covariate vector holds NaN or inf: {x!r}")
+    return x
+
+
+def finite_response(y: float) -> float:
+    """y as a float, refusing NaN and infinity.
+
+    Raises:
+        NonFiniteInputError: y is NaN or infinite.
+    """
+    y = float(y)
+    if not math.isfinite(y):
+        raise NonFiniteInputError(f"response {y!r} is not finite")
+    return y
+
+
+def require_finite_rows(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Check a whole batch at once; the error names the first bad row (0-based).
+
+    Raises:
+        NonFiniteInputError: some covariate or response is NaN or infinite.
+    """
+    bad = ~(np.isfinite(xs).all(axis=1) & np.isfinite(ys))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFiniteInputError(f"row {row} holds a NaN or infinite value")
+
+
+class RunningMoments:
+    """Mutable working copy of a MomentState that the recursion advances in place.
+
+    The constructor copies every array, so advancing never touches the state
+    it came from; freeze() hands the arrays over to a MomentState, after
+    which this object must not be advanced again.  The arithmetic is the
+    rank-one identity of the module docstring, operation for operation, so
+    every path through it gives the same bits.
+    """
+
+    __slots__ = ("n", "mean", "inv_cov", "slice_counts", "slice_means", "updates")
+
+    def __init__(self, state: MomentState) -> None:
+        self.n = state.n
+        self.mean = state.mean.copy()
+        self.inv_cov = state.inv_cov.copy()
+        self.slice_counts = state.slice_counts.copy()
+        self.slice_means = state.slice_means.copy()
+        self.updates = state.updates
+
+    def freeze(self) -> MomentState:
+        return MomentState(
+            n=self.n,
+            mean=self.mean,
+            inv_cov=self.inv_cov,
+            slice_counts=self.slice_counts,
+            slice_means=self.slice_means,
+            updates=self.updates,
+        )
+
+    def rank_one_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """phi = x - mean, w = inv @ phi and the update denominator n + rho.
+
+        Changes nothing, so a breakdown leaves the moments as they were.
+
+        Raises:
+            NumericalBreakdownError: the denominator is not positive, which
+                cannot happen in exact arithmetic once the covariance is
+                positive definite.
+        """
+        n_new = self.n + 1
+        phi = x - self.mean
+        w = self.inv_cov @ phi
+        denom = n_new + float(phi @ w)
+        if denom <= 0.0:
+            raise NumericalBreakdownError(
+                f"rank-one update denominator {denom!r} is not positive at n = {n_new}"
+            )
+        return phi, w, denom
+
+    def absorb_covariate(self, phi: np.ndarray, w: np.ndarray, denom: float) -> None:
+        """Rank-one step of the mean and inverse covariance, from rank_one_terms."""
+        n_new = self.n + 1
+        inv = self.inv_cov
+        inv -= w[:, None] * w / denom
+        inv *= n_new / (n_new - 1.0)
+        self.updates += 1
+        if self.updates % RESYMMETRIZE_EVERY == 0:
+            inv[...] = 0.5 * (inv + inv.T)
+        self.mean += phi / n_new
+        self.n = n_new
+
+    def absorb_slice(self, i: int, step: np.ndarray) -> None:
+        """Count one more row in slice i (0-based); step = x - slice_means[i].
+
+        The overall count n is not advanced here; absorb_covariate owns it.
+        """
+        c_old = int(self.slice_counts[i])
+        self.slice_means[i] += step / (c_old + 1)
+        self.slice_counts[i] = c_old + 1
+
+
 def riccati_update(state: MomentState, x: np.ndarray) -> MomentState:
     """Absorb one covariate vector into the mean and inverse covariance.
 
@@ -142,45 +254,43 @@ def riccati_update(state: MomentState, x: np.ndarray) -> MomentState:
     full observation.
 
     Raises:
+        NonFiniteInputError: x holds NaN or inf.
         NumericalBreakdownError: the update denominator n + rho is not
             positive, which cannot happen in exact arithmetic once the
             covariance is positive definite.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n_new = state.n + 1
-    phi = x - state.mean
-    w = state.inv_cov @ phi
-    rho = float(phi @ w)
-    denom = n_new + rho
-    if denom <= 0.0:
-        raise NumericalBreakdownError(
-            f"rank-one update denominator {denom!r} is not positive at n = {n_new}"
-        )
-    scale = n_new / (n_new - 1.0)
-    inv_new = scale * (state.inv_cov - np.outer(w, w) / denom)
-    updates = state.updates + 1
-    if updates % RESYMMETRIZE_EVERY == 0:
-        inv_new = 0.5 * (inv_new + inv_new.T)
-    mean_new = state.mean + phi / n_new
-    return replace(state, n=n_new, mean=mean_new, inv_cov=inv_new, updates=updates)
+    x = finite_covariates(x)
+    run = RunningMoments(state)
+    run.absorb_covariate(*run.rank_one_terms(x))
+    return run.freeze()
 
 
 def slice_update(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
     """Absorb one observation into its slice count and slice mean.
 
     The overall count n is not advanced here; riccati_update owns that.
+
+    Raises:
+        NonFiniteInputError: x or y holds NaN or inf.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h = slicer.slice_of(float(y))
-    i = h - 1
-    counts = state.slice_counts.copy()
-    means = state.slice_means.copy()
-    c_old = int(counts[i])
-    means[i] = means[i] + (x - means[i]) / (c_old + 1)
-    counts[i] = c_old + 1
-    return replace(state, slice_counts=counts, slice_means=means)
+    x, y = finite_covariates(x), finite_response(y)
+    run = RunningMoments(state)
+    i = slicer.slice_of(y) - 1
+    run.absorb_slice(i, x - run.slice_means[i])
+    return run.freeze()
 
 
 def observe(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
-    """Absorb one full observation: rank-one moment update plus slice update."""
-    return slice_update(riccati_update(state, x), x, y, slicer)
+    """Absorb one full observation: rank-one moment update plus slice update.
+
+    Raises:
+        NonFiniteInputError: x or y holds NaN or inf; nothing is absorbed.
+        NumericalBreakdownError: as riccati_update.
+    """
+    x, y = finite_covariates(x), finite_response(y)
+    run = RunningMoments(state)
+    i = slicer.slice_of(y) - 1
+    step = x - run.slice_means[i]
+    run.absorb_covariate(*run.rank_one_terms(x))
+    run.absorb_slice(i, step)
+    return run.freeze()

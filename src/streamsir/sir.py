@@ -14,12 +14,19 @@ Proximity between directions is measured scale- and sign-invariantly by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySliceError
-from .moments import MomentState, Slicer, batch_moments, riccati_update, slice_update
+from .moments import (
+    MomentState,
+    RunningMoments,
+    Slicer,
+    batch_moments,
+    finite_covariates,
+    finite_response,
+)
 from .simulate import Sample
 
 
@@ -61,13 +68,14 @@ def warm_start(sample: Sample, slicer: Slicer, track_history: bool = False) -> S
     return SirState(moments=moments, theta_hat=theta, history=history)
 
 
-def recursive_step(state: SirState, x: np.ndarray, y: float, slicer: Slicer) -> SirState:
-    """Advance the direction estimate by one observation.
+def advance(run: RunningMoments, theta: np.ndarray, x: np.ndarray, i: int) -> None:
+    """Advance theta and the moments by one observation, in place.
 
+    x is a finite float64 vector and i the 0-based slice of its response.
     Writing inv for the pre-update inverse covariance, phi = x - mean_old,
-    w = inv @ phi, rho = phi' w, n for the post-update count, h for the
-    receiving slice with pre-update count c, and phi_h = x - slice_mean_h,
-    the update is
+    w = inv @ phi, rho = phi' w, n for the post-update count, h = i + 1 for
+    the receiving slice with pre-update count c, and
+    phi_h = x - slice_mean_h, the update is
 
         theta_new = (n / (n - 1)) * (theta - (phi' theta) w / (n + rho))
                     - sign(h) * n / ((c + 1) (n - 1))
@@ -75,43 +83,57 @@ def recursive_step(state: SirState, x: np.ndarray, y: float, slicer: Slicer) -> 
 
     with sign(1) = -1 and sign(2) = +1: mass entering the low slice pushes
     the slice-mean difference up, mass entering the high slice pulls it down.
+    The w and phi_h computed here also drive the moment update, so inv @ phi
+    is formed once per step.
 
     Raises:
+        NumericalBreakdownError: the rank-one denominator n + rho is not
+            positive; theta and the moments are left unchanged.
+    """
+    phi, w, denom = run.rank_one_terms(x)
+    n_new = run.n + 1
+    c_old = int(run.slice_counts[i])
+    phi_h = x - run.slice_means[i]
+    v = run.inv_cov @ phi_h
+    # w' phi_h equals phi' inv phi_h by symmetry of the maintained inverse.
+    cross = float(w @ phi_h)
+    sign = -1.0 if i == 0 else 1.0
+
+    theta -= (float(phi @ theta) / denom) * w
+    theta *= n_new / (n_new - 1.0)
+    v -= (cross / denom) * w
+    v *= sign * n_new / ((c_old + 1) * (n_new - 1.0))
+    theta -= v
+
+    run.absorb_covariate(phi, w, denom)
+    run.absorb_slice(i, phi_h)
+
+
+def recursive_step(state: SirState, x: np.ndarray, y: float, slicer: Slicer) -> SirState:
+    """Advance the direction estimate by one observation (see advance).
+
+    Works on copies, so the given state is never modified.
+
+    Raises:
+        NonFiniteInputError: x or y holds NaN or inf.
         EmptySliceError: a slice count is still zero, so the slice-mean
             difference that the recursion corrects is not yet defined.
+        NumericalBreakdownError: as advance.
     """
+    x, y = finite_covariates(x), finite_response(y)
     moments = state.moments
     if int(moments.slice_counts[0]) <= 0 or int(moments.slice_counts[1]) <= 0:
         h_empty = 1 if int(moments.slice_counts[0]) <= 0 else 2
         raise EmptySliceError(
             f"cannot step the recursion while slice {h_empty} is empty", h_empty
         )
-    x = np.asarray(x, dtype=np.float64)
-    y = float(y)
-    n_new = moments.n + 1
-    phi = x - moments.mean
-    w = moments.inv_cov @ phi
-    rho = float(phi @ w)
-    denom = n_new + rho
-
-    h = slicer.slice_of(y)
-    i = h - 1
-    sign = -1.0 if h == 1 else 1.0
-    c_old = int(moments.slice_counts[i])
-    phi_h = x - moments.slice_means[i]
-    v = moments.inv_cov @ phi_h
-    # w' phi_h equals phi' inv phi_h by symmetry of the maintained inverse.
-    cross = float(w @ phi_h)
-
-    scale = n_new / (n_new - 1.0)
-    theta = scale * (state.theta_hat - (float(phi @ state.theta_hat) / denom) * w)
-    theta = theta - (sign * n_new / ((c_old + 1) * (n_new - 1.0))) * (v - (cross / denom) * w)
-
-    moments_new = slice_update(riccati_update(moments, x), x, y, slicer)
+    run = RunningMoments(moments)
+    theta = state.theta_hat.copy()
+    advance(run, theta, x, slicer.slice_of(y) - 1)
     history = state.history
     if history is not None:
-        history = history + ((n_new, theta.copy()),)
-    return replace(state, moments=moments_new, theta_hat=theta, history=history)
+        history = history + ((run.n, theta.copy()),)
+    return SirState(moments=run.freeze(), theta_hat=theta, history=history)
 
 
 def direction_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -31,13 +31,17 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .engine import default_warmup, init_stream, stream_step
+from .engine import default_warmup, direction_path
 from .errors import NoSupportError
-from .kernels import epanechnikov
-from .linkreg import evaluate, theoretical_std
+from .kernels import BandwidthSchedule, epanechnikov
+from .linkreg import ProjectionLog, evaluate, theoretical_std
 from .sir import direction_distance
 from .simulate import Sample, SingleIndexModel, draw
 from .io import write_json, write_records_csv
+
+# Not called here: the per-layer tracer (perfbench/tracing.py) patches these
+# names by module attribute, so they stay importable.
+from .engine import init_stream, stream_step  # noqa: F401
 
 # Seed of the evaluation-point draw; fixed so every study run of a given
 # model sees the same points regardless of the study's own master seed.
@@ -212,40 +216,39 @@ def _point_truths(
 def _checkpoint_rows(
     args: tuple[SingleIndexModel, tuple[int, ...], float, int, int, np.ndarray, int],
 ) -> list[dict[str, Any]]:
-    """One replication: stream once, snapshot each checkpoint size.
+    """One replication: one direction pass, then each checkpoint size.
 
-    Returns rows in (checkpoint, point) order.  Module-level so a process
-    pool can pickle it.
+    At checkpoint n the curve is evaluated over the log of entries k <= n
+    with the direction snapshot at n.  Returns rows in (checkpoint, point)
+    order.  Module-level so a process pool can pickle it.
     """
     model, sizes, alpha, warmup, rep, eval_points, master_seed = args
     rep_seed = master_seed ^ rep
-    n_max = sizes[-1]
-    sample = draw(model, n_max, rep_seed)
+    sample = draw(model, sizes[-1], rep_seed)
     u_true, f_true = _point_truths(model, eval_points)
     by_vector = eval_points.ndim == 2
 
-    state = init_stream(sample.head(warmup), alpha=alpha)
-    targets = set(sizes)
-    xs, ys = sample.covariates, sample.responses
+    path = direction_path(sample, warmup=warmup, checkpoints=sizes)
+    log = ProjectionLog(epanechnikov(), BandwidthSchedule(alpha=alpha), first_index=warmup + 1)
     rows: list[dict[str, Any]] = []
-    for i in range(warmup, n_max):
-        state = stream_step(state, xs[i], float(ys[i]))
-        if state.n not in targets:
-            continue
-        dd = direction_distance(state.theta_hat, model.direction)
+    for n in sizes:
+        done, upto = len(log), n - warmup
+        log.extend(path.projections[done:upto], path.responses[done:upto])
+        theta = path.snapshots[n]
+        dd = direction_distance(theta, model.direction)
         if by_vector:
-            u_hat = eval_points @ state.theta_hat
+            u_hat = eval_points @ theta
         else:
             u_hat = u_true
         for j in range(eval_points.shape[0]):
             try:
-                est = evaluate(state.log, float(u_hat[j]))
+                est = evaluate(log, float(u_hat[j]))
             except NoSupportError:
                 est = None
             rows.append(
                 {
                     "rep": rep,
-                    "n": state.n,
+                    "n": n,
                     "point": j,
                     "u_true": float(u_true[j]),
                     "true_value": float(f_true[j]),
@@ -586,12 +589,9 @@ def scatter_study(config: StudyConfig) -> StudyResult:
     """
     n = config.sizes[-1]
     sample = draw(config.model, n, config.seed)
-    warmup = config.resolved_warmup()
-    state = init_stream(sample.head(warmup), alpha=config.alpha)
+    path = direction_path(sample, warmup=config.resolved_warmup())
+    theta = path.sir.theta_hat
     xs, ys = sample.covariates, sample.responses
-    for i in range(warmup, n):
-        state = stream_step(state, xs[i], float(ys[i]))
-    theta = state.theta_hat
     u_true = xs @ config.model.direction
     u_hat = xs @ theta
     records = tuple(
@@ -607,8 +607,8 @@ def scatter_study(config: StudyConfig) -> StudyResult:
         "study": "scatter",
         "config": _config_echo(config, config.resolved_eval_points()),
         "n": int(n),
-        "boundary": float(state.slicer.boundary),
-        "warmup_n": int(state.warmup_n),
+        "boundary": float(path.slicer.boundary),
+        "warmup_n": int(path.warmup_n),
         "theta_hat": [float(v) for v in theta],
         "direction_distance": direction_distance(theta, config.model.direction),
     }

@@ -4,13 +4,17 @@ import pytest
 from streamsir import (
     EmptySliceError,
     InsufficientDataError,
+    NoSupportError,
     Sample,
     SingleIndexModel,
     Slicer,
     cv_score,
     draw,
+    init_stream,
+    predict_next,
     reference_model,
     select_alpha,
+    stream_step,
     tabulated_kernel,
 )
 
@@ -121,3 +125,45 @@ def test_report_round_trips_to_dict():
     assert doc["grid"] == [0.3, 0.4]
     assert doc["argmin_alpha"] == report.argmin_alpha
     assert len(doc["scores"]) == 2
+
+
+def _replay_one_exponent(sample, alpha, kernel, boundary, n0):
+    """Reference score: a full init_stream / predict_next / stream_step pass."""
+    state = init_stream(sample.head(n0), alpha=alpha, kernel=kernel, boundary=boundary)
+    score, skipped, counted = 0.0, 0, 0
+    for i in range(n0, sample.n):
+        x, y = sample.covariates[i], float(sample.responses[i])
+        try:
+            pred = predict_next(state, x)
+        except NoSupportError:
+            skipped += 1
+        else:
+            score += (y - pred) * (y - pred)
+            counted += 1
+        state = stream_step(state, x, y)
+    return score, skipped, counted
+
+
+_XS = np.linspace(-1.0, 1.0, 4001)
+
+
+@pytest.mark.parametrize(
+    "kernel, workers, slicer",
+    [
+        (None, 1, None),
+        (None, 2, Slicer(boundary=0.1)),
+        # Pools take only the default kernel (see the refusal test above).
+        (tabulated_kernel(_XS, 0.75 * (1.0 - _XS * _XS)), 1, None),
+    ],
+)
+def test_shared_path_scores_equal_per_exponent_replays(kernel, workers, slicer):
+    sample = _sample(n=400, p=5, seed=8)
+    grid = [0.1, 0.3, 0.55]
+    report = select_alpha(sample, grid, slicer=slicer, kernel=kernel, workers=workers)
+    boundary = None if slicer is None else slicer.boundary
+    want = [_replay_one_exponent(sample, a, kernel, boundary, 30) for a in grid]
+    assert report.scores == tuple(w[0] for w in want)
+    assert report.skipped == tuple(w[1] for w in want)
+    assert report.counted == tuple(w[2] for w in want)
+    assert sum(report.skipped) > 0
+    assert cv_score(sample, 0.3, slicer=slicer, kernel=kernel) == want[1][:2]

@@ -1,27 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsir import (
     BandwidthSchedule,
     InsufficientDataError,
     NoSupportError,
+    NonFiniteInputError,
     ProjectionLog,
     Slicer,
     append,
     batch_sir,
+    cv_score,
     default_warmup,
+    direction_path,
     draw,
     epanechnikov,
     evaluate,
     init_stream,
     iter_stream,
+    observe,
     predict_next,
     recursive_step,
     reference_model,
     run_stream,
+    select_alpha,
     stream_step,
+    tabulated_kernel,
     warm_start,
 )
+from streamsir.moments import RESYMMETRIZE_EVERY
 
 
 def test_default_warmup():
@@ -151,3 +160,147 @@ def test_predict_next_matches_log_evaluation():
     x = sample.covariates[79]
     u = float(state.theta_hat @ x)
     assert predict_next(state, x) == evaluate(state.log, u)
+
+
+def _engine_arrays(state):
+    """Every array and count the engine carries, for exact comparison."""
+    m = state.sir.moments
+    out = {
+        "theta": state.theta_hat,
+        "inv_cov": m.inv_cov,
+        "mean": m.mean,
+        "slice_means": m.slice_means,
+        "slice_counts": m.slice_counts,
+        "n": m.n,
+        "updates": m.updates,
+        "log_k": state.log.indices,
+        "log_u": state.log.projections,
+        "log_h": state.log.bandwidths,
+        "log_y": state.log.responses,
+        "next_index": state.log.next_index,
+    }
+    if state.grid is not None:
+        out["grid_numerator"] = state.grid.numerator
+        out["grid_denominator"] = state.grid.denominator
+        out["grid_contributing"] = state.grid.contributing
+        out["grid_entries"] = state.grid.n_entries
+    return {k: np.copy(v) for k, v in out.items()}
+
+
+def _assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+_TABLE_XS = np.linspace(-1.0, 1.0, 4001)
+
+
+@pytest.mark.parametrize(
+    "p, kernel, boundary",
+    [
+        (4, None, None),
+        (10, None, None),
+        (10, tabulated_kernel(_TABLE_XS, 0.75 * (1.0 - _TABLE_XS * _TABLE_XS)), 0.2),
+    ],
+)
+def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary):
+    # More than 1024 streamed rows: the maintained inverse is re-symmetrized
+    # once and the grid absorbs the log in two chunks.
+    n, n0 = 1100 + default_warmup(p), default_warmup(p)
+    assert n - n0 > RESYMMETRIZE_EVERY
+    sample = draw(reference_model(p=p), n, 40 + p)
+    grid_points = np.linspace(-3.0, 3.0, 121)
+    checkpoints = (n0, n0 + 1, 500, n0 + RESYMMETRIZE_EVERY, n)
+
+    fast, snaps = run_stream(
+        sample, alpha=0.3, kernel=kernel, boundary=boundary,
+        grid_points=grid_points, checkpoints=checkpoints,
+    )
+
+    slow = init_stream(
+        sample.head(n0), alpha=0.3, kernel=kernel, boundary=boundary, grid_points=grid_points
+    )
+    want_snaps = {n0: slow.theta_hat.copy()}
+    for i in range(n0, n):
+        slow = stream_step(slow, sample.covariates[i], float(sample.responses[i]))
+        if slow.n in checkpoints:
+            want_snaps[slow.n] = slow.theta_hat.copy()
+
+    assert fast.sir.moments.updates == n - n0
+    _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
+    assert sorted(snaps) == sorted(want_snaps)
+    for k in want_snaps:
+        assert np.array_equal(snaps[k], want_snaps[k]), k
+    assert fast.slicer == slow.slicer and fast.warmup_n == slow.warmup_n
+
+
+def test_direction_path_needs_no_kernel_and_matches_run_stream():
+    sample = draw(reference_model(p=6), 400, 13)
+    path = direction_path(sample, checkpoints=(100, 400))
+    state = run_stream(sample)
+    assert path.warmup_n == state.warmup_n == 30
+    assert np.array_equal(path.projections, state.log.projections)
+    assert np.array_equal(path.responses, sample.responses[30:])
+    assert np.array_equal(path.sir.theta_hat, state.theta_hat)
+    assert np.array_equal(path.snapshots[400], state.theta_hat)
+    assert sorted(path.snapshots) == [100, 400]
+
+
+_BAD_VALUES = st.sampled_from([np.nan, np.inf, -np.inf])
+_GUARD_SAMPLE = draw(reference_model(p=4), 60, 17)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    arrival=st.integers(30, 59),
+    target=st.integers(-1, 3),  # -1: the response, else that covariate
+    bad=_BAD_VALUES,
+    with_grid=st.booleans(),
+)
+def test_non_finite_arrival_is_refused_without_touching_state(arrival, target, bad, with_grid):
+    sample = _GUARD_SAMPLE
+    grid = np.linspace(-2.0, 2.0, 7) if with_grid else None
+    state = init_stream(sample.head(30), grid_points=grid)
+    for i in range(30, arrival):
+        state = stream_step(state, sample.covariates[i], float(sample.responses[i]))
+    x, y = sample.covariates[arrival].copy(), float(sample.responses[arrival])
+    if target < 0:
+        y = bad
+    else:
+        x[target] = bad
+    before = _engine_arrays(state)
+    sir_before = state.sir
+
+    with pytest.raises(NonFiniteInputError):
+        stream_step(state, x, y)
+    with pytest.raises(NonFiniteInputError):
+        recursive_step(state.sir, x, y, state.slicer)
+    with pytest.raises(NonFiniteInputError):
+        observe(state.sir.moments, x, y, state.slicer)
+    if target >= 0:
+        with pytest.raises(NonFiniteInputError):
+            predict_next(state, x)
+
+    assert state.sir is sir_before
+    _assert_same_arrays(_engine_arrays(state), before)
+    # The stream carries on from the untouched state.
+    good = stream_step(state, sample.covariates[arrival], float(sample.responses[arrival]))
+    assert np.all(np.isfinite(good.theta_hat))
+
+
+@pytest.mark.parametrize("row", [3, 45])
+def test_batch_entry_points_reject_a_non_finite_row(row):
+    sample = draw(reference_model(p=4), 80, 21)
+    sample.covariates[row, 2] = np.nan
+    for call in (
+        lambda: run_stream(sample),
+        lambda: direction_path(sample),
+        lambda: select_alpha(sample, [0.3]),
+        lambda: cv_score(sample, 0.3),
+    ):
+        with pytest.raises(NonFiniteInputError, match=f"row {row}"):
+            call()
+    if row < 30:
+        with pytest.raises(NonFiniteInputError):
+            init_stream(sample.head(30))

@@ -192,3 +192,49 @@ def test_theoretical_std_validation():
         theoretical_std(1.0, k, 1.5, 0.4)
     with pytest.raises(ValueError, match="strictly positive"):
         theoretical_std(1.0, k, 0.35, 0.0)
+
+
+def test_vectorized_bandwidths_equal_the_scalar_schedule():
+    # from_entries and extend compute h_k = k ** -alpha over an array; push
+    # and the per-step grid use the scalar schedule.  The two must agree bit
+    # for bit, or a vectorized log would differ from a streamed one.
+    ks = np.arange(1, 30001)
+    for alpha in np.round(np.arange(0.1, 0.5001, 0.05), 10):
+        sched = BandwidthSchedule(alpha=float(alpha))
+        log = ProjectionLog.from_entries(
+            epanechnikov(), sched, ks, np.zeros(ks.size), np.zeros(ks.size)
+        )
+        scalar = np.array([sched.h(int(k)) for k in ks])
+        assert np.array_equal(log.bandwidths, scalar), alpha
+        assert log.next_index == 30001
+
+
+def test_extend_equals_pushing_one_at_a_time():
+    rng = np.random.default_rng(4)
+    u, y = rng.standard_normal(300), rng.standard_normal(300)
+    pushed = _fresh_log(first_index=31)
+    for a, b in zip(u, y):
+        pushed.push(float(a), float(b))
+    extended = _fresh_log(first_index=31)
+    extended.extend(u[:100], y[:100])
+    extended.extend(u[100:], y[100:])
+    for name in ("indices", "projections", "responses", "bandwidths"):
+        assert np.array_equal(getattr(extended, name), getattr(pushed, name)), name
+    assert extended.next_index == pushed.next_index == 331
+    with pytest.raises(ValueError, match="identical shapes"):
+        extended.extend(u[:2], y[:3])
+
+
+def test_grid_absorbs_an_array_as_it_absorbs_entries_one_by_one():
+    # 2500 entries span three chunks; the sums must keep the entry order.
+    rng = np.random.default_rng(5)
+    u, y = rng.standard_normal(2500), rng.standard_normal(2500)
+    h = BandwidthSchedule(alpha=0.3).h(np.arange(1, 2501))
+    points = np.linspace(-3.0, 3.0, 61)
+    one_by_one = GridAccumulator(points=points)
+    for a, b, c in zip(u, y, h):
+        one_by_one.absorb(epanechnikov(), float(a), float(b), float(c))
+    batched = GridAccumulator(points=points)
+    batched.absorb(epanechnikov(), u, y, h)
+    for name in ("numerator", "denominator", "contributing", "n_entries"):
+        assert np.array_equal(getattr(batched, name), getattr(one_by_one, name)), name
