@@ -13,9 +13,9 @@ from streamsir import (
     Slicer,
     batch_sir,
     direction_distance,
+    direction_path,
     draw,
     reference_model,
-    run_stream,
 )
 
 
@@ -24,14 +24,15 @@ def main() -> None:
     sample = draw(model, 2000, seed=42)
     checkpoints = (100, 250, 500, 1000, 2000)
 
-    state, snapshots = run_stream(sample, alpha=0.35, checkpoints=checkpoints)
+    # The direction stage alone: the kernel estimate plays no part in it.
+    path = direction_path(sample, checkpoints=checkpoints)
 
     print("True direction (unit norm):")
     print(" ", np.array2string(model.direction, precision=3))
     print()
     print(f"{'n':>6} {'distance to truth':>18}")
     for n in checkpoints:
-        theta = snapshots[n]
+        theta = path.snapshots[n]
         dist = direction_distance(theta, model.direction)
         print(f"{n:>6} {dist:>18.5f}")
 
@@ -39,7 +40,7 @@ def main() -> None:
     # batch must land on the same (unnormalized) direction.
     slicer = Slicer(boundary=float(np.median(sample.responses[:30])))
     theta_batch = batch_sir(sample, slicer)
-    gap = np.max(np.abs(state.theta_hat - theta_batch)) / np.max(np.abs(theta_batch))
+    gap = np.max(np.abs(path.sir.theta_hat - theta_batch)) / np.max(np.abs(theta_batch))
     print()
     print(f"Streaming vs batch direction, relative max gap: {gap:.2e}")
     print("(Exact in real arithmetic; anything below ~1e-8 is rounding noise.)")

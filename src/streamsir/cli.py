@@ -241,6 +241,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     # --grid-min/--grid-max mean the exponent grid here, not the curve grid.
     cfg = load_config(args.config, _engine_overrides(args, exclude=("grid_min", "grid_max")))
     out = _resolve_out_dir(args, cfg)
+    kernel = _load_kernel(cfg)
     sample = _obtain_sample(cfg)
     if args.grid_step <= 0.0:
         raise StreamSirError("--grid-step must be positive")
@@ -250,7 +251,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     grid = [a for a in grid if a <= args.grid_max + 1e-12]
     boundary = None if cfg.boundary is None else Slicer(boundary=cfg.boundary)
     report = select_alpha(
-        sample, grid, slicer=boundary, warmup=cfg.warmup, workers=args.workers
+        sample, grid, slicer=boundary, warmup=cfg.warmup, kernel=kernel, workers=args.workers
     )
     io.write_json(report.to_dict(), out / "cv.json")
     print(out / "cv.json")
@@ -259,6 +260,8 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
+    if cfg.kernel != "epanechnikov":
+        raise StreamSirError(f"study supports only the epanechnikov kernel, got {cfg.kernel!r}")
     out = _resolve_out_dir(args, cfg)
     if args.sizes:
         sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())

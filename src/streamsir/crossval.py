@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .engine import DirectionPath, default_warmup, direction_path
+from .engine import DirectionPath, _warmup_length, direction_path
 from .errors import InsufficientDataError, NoSupportError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
 from .linkreg import ProjectionLog, evaluate
@@ -79,7 +79,7 @@ class CvReport:
 
 def _path(sample: Sample, slicer: Slicer | None, warmup: int | None) -> DirectionPath:
     """The one direction pass every candidate exponent shares."""
-    n0 = default_warmup(sample.p) if warmup is None else int(warmup)
+    n0 = _warmup_length(sample, warmup)
     if sample.n <= n0:
         raise InsufficientDataError(
             f"sample has {sample.n} rows but scoring needs more than the warm-up ({n0})"
@@ -132,9 +132,7 @@ def cv_score(
     return score, skipped
 
 
-def _grid_task(args: tuple[DirectionPath, float]) -> tuple[float, int, int]:
-    # Worker processes use the default kernel; custom kernels run serially
-    # because their evaluators may not survive pickling.
+def _grid_task(args: tuple[DirectionPath, float, KernelSpec | None]) -> tuple[float, int, int]:
     return _replay(*args)
 
 
@@ -150,11 +148,11 @@ def select_alpha(
 
     Ties break toward the smaller alpha value, and among equal values
     toward the earlier grid position, so the selection never depends on
-    evaluation order.
+    evaluation order.  With workers > 1 the kernel goes to the worker
+    processes, so it must pickle; both built-in kernels do.
 
     Raises:
-        ValueError: empty grid, a candidate outside (0, 1), or workers > 1
-            combined with a custom kernel.
+        ValueError: empty grid or a candidate outside (0, 1).
     """
     cand = [float(a) for a in np.asarray(grid, dtype=np.float64).ravel()]
     if not cand:
@@ -162,13 +160,11 @@ def select_alpha(
     for a in cand:
         if not (0.0 < a < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
-    if workers > 1 and kernel is not None:
-        raise ValueError("parallel grid evaluation supports only the default kernel")
 
     path = _path(sample, slicer, warmup)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_task, [(path, a) for a in cand]))
+            results = list(pool.map(_grid_task, [(path, a, kernel) for a in cand]))
     else:
         results = [_replay(path, a, kernel) for a in cand]
 

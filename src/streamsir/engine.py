@@ -17,16 +17,19 @@ The estimator runs in two stages over one stream.
 The ordering is the whole point: the logged projection and any prediction
 made for the new point depend only on data seen strictly before it.
 
-direction_path runs stage 1 once over a whole sample on preallocated
-buffers and returns the projections; run_stream, cross-validation and the
-studies build their logs, grids and scores from them.  init_stream,
-stream_step and predict_next are the per-arrival API over the same
-recursion step.
+direction_path runs stage 1 once over a whole sample, stepping one
+direction state in place, and returns the projections; run_stream,
+cross-validation and the studies build their logs, grids and scores from
+them.  init_stream, stream_step and predict_next are the per-arrival API
+over the same recursion step: stream_step advances the StreamState it is
+given in place and returns that same object.  run_stream(sample, alpha,
+kernel, warmup, boundary, grid_points) always returns a StreamState; use
+direction_path(..., checkpoints=) for direction snapshots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -34,9 +37,13 @@ import numpy as np
 from .errors import InsufficientDataError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
 from .linkreg import GridAccumulator, ProjectionLog, append, evaluate
-from .moments import RunningMoments, Slicer, finite_covariates, require_finite_rows
-from .sir import SirState, advance, recursive_step, warm_start
+from .moments import Slicer, finite_covariates, finite_response, require_finite_rows
+from .sir import SirState, advance, step_terms, warm_start
 from .simulate import Sample
+
+# Not called here: the per-layer tracer (perfbench/tracing.py) patches this
+# name by module attribute, so it stays importable.
+from .sir import recursive_step  # noqa: F401
 
 DEFAULT_ALPHA = 0.35
 
@@ -60,7 +67,7 @@ def _warmup_length(sample: Sample, warmup: int | None) -> int:
 
 @dataclass
 class StreamState:
-    """Everything the engine carries between observations.
+    """Everything the engine carries between observations; stream_step steps it in place.
 
     Attributes:
         sir: direction estimate plus running moments.
@@ -117,7 +124,7 @@ def direction_path(
     """Run the direction recursion once over a sample, in arrival order.
 
     Gives the same bits as init_stream followed by one stream_step per row:
-    the step is sir.advance on one set of buffers, without per-step copies.
+    both step one direction state in place with sir.advance.
 
     Raises:
         NonFiniteInputError: some row holds NaN or inf (checked once, up front).
@@ -126,13 +133,8 @@ def direction_path(
     n0 = _warmup_length(sample, warmup)
     xs, ys = sample.covariates, sample.responses
     require_finite_rows(xs, ys)
-    head = sample.head(n0)
-    if boundary is None:
-        boundary = float(np.median(head.responses))
-    slicer = Slicer(boundary=boundary)
-    sir = warm_start(head, slicer)
-    run = RunningMoments(sir.moments)
-    theta = sir.theta_hat.copy()
+    sir, slicer = _warm_up(sample.head(n0), boundary)
+    moments, theta = sir.moments, sir.theta_hat
 
     want = {int(c) for c in checkpoints}
     snapshots: dict[int, np.ndarray] = {}
@@ -143,17 +145,27 @@ def direction_path(
     for j, i in enumerate((slicer.slices_of(ys) - 1).tolist()):
         x = xs[j]
         u[j] = theta @ x
-        advance(run, theta, x, i)
-        if run.n in want:
-            snapshots[run.n] = theta.copy()
+        # The warm-up leaves both slices non-empty, so only the rank-one
+        # check of step_terms can fail here.
+        advance(sir, x, i, moments.rank_one_terms(x))
+        if moments.n in want:
+            snapshots[moments.n] = theta.copy()
     return DirectionPath(
-        sir=SirState(moments=run.freeze(), theta_hat=theta),
+        sir=sir,
         slicer=slicer,
         warmup_n=n0,
         projections=u,
         responses=ys,
         snapshots=snapshots,
     )
+
+
+def _warm_up(head: Sample, boundary: float | None) -> tuple[SirState, Slicer]:
+    """Batch warm-up over the first rows; the boundary defaults to their median response."""
+    if boundary is None:
+        boundary = float(np.median(head.responses))
+    slicer = Slicer(boundary=boundary)
+    return warm_start(head, slicer), slicer
 
 
 def _stream_state(
@@ -194,13 +206,8 @@ def init_stream(
     grid_points : array, optional
         When given, a GridAccumulator tracks the curve on these abscissas.
     """
-    n0, p = warmup_sample.n, warmup_sample.p
-    if n0 < p + 2:
-        raise InsufficientDataError(f"warm-up needs at least p + 2 = {p + 2} rows, got {n0}")
-    if boundary is None:
-        boundary = float(np.median(warmup_sample.responses))
-    slicer = Slicer(boundary=boundary)
-    return _stream_state(warm_start(warmup_sample, slicer), slicer, n0, alpha, kernel, grid_points)
+    sir, slicer = _warm_up(warmup_sample, boundary)
+    return _stream_state(sir, slicer, warmup_sample.n, alpha, kernel, grid_points)
 
 
 def predict_next(state: StreamState, x: np.ndarray) -> float:
@@ -218,15 +225,20 @@ def predict_next(state: StreamState, x: np.ndarray) -> float:
 
 
 def stream_step(state: StreamState, x: np.ndarray, y: float) -> StreamState:
-    """Absorb one observation: log it on the previous direction, advance the direction.
+    """Absorb one observation in place: log it on the previous direction, then advance.
 
-    The direction step runs first and works on copies, so when it raises
-    (NonFiniteInputError, NumericalBreakdownError) neither the log nor the
-    given state has changed.
+    Returns the state it was given, so `state = stream_step(state, x, y)`
+    reads as a step.  Every check (NonFiniteInputError, EmptySliceError,
+    NumericalBreakdownError) runs before anything changes, so a call that
+    raises leaves the direction, the moments, the log and the grid as they
+    were.
     """
-    sir = recursive_step(state.sir, x, y, state.slicer)
-    append(state.log, state.grid, x, y, state.theta_hat)
-    return replace(state, sir=sir)
+    x, y = finite_covariates(x), finite_response(y)
+    sir = state.sir
+    terms = step_terms(sir, x)
+    append(state.log, state.grid, x, y, sir.theta_hat)
+    advance(sir, x, state.slicer.slice_of(y) - 1, terms)
+    return state
 
 
 def run_stream(
@@ -236,8 +248,7 @@ def run_stream(
     warmup: int | None = None,
     boundary: float | None = None,
     grid_points: np.ndarray | None = None,
-    checkpoints: tuple[int, ...] = (),
-) -> StreamState | tuple[StreamState, dict[int, np.ndarray]]:
+) -> StreamState:
     """Run the full pipeline over a sample in arrival order.
 
     Same result, bit for bit, as init_stream followed by one stream_step
@@ -251,22 +262,20 @@ def run_stream(
     warmup : int, optional
         Defaults to max(2 p, 30).  Must leave at least one streamed row if
         the sample is longer than the warm-up.
-    checkpoints : tuple of int, optional
-        Observation counts at which to snapshot theta_hat; snapshots are
-        returned in a dict alongside the final state.
+
+    For theta_hat snapshots along the way, use direction_path(...,
+    checkpoints=).
 
     Raises:
         NonFiniteInputError: some row holds NaN or inf.
         InsufficientDataError: the sample is shorter than the warm-up.
     """
-    path = direction_path(sample, warmup=warmup, boundary=boundary, checkpoints=checkpoints)
+    path = direction_path(sample, warmup=warmup, boundary=boundary)
     state = _stream_state(path.sir, path.slicer, path.warmup_n, alpha, kernel, grid_points)
     log = state.log
     log.extend(path.projections, path.responses)
     if state.grid is not None:
         state.grid.absorb(log.kernel, log.projections, log.responses, log.bandwidths)
-    if checkpoints:
-        return state, path.snapshots
     return state
 
 
@@ -280,8 +289,8 @@ def iter_stream(
 ) -> Iterator[StreamState]:
     """Yield the state after warm-up and after every subsequent observation.
 
-    The yielded object is the live engine state, not a copy; callers that
-    need a historical value must copy it before advancing.
+    Every yield is the same live engine state, advanced in place; callers
+    that need a historical value must copy it before advancing.
     """
     n0 = _warmup_length(sample, warmup)
     state = init_stream(
@@ -290,5 +299,4 @@ def iter_stream(
     yield state
     xs, ys = sample.covariates, sample.responses
     for i in range(n0, sample.n):
-        state = stream_step(state, xs[i], float(ys[i]))
-        yield state
+        yield stream_step(state, xs[i], float(ys[i]))

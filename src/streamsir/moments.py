@@ -11,8 +11,14 @@ after warm-up; it advances by a Sherman-Morrison style rank-one correction,
 where n is the count after the update, w = inv @ (x - mean_old) and
 rho = (x - mean_old)' inv (x - mean_old).  The identity is exact in real
 arithmetic, so any drift between the maintained inverse and the true inverse
-is pure floating-point accumulation; a periodic re-symmetrization keeps that
-drift from feeding on asymmetry.
+is pure floating-point accumulation.  The maintained inverse stays exactly
+symmetric: the warm-up inverse is symmetrized, and each update subtracts the
+bit-symmetric matrix w w' / (n + rho) and rescales.
+
+MomentState is mutable: the recursion advances it in place
+(rank_one_terms, absorb_covariate, absorb_slice).  riccati_update,
+slice_update and observe are the functional API over the same steps; they
+work on a copy and never modify the state they are given.
 
 Slices partition responses into "low" (slice 1, y <= boundary) and "high"
 (slice 2, y > boundary).  The boundary is chosen once, before streaming
@@ -40,9 +46,6 @@ from .simulate import Sample
 # covariance is declared unusable.
 SINGULARITY_TOLERANCE = 1e-10
 
-# Re-symmetrize the maintained inverse every this many rank-one updates.
-RESYMMETRIZE_EVERY = 1024
-
 
 @dataclass(frozen=True)
 class Slicer:
@@ -59,7 +62,7 @@ class Slicer:
         return np.where(np.asarray(ys) <= self.boundary, 1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class MomentState:
     """Running moments after n observations.
 
@@ -70,8 +73,6 @@ class MomentState:
         slice_counts: observations per slice, shape (2,), dtype int64.
         slice_means: covariate mean within each slice, shape (2, p); a slice
             that is still empty holds zeros.
-        updates: rank-one updates applied since warm-up (drives the
-            re-symmetrization cadence).
     """
 
     n: int
@@ -79,7 +80,6 @@ class MomentState:
     inv_cov: np.ndarray
     slice_counts: np.ndarray
     slice_means: np.ndarray
-    updates: int = 0
 
     @property
     def p(self) -> int:
@@ -92,6 +92,53 @@ class MomentState:
         slice_means[0] - slice_means[1].
         """
         return self.slice_means[0] - self.slice_means[1]
+
+    def copy(self) -> "MomentState":
+        """An independent copy: every array is copied."""
+        return MomentState(
+            n=self.n,
+            mean=self.mean.copy(),
+            inv_cov=self.inv_cov.copy(),
+            slice_counts=self.slice_counts.copy(),
+            slice_means=self.slice_means.copy(),
+        )
+
+    def rank_one_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """phi = x - mean, w = inv @ phi and the update denominator n + rho.
+
+        Changes nothing, so a breakdown leaves the moments as they were.
+
+        Raises:
+            NumericalBreakdownError: the denominator is not positive, which
+                cannot happen in exact arithmetic once the covariance is
+                positive definite.
+        """
+        n_new = self.n + 1
+        phi = x - self.mean
+        w = self.inv_cov @ phi
+        denom = n_new + float(phi @ w)
+        if denom <= 0.0:
+            raise NumericalBreakdownError(
+                f"rank-one update denominator {denom!r} is not positive at n = {n_new}"
+            )
+        return phi, w, denom
+
+    def absorb_covariate(self, phi: np.ndarray, w: np.ndarray, denom: float) -> None:
+        """Rank-one step of the mean and inverse covariance, from rank_one_terms."""
+        n_new = self.n + 1
+        self.inv_cov -= w[:, None] * w / denom
+        self.inv_cov *= n_new / (n_new - 1.0)
+        self.mean += phi / n_new
+        self.n = n_new
+
+    def absorb_slice(self, i: int, step: np.ndarray) -> None:
+        """Count one more row in slice i (0-based); step = x - slice_means[i].
+
+        The overall count n is not advanced here; absorb_covariate owns it.
+        """
+        c_old = int(self.slice_counts[i])
+        self.slice_means[i] += step / (c_old + 1)
+        self.slice_counts[i] = c_old + 1
 
 
 def batch_moments(sample: Sample, slicer: Slicer) -> MomentState:
@@ -175,78 +222,6 @@ def require_finite_rows(xs: np.ndarray, ys: np.ndarray) -> None:
         raise NonFiniteInputError(f"row {row} holds a NaN or infinite value")
 
 
-class RunningMoments:
-    """Mutable working copy of a MomentState that the recursion advances in place.
-
-    The constructor copies every array, so advancing never touches the state
-    it came from; freeze() hands the arrays over to a MomentState, after
-    which this object must not be advanced again.  The arithmetic is the
-    rank-one identity of the module docstring, operation for operation, so
-    every path through it gives the same bits.
-    """
-
-    __slots__ = ("n", "mean", "inv_cov", "slice_counts", "slice_means", "updates")
-
-    def __init__(self, state: MomentState) -> None:
-        self.n = state.n
-        self.mean = state.mean.copy()
-        self.inv_cov = state.inv_cov.copy()
-        self.slice_counts = state.slice_counts.copy()
-        self.slice_means = state.slice_means.copy()
-        self.updates = state.updates
-
-    def freeze(self) -> MomentState:
-        return MomentState(
-            n=self.n,
-            mean=self.mean,
-            inv_cov=self.inv_cov,
-            slice_counts=self.slice_counts,
-            slice_means=self.slice_means,
-            updates=self.updates,
-        )
-
-    def rank_one_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """phi = x - mean, w = inv @ phi and the update denominator n + rho.
-
-        Changes nothing, so a breakdown leaves the moments as they were.
-
-        Raises:
-            NumericalBreakdownError: the denominator is not positive, which
-                cannot happen in exact arithmetic once the covariance is
-                positive definite.
-        """
-        n_new = self.n + 1
-        phi = x - self.mean
-        w = self.inv_cov @ phi
-        denom = n_new + float(phi @ w)
-        if denom <= 0.0:
-            raise NumericalBreakdownError(
-                f"rank-one update denominator {denom!r} is not positive at n = {n_new}"
-            )
-        return phi, w, denom
-
-    def absorb_covariate(self, phi: np.ndarray, w: np.ndarray, denom: float) -> None:
-        """Rank-one step of the mean and inverse covariance, from rank_one_terms."""
-        n_new = self.n + 1
-        inv = self.inv_cov
-        inv -= w[:, None] * w / denom
-        inv *= n_new / (n_new - 1.0)
-        self.updates += 1
-        if self.updates % RESYMMETRIZE_EVERY == 0:
-            inv[...] = 0.5 * (inv + inv.T)
-        self.mean += phi / n_new
-        self.n = n_new
-
-    def absorb_slice(self, i: int, step: np.ndarray) -> None:
-        """Count one more row in slice i (0-based); step = x - slice_means[i].
-
-        The overall count n is not advanced here; absorb_covariate owns it.
-        """
-        c_old = int(self.slice_counts[i])
-        self.slice_means[i] += step / (c_old + 1)
-        self.slice_counts[i] = c_old + 1
-
-
 def riccati_update(state: MomentState, x: np.ndarray) -> MomentState:
     """Absorb one covariate vector into the mean and inverse covariance.
 
@@ -260,9 +235,9 @@ def riccati_update(state: MomentState, x: np.ndarray) -> MomentState:
             covariance is positive definite.
     """
     x = finite_covariates(x)
-    run = RunningMoments(state)
-    run.absorb_covariate(*run.rank_one_terms(x))
-    return run.freeze()
+    m = state.copy()
+    m.absorb_covariate(*m.rank_one_terms(x))
+    return m
 
 
 def slice_update(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
@@ -274,10 +249,10 @@ def slice_update(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) ->
         NonFiniteInputError: x or y holds NaN or inf.
     """
     x, y = finite_covariates(x), finite_response(y)
-    run = RunningMoments(state)
+    m = state.copy()
     i = slicer.slice_of(y) - 1
-    run.absorb_slice(i, x - run.slice_means[i])
-    return run.freeze()
+    m.absorb_slice(i, x - m.slice_means[i])
+    return m
 
 
 def observe(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
@@ -288,9 +263,9 @@ def observe(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> Mome
         NumericalBreakdownError: as riccati_update.
     """
     x, y = finite_covariates(x), finite_response(y)
-    run = RunningMoments(state)
+    m = state.copy()
     i = slicer.slice_of(y) - 1
-    step = x - run.slice_means[i]
-    run.absorb_covariate(*run.rank_one_terms(x))
-    run.absorb_slice(i, step)
-    return run.freeze()
+    step = x - m.slice_means[i]
+    m.absorb_covariate(*m.rank_one_terms(x))
+    m.absorb_slice(i, step)
+    return m

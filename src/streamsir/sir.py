@@ -21,7 +21,6 @@ import numpy as np
 from .errors import EmptySliceError
 from .moments import (
     MomentState,
-    RunningMoments,
     Slicer,
     batch_moments,
     finite_covariates,
@@ -30,20 +29,20 @@ from .moments import (
 from .simulate import Sample
 
 
-@dataclass(frozen=True)
+@dataclass
 class SirState:
     """Direction estimate bundled with the moment state that produced it.
+
+    advance steps both in place; recursive_step is the copying form.
 
     Attributes:
         moments: running moments after n observations.
         theta_hat: current direction estimate, shape (p,); not normalized,
             since the target is only identified up to scale.
-        history: (n, theta_hat copy) snapshots when tracking is on, else None.
     """
 
     moments: MomentState
     theta_hat: np.ndarray
-    history: tuple[tuple[int, np.ndarray], ...] | None = None
 
 
 def direction_from_moments(moments: MomentState) -> np.ndarray:
@@ -60,21 +59,43 @@ def batch_sir(sample: Sample, slicer: Slicer) -> np.ndarray:
     return direction_from_moments(batch_moments(sample, slicer))
 
 
-def warm_start(sample: Sample, slicer: Slicer, track_history: bool = False) -> SirState:
+def warm_start(sample: Sample, slicer: Slicer) -> SirState:
     """Initialize the recursion from a batch over the warm-up sample."""
     moments = batch_moments(sample, slicer)
-    theta = direction_from_moments(moments)
-    history = ((moments.n, theta.copy()),) if track_history else None
-    return SirState(moments=moments, theta_hat=theta, history=history)
+    return SirState(moments=moments, theta_hat=direction_from_moments(moments))
 
 
-def advance(run: RunningMoments, theta: np.ndarray, x: np.ndarray, i: int) -> None:
+def step_terms(state: SirState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run every check of a step on x and return the rank-one terms for advance.
+
+    Changes nothing, so a step that would fail raises before anything moves.
+
+    Raises:
+        EmptySliceError: a slice count is still zero, so the slice-mean
+            difference that the recursion corrects is not yet defined.
+        NumericalBreakdownError: the rank-one denominator n + rho is not
+            positive.
+    """
+    counts = state.moments.slice_counts
+    if int(counts[0]) <= 0 or int(counts[1]) <= 0:
+        h_empty = 1 if int(counts[0]) <= 0 else 2
+        raise EmptySliceError(
+            f"cannot step the recursion while slice {h_empty} is empty", h_empty
+        )
+    return state.moments.rank_one_terms(x)
+
+
+def advance(
+    state: SirState, x: np.ndarray, i: int, terms: tuple[np.ndarray, np.ndarray, float]
+) -> None:
     """Advance theta and the moments by one observation, in place.
 
-    x is a finite float64 vector and i the 0-based slice of its response.
-    Writing inv for the pre-update inverse covariance, phi = x - mean_old,
-    w = inv @ phi, rho = phi' w, n for the post-update count, h = i + 1 for
-    the receiving slice with pre-update count c, and
+    x is a finite float64 vector, i the 0-based slice of its response and
+    terms = (phi, w, n + rho) from step_terms (or rank_one_terms) on the
+    same state, taken before the step so that a failure raises while
+    nothing has changed.  Writing inv for the pre-update inverse covariance,
+    phi = x - mean_old, w = inv @ phi, rho = phi' w, n for the post-update
+    count, h = i + 1 for the receiving slice with pre-update count c, and
     phi_h = x - slice_mean_h, the update is
 
         theta_new = (n / (n - 1)) * (theta - (phi' theta) w / (n + rho))
@@ -83,18 +104,15 @@ def advance(run: RunningMoments, theta: np.ndarray, x: np.ndarray, i: int) -> No
 
     with sign(1) = -1 and sign(2) = +1: mass entering the low slice pushes
     the slice-mean difference up, mass entering the high slice pulls it down.
-    The w and phi_h computed here also drive the moment update, so inv @ phi
-    is formed once per step.
-
-    Raises:
-        NumericalBreakdownError: the rank-one denominator n + rho is not
-            positive; theta and the moments are left unchanged.
+    The w and phi_h also drive the moment update, so inv @ phi is formed
+    once per step.
     """
-    phi, w, denom = run.rank_one_terms(x)
-    n_new = run.n + 1
-    c_old = int(run.slice_counts[i])
-    phi_h = x - run.slice_means[i]
-    v = run.inv_cov @ phi_h
+    phi, w, denom = terms
+    m, theta = state.moments, state.theta_hat
+    n_new = m.n + 1
+    c_old = int(m.slice_counts[i])
+    phi_h = x - m.slice_means[i]
+    v = m.inv_cov @ phi_h
     # w' phi_h equals phi' inv phi_h by symmetry of the maintained inverse.
     cross = float(w @ phi_h)
     sign = -1.0 if i == 0 else 1.0
@@ -105,35 +123,24 @@ def advance(run: RunningMoments, theta: np.ndarray, x: np.ndarray, i: int) -> No
     v *= sign * n_new / ((c_old + 1) * (n_new - 1.0))
     theta -= v
 
-    run.absorb_covariate(phi, w, denom)
-    run.absorb_slice(i, phi_h)
+    m.absorb_covariate(phi, w, denom)
+    m.absorb_slice(i, phi_h)
 
 
 def recursive_step(state: SirState, x: np.ndarray, y: float, slicer: Slicer) -> SirState:
     """Advance the direction estimate by one observation (see advance).
 
-    Works on copies, so the given state is never modified.
+    Works on a copy, so the given state is never modified.
 
     Raises:
         NonFiniteInputError: x or y holds NaN or inf.
-        EmptySliceError: a slice count is still zero, so the slice-mean
-            difference that the recursion corrects is not yet defined.
-        NumericalBreakdownError: as advance.
+        EmptySliceError, NumericalBreakdownError: as step_terms.
     """
     x, y = finite_covariates(x), finite_response(y)
-    moments = state.moments
-    if int(moments.slice_counts[0]) <= 0 or int(moments.slice_counts[1]) <= 0:
-        h_empty = 1 if int(moments.slice_counts[0]) <= 0 else 2
-        raise EmptySliceError(
-            f"cannot step the recursion while slice {h_empty} is empty", h_empty
-        )
-    run = RunningMoments(moments)
-    theta = state.theta_hat.copy()
-    advance(run, theta, x, slicer.slice_of(y) - 1)
-    history = state.history
-    if history is not None:
-        history = history + ((run.n, theta.copy()),)
-    return SirState(moments=run.freeze(), theta_hat=theta, history=history)
+    terms = step_terms(state, x)
+    new = SirState(moments=state.moments.copy(), theta_hat=state.theta_hat.copy())
+    advance(new, x, slicer.slice_of(y) - 1, terms)
+    return new
 
 
 def direction_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -22,12 +22,9 @@ CLI = [sys.executable, "-m", "streamsir"]
 PACKAGE_ROOT = str(Path(streamsir.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd, env_extra=None):
-    """Run `python -m streamsir ARGS` in `cwd`; returns the completed process.
-
-    The child gets the parent environment without STREAMSIR_OUTDIR, with
-    PACKAGE_ROOT first on PYTHONPATH, then `env_extra` applied on top.
-    """
+def child_env(env_extra=None):
+    """The parent environment without STREAMSIR_OUTDIR, with PACKAGE_ROOT
+    first on PYTHONPATH, then `env_extra` applied on top."""
     env = dict(os.environ)
     env.pop("STREAMSIR_OUTDIR", None)
     inherited = env.get("PYTHONPATH")
@@ -36,6 +33,12 @@ def run_cli(args, cwd, env_extra=None):
     )
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(args, cwd, env_extra=None):
+    """Run `python -m streamsir ARGS` in `cwd` under child_env(env_extra);
+    returns the completed process."""
     return subprocess.run(
-        CLI + args, cwd=cwd, env=env, capture_output=True, text=True
+        CLI + args, cwd=cwd, env=child_env(env_extra), capture_output=True, text=True
     )

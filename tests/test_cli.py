@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _cli import run_cli
-from streamsir import reference_model, run_stream
+from streamsir import draw, reference_model, run_stream, select_alpha, tabulated_kernel
 from streamsir.io import read_sample_csv
 
 
@@ -160,3 +160,47 @@ def test_unknown_model_is_a_config_error(tmp_path):
     r = run_cli(["simulate", "--model", "mystery"], tmp_path)
     assert r.returncode == 1
     assert "ConfigError" in r.stderr
+
+
+_TRIANGLE_XS = np.linspace(-1.0, 1.0, 201)
+_TRIANGLE_KS = 1.0 - np.abs(_TRIANGLE_XS)
+_TRIANGLE_ROWS = [f"{x:.17g},{k:.17g}" for x, k in zip(_TRIANGLE_XS, _TRIANGLE_KS)]
+
+
+def _kernel_config(tmp_path, kernel_rows):
+    """engine.cfg selecting the tabulated kernel from table.csv (x,k rows)."""
+    (tmp_path / "table.csv").write_text("x,k\n" + "".join(f"{r}\n" for r in kernel_rows))
+    (tmp_path / "engine.cfg").write_text("kernel = tabulated\nkernel_table = table.csv\n")
+
+
+def test_cv_scores_with_the_configured_kernel(tmp_path):
+    _kernel_config(tmp_path, _TRIANGLE_ROWS)
+    args = ["cv", "--n", "400", "--seed", "3", "--grid-min", "0.2", "--grid-max", "0.4",
+            "--grid-step", "0.1"]
+    r = run_cli(args + ["--config", "engine.cfg"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads((tmp_path / "cv.json").read_text())
+
+    sample = draw(reference_model(p=10), 400, 3)
+    triangle = tabulated_kernel(_TRIANGLE_XS, _TRIANGLE_KS)
+    want = select_alpha(sample, [0.2, 0.3, 0.4], kernel=triangle)
+    assert doc["scores"] == list(want.scores)
+    assert doc["scores"] != list(select_alpha(sample, [0.2, 0.3, 0.4]).scores)
+
+
+def test_cv_refuses_an_invalid_kernel_table(tmp_path):
+    _kernel_config(tmp_path, ["-1,0", "0,0.5", "1,0"])  # mass 0.5, not 1
+    r = run_cli(["cv", "--n", "200", "--config", "engine.cfg"], tmp_path)
+    assert r.returncode == 1
+    assert "invalid kernel table" in r.stderr
+    assert not (tmp_path / "cv.json").exists()
+
+
+def test_study_refuses_a_non_default_kernel(tmp_path):
+    _kernel_config(tmp_path, _TRIANGLE_ROWS)
+    r = run_cli(
+        ["study", "--kind", "scatter", "--n", "150", "--config", "engine.cfg"], tmp_path
+    )
+    assert r.returncode == 1
+    assert "StreamSirError" in r.stderr and "epanechnikov" in r.stderr
+    assert not (tmp_path / "records.csv").exists()

@@ -105,13 +105,6 @@ def test_parallel_matches_serial():
     assert serial.argmin_index == parallel.argmin_index
 
 
-def test_parallel_refuses_custom_kernels():
-    xs = np.linspace(-1.0, 1.0, 4001)
-    kernel = tabulated_kernel(xs, 0.75 * (1.0 - xs * xs))
-    with pytest.raises(ValueError, match="default kernel"):
-        select_alpha(_sample(), [0.3], kernel=kernel, workers=2)
-
-
 def test_custom_slicer_changes_the_replay():
     sample = _sample(n=150, seed=6)
     default = select_alpha(sample, [0.35])
@@ -152,8 +145,8 @@ _XS = np.linspace(-1.0, 1.0, 4001)
     [
         (None, 1, None),
         (None, 2, Slicer(boundary=0.1)),
-        # Pools take only the default kernel (see the refusal test above).
         (tabulated_kernel(_XS, 0.75 * (1.0 - _XS * _XS)), 1, None),
+        (tabulated_kernel(_XS, 0.75 * (1.0 - _XS * _XS)), 2, None),
     ],
 )
 def test_shared_path_scores_equal_per_exponent_replays(kernel, workers, slicer):

@@ -8,6 +8,7 @@ from streamsir import (
     InsufficientDataError,
     NoSupportError,
     NonFiniteInputError,
+    NumericalBreakdownError,
     ProjectionLog,
     Slicer,
     append,
@@ -24,13 +25,15 @@ from streamsir import (
     predict_next,
     recursive_step,
     reference_model,
+    riccati_update,
     run_stream,
     select_alpha,
+    slice_update,
     stream_step,
     tabulated_kernel,
     warm_start,
 )
-from streamsir.moments import RESYMMETRIZE_EVERY
+from streamsir.linkreg import _GRID_CHUNK
 
 
 def test_default_warmup():
@@ -109,7 +112,8 @@ def test_engine_equals_manual_composition():
 def test_run_stream_checkpoints_and_determinism():
     model = reference_model(p=4)
     sample = draw(model, 120, 7)
-    state1, snaps = run_stream(sample, checkpoints=(30, 60, 120))
+    state1 = run_stream(sample)
+    snaps = direction_path(sample, checkpoints=(30, 60, 120)).snapshots
     assert sorted(snaps) == [30, 60, 120]
     assert np.array_equal(snaps[120], state1.theta_hat)
     state2 = run_stream(sample)
@@ -172,7 +176,6 @@ def _engine_arrays(state):
         "slice_means": m.slice_means,
         "slice_counts": m.slice_counts,
         "n": m.n,
-        "updates": m.updates,
         "log_k": state.log.indices,
         "log_u": state.log.projections,
         "log_h": state.log.bandwidths,
@@ -205,18 +208,18 @@ _TABLE_XS = np.linspace(-1.0, 1.0, 4001)
     ],
 )
 def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary):
-    # More than 1024 streamed rows: the maintained inverse is re-symmetrized
-    # once and the grid absorbs the log in two chunks.
+    # More than one grid chunk of streamed rows: the grid absorbs the log
+    # in two chunks.
     n, n0 = 1100 + default_warmup(p), default_warmup(p)
-    assert n - n0 > RESYMMETRIZE_EVERY
+    assert n - n0 > _GRID_CHUNK
     sample = draw(reference_model(p=p), n, 40 + p)
     grid_points = np.linspace(-3.0, 3.0, 121)
-    checkpoints = (n0, n0 + 1, 500, n0 + RESYMMETRIZE_EVERY, n)
+    checkpoints = (n0, n0 + 1, 500, n0 + _GRID_CHUNK, n)
 
-    fast, snaps = run_stream(
-        sample, alpha=0.3, kernel=kernel, boundary=boundary,
-        grid_points=grid_points, checkpoints=checkpoints,
+    fast = run_stream(
+        sample, alpha=0.3, kernel=kernel, boundary=boundary, grid_points=grid_points
     )
+    snaps = direction_path(sample, boundary=boundary, checkpoints=checkpoints).snapshots
 
     slow = init_stream(
         sample.head(n0), alpha=0.3, kernel=kernel, boundary=boundary, grid_points=grid_points
@@ -227,7 +230,6 @@ def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary)
         if slow.n in checkpoints:
             want_snaps[slow.n] = slow.theta_hat.copy()
 
-    assert fast.sir.moments.updates == n - n0
     _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
     assert sorted(snaps) == sorted(want_snaps)
     for k in want_snaps:
@@ -304,3 +306,62 @@ def test_batch_entry_points_reject_a_non_finite_row(row):
     if row < 30:
         with pytest.raises(NonFiniteInputError):
             init_stream(sample.head(30))
+
+
+def test_stream_step_advances_the_given_state_in_place():
+    sample = draw(reference_model(p=4), 40, 23)
+    state = init_stream(sample.head(30), grid_points=np.linspace(-2.0, 2.0, 5))
+    sir, log, grid = state.sir, state.log, state.grid
+    for i in range(30, 40):
+        assert stream_step(state, sample.covariates[i], float(sample.responses[i])) is state
+    assert state.sir is sir and state.log is log and state.grid is grid
+    assert state.n == 40 and len(state.log) == 10 and state.grid.n_entries == 10
+
+
+def test_breakdown_in_stream_step_leaves_everything_unchanged():
+    # A non-positive-definite inverse pushes the rank-one denominator
+    # n + rho below zero for a far-out x; nothing may move before the refusal.
+    sample = draw(reference_model(p=4), 40, 24)
+    state = init_stream(sample.head(30), grid_points=np.linspace(-2.0, 2.0, 5))
+    for i in range(30, 35):
+        state = stream_step(state, sample.covariates[i], float(sample.responses[i]))
+    state.sir.moments.inv_cov[...] = -np.eye(4)
+    x = state.sir.moments.mean + np.array([100.0, 0.0, 0.0, 0.0])
+    before = _engine_arrays(state)
+
+    with pytest.raises(NumericalBreakdownError):
+        stream_step(state, x, 0.5)
+    with pytest.raises(NumericalBreakdownError):
+        recursive_step(state.sir, x, 0.5, state.slicer)
+    with pytest.raises(NumericalBreakdownError):
+        observe(state.sir.moments, x, 0.5, state.slicer)
+    _assert_same_arrays(_engine_arrays(state), before)
+
+
+def test_functional_steps_never_modify_their_input():
+    sample = draw(reference_model(p=5), 40, 25)
+    state = init_stream(sample.head(30))
+    sir, slicer = state.sir, state.slicer
+    before = _engine_arrays(state)
+    for i in range(30, 40):
+        x, y = sample.covariates[i], float(sample.responses[i])
+        stepped = recursive_step(sir, x, y, slicer)
+        outputs = (
+            stepped.moments,
+            observe(sir.moments, x, y, slicer),
+            riccati_update(sir.moments, x),
+            slice_update(sir.moments, x, y, slicer),
+        )
+        _assert_same_arrays(_engine_arrays(state), before)
+        assert not np.shares_memory(stepped.theta_hat, sir.theta_hat)
+        for out in outputs:
+            for name in ("mean", "inv_cov", "slice_counts", "slice_means"):
+                assert not np.shares_memory(getattr(out, name), getattr(sir.moments, name))
+
+
+@pytest.mark.parametrize("p", [10, 50])
+def test_maintained_inverse_stays_bit_symmetric(p):
+    n0 = default_warmup(p)
+    sample = draw(reference_model(p=p), n0 + 2100, 26 + p)
+    inv = direction_path(sample).sir.moments.inv_cov
+    assert np.array_equal(inv, inv.T)

@@ -152,16 +152,6 @@ def test_scale_equivariance():
     assert np.max(np.abs(theta_scaled - theta / c)) <= 1e-8 * np.max(np.abs(theta))
 
 
-def test_warm_start_history_tracking():
-    sample = draw(reference_model(p=4), 40, 2)
-    slicer = _median_slicer(sample, 20)
-    state = warm_start(sample.head(20), slicer, track_history=True)
-    for i in range(20, 24):
-        state = recursive_step(state, sample.covariates[i], float(sample.responses[i]), slicer)
-    assert [n for n, _ in state.history] == [20, 21, 22, 23, 24]
-    assert np.array_equal(state.history[-1][1], state.theta_hat)
-
-
 def test_coordinatewise_root_n_normality_shape():
     # Across replications each coordinate of sqrt(n) (theta_hat - c theta),
     # with c the Monte Carlo mean scale, should look Gaussian: skewness
