@@ -13,6 +13,7 @@ from .engine import (
     StreamState,
     default_warmup,
     direction_path,
+    direction_paths,
     init_stream,
     iter_stream,
     predict_next,
@@ -97,6 +98,7 @@ __all__ = [
     "direction_distance",
     "direction_from_moments",
     "direction_path",
+    "direction_paths",
     "draw",
     "draw_eval_points",
     "epanechnikov",

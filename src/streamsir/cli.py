@@ -111,7 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="model dimension")
     sp.add_argument("--noise-std", type=float, help="model noise level")
     sp.add_argument("--warmup", type=int, help="warm-up length")
-    sp.add_argument("--workers", type=int, default=1, help="parallel replication workers")
+    sp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes over contiguous replication blocks (results do not depend on it)",
+    )
     sp.add_argument("--eval-count", type=int, default=10, help="number of evaluation points")
     return parser
 

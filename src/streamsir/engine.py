@@ -18,11 +18,14 @@ The ordering is the whole point: the logged projection and any prediction
 made for the new point depend only on data seen strictly before it.
 
 direction_path runs stage 1 once over a whole sample, stepping one
-direction state in place, and returns the projections; run_stream,
-cross-validation and the studies build their logs, grids and scores from
-them.  init_stream, stream_step and predict_next are the per-arrival API
-over the same recursion step: stream_step advances the StreamState it is
-given in place and returns that same object.  run_stream(sample, alpha,
+direction state in place, and returns the projections; run_stream and
+cross-validation build their logs, grids and scores from them.
+direction_paths runs stage 1 over R samples of equal length at once, on
+stacked (R, ...) arrays, with the same bits per sample as direction_path;
+the Monte Carlo studies use it for their replications.  init_stream,
+stream_step and predict_next are the per-arrival API over the same
+recursion step: stream_step advances the StreamState it is given in place
+and returns that same object.  run_stream(sample, alpha,
 kernel, warmup, boundary, grid_points) always returns a StreamState; use
 direction_path(..., checkpoints=) for direction snapshots.
 """
@@ -30,14 +33,20 @@ direction_path(..., checkpoints=) for direction snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, NonFiniteInputError, NumericalBreakdownError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
 from .linkreg import GridAccumulator, ProjectionLog, append, evaluate
-from .moments import Slicer, finite_covariates, finite_response, require_finite_rows
+from .moments import (
+    MomentState,
+    Slicer,
+    finite_covariates,
+    finite_response,
+    require_finite_rows,
+)
 from .sir import SirState, advance, step_terms, warm_start
 from .simulate import Sample
 
@@ -160,8 +169,134 @@ def direction_path(
     )
 
 
+def direction_paths(
+    samples: Sequence[Sample],
+    warmup: int | None = None,
+    checkpoints: tuple[int, ...] = (),
+) -> list[DirectionPath]:
+    """Run the direction recursion over R samples of equal length, all at once.
+
+    Path r equals direction_path(samples[r], warmup, checkpoints=checkpoints)
+    bit for bit.  The R states are held as stacked arrays: theta and the
+    mean (R, p), the inverse (R, p, p), the slice means (R, 2, p) and the
+    slice counts (R, 2).  Each step runs the operations of rank_one_terms,
+    sir.advance, absorb_covariate and absorb_slice one for one: matrix-vector
+    and dot products go through stacked matmuls (one BLAS call per
+    replication, the same call direction_path makes), the receiving slice is
+    gathered per replication, and the scalars become (R,) arrays combined
+    in the same order.  All samples share the count n, so the n-only
+    factors stay scalars.
+
+    Raises:
+        ValueError: no samples, or samples of different shapes.
+        NonFiniteInputError: some row holds NaN or inf; checked for every
+            sample before any stepping, and the message names the sample.
+        InsufficientDataError: the samples are shorter than the warm-up.
+        NumericalBreakdownError: a rank-one denominator is not positive; the
+            message names the replication and n.
+    """
+    if not samples:
+        raise ValueError("direction_paths needs at least one sample")
+    shape = samples[0].covariates.shape
+    for r, sample in enumerate(samples):
+        if sample.covariates.shape != shape:
+            raise ValueError(
+                f"sample {r} has shape {sample.covariates.shape}, sample 0 has {shape}"
+            )
+        try:
+            require_finite_rows(sample.covariates, sample.responses)
+        except NonFiniteInputError as exc:
+            raise NonFiniteInputError(f"sample {r}: {exc}") from None
+    n0 = _warmup_length(samples[0], warmup)
+    sirs, slicers = zip(*(_warm_up(sample.head(n0), None) for sample in samples))
+
+    theta = np.stack([sir.theta_hat for sir in sirs])
+    mean = np.stack([sir.moments.mean for sir in sirs])
+    inv = np.stack([sir.moments.inv_cov for sir in sirs])
+    means = np.stack([sir.moments.slice_means for sir in sirs])
+    counts = np.stack([sir.moments.slice_counts for sir in sirs])
+    # Step-major copies, so each step reads contiguous (R, p) and (R,) rows.
+    xs = np.stack([sample.covariates[n0:] for sample in samples], axis=1)
+    slices = np.stack(
+        [slicer.slices_of(sample.responses[n0:]) - 1 for sample, slicer in zip(samples, slicers)],
+        axis=1,
+    )
+    signs = np.where(slices == 0, -1.0, 1.0)
+    reps = np.arange(len(samples))
+
+    want = {int(c) for c in checkpoints}
+    snapshots: dict[int, np.ndarray] = {}
+    if n0 in want:
+        snapshots[n0] = theta.copy()
+    u = np.empty((xs.shape[0], len(samples)), dtype=np.float64)
+    n = n0
+    for j in range(xs.shape[0]):
+        x, i = xs[j], slices[j]
+        u[j] = (theta[:, None, :] @ x[:, :, None])[:, 0, 0]
+        n_new = n + 1
+        # rank_one_terms
+        phi = x - mean
+        w = (inv @ phi[:, :, None])[:, :, 0]
+        denom = n_new + (phi[:, None, :] @ w[:, :, None])[:, 0, 0]
+        bad = denom <= 0.0
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise NumericalBreakdownError(
+                f"rank-one update denominator {float(denom[r])!r} is not positive "
+                f"at n = {n_new} in replication {r}"
+            )
+        # sir.advance
+        c_new = counts[reps, i] + 1
+        phi_h = x - means[reps, i]
+        v = (inv @ phi_h[:, :, None])[:, :, 0]
+        cross = (w[:, None, :] @ phi_h[:, :, None])[:, 0, 0]
+        theta -= ((phi[:, None, :] @ theta[:, :, None])[:, 0, 0] / denom)[:, None] * w
+        theta *= n_new / (n_new - 1.0)
+        v -= (cross / denom)[:, None] * w
+        v *= (signs[j] * n_new / (c_new * (n_new - 1.0)))[:, None]
+        theta -= v
+        # absorb_covariate, absorb_slice
+        inv -= w[:, :, None] * w[:, None, :] / denom[:, None, None]
+        inv *= n_new / (n_new - 1.0)
+        mean += phi / n_new
+        means[reps, i] += phi_h / c_new[:, None]
+        counts[reps, i] = c_new
+        n = n_new
+        if n in want:
+            snapshots[n] = theta.copy()
+
+    return [
+        DirectionPath(
+            sir=SirState(
+                moments=MomentState(
+                    n=n,
+                    mean=mean[r].copy(),
+                    inv_cov=inv[r].copy(),
+                    slice_counts=counts[r].copy(),
+                    slice_means=means[r].copy(),
+                ),
+                theta_hat=theta[r].copy(),
+            ),
+            slicer=slicers[r],
+            warmup_n=n0,
+            projections=u[:, r].copy(),
+            responses=sample.responses[n0:],
+            snapshots={k: snap[r].copy() for k, snap in snapshots.items()},
+        )
+        for r, sample in enumerate(samples)
+    ]
+
+
 def _warm_up(head: Sample, boundary: float | None) -> tuple[SirState, Slicer]:
-    """Batch warm-up over the first rows; the boundary defaults to their median response."""
+    """Batch warm-up over the first rows; the boundary defaults to their median response.
+
+    Raises:
+        InsufficientDataError: the warm-up is empty (checked before the median,
+            which would warn on no responses); batch_moments refuses fewer
+            than p + 2 rows.
+    """
+    if head.n == 0:
+        raise InsufficientDataError("the warm-up is empty: it needs at least p + 2 rows")
     if boundary is None:
         boundary = float(np.median(head.responses))
     slicer = Slicer(boundary=boundary)

@@ -14,11 +14,16 @@ Four study kinds share one harness:
 
 Replication r of a study with master seed s draws its data with seed
 s XOR r, so replications are decoupled and any single one can be rerun in
-isolation.  Evaluation points come from a dedicated seeded draw that is
-independent of every replication seed.  All randomness flows through
-these two rules, which makes every artifact byte-reproducible from
-(config, seed); records.csv rows are emitted in (replication, checkpoint,
-point) order and summary.json is written with sorted keys.
+isolation.  The checkpoint studies step their replications in contiguous
+blocks of at most _REP_BLOCK through one batched direction pass
+(engine.direction_paths), which gives each replication the same bits as
+running it alone; so the isolation holds bit for bit, and neither the
+block layout nor the worker count changes any artifact.  Evaluation points
+come from a dedicated seeded draw that is independent of every
+replication seed.  All randomness flows through these two rules, which
+makes every artifact byte-reproducible from (config, seed); records.csv
+rows are emitted in (replication, checkpoint, point) order and
+summary.json is written with sorted keys.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
-from .engine import default_warmup, direction_path
+from .engine import DirectionPath, default_warmup, direction_path, direction_paths
 from .errors import NoSupportError
 from .kernels import BandwidthSchedule, epanechnikov
 from .linkreg import ProjectionLog, evaluate, theoretical_std
@@ -50,8 +54,13 @@ EVAL_POINT_SEED = 24301
 HISTOGRAM_EDGES = np.linspace(-4.0, 4.0, 25)
 
 # Asymptotic 1% critical value of sqrt(m) times the one-sample
-# Kolmogorov-Smirnov statistic.
-KS_CRIT_1PCT = float(sps.kstwobign.ppf(0.99))
+# Kolmogorov-Smirnov statistic: float(scipy.stats.kstwobign.ppf(0.99)),
+# written out so that importing the package does not import scipy.
+KS_CRIT_1PCT = 1.6276236115189502
+
+# Most replications one direction_paths call steps together.  Its state is
+# (block, p, p), so memory stays bounded whatever n_reps is.
+_REP_BLOCK = 64
 
 
 def draw_eval_points(model: SingleIndexModel, count: int = 10, seed: int = EVAL_POINT_SEED) -> np.ndarray:
@@ -82,6 +91,8 @@ def projected_density(model: SingleIndexModel, t: float) -> float:
     theta' mu and variance theta' Sigma theta, so the density is available
     in closed form for every supported covariate law.
     """
+    from scipy import stats as sps
+
     s = float(np.sqrt(model.projected_variance()))
     if s <= 0.0:
         raise ValueError("projected variance must be positive")
@@ -103,7 +114,8 @@ class StudyConfig:
             covariate vectors or an (m,) array of projection values; None
             means a seeded default draw of 10 covariate vectors.
         warmup: warm-up length override; None means max(2 p, 30).
-        workers: process count for replication-level parallelism.
+        workers: process count; the replications are split into at least
+            this many contiguous blocks, and results do not depend on it.
         bootstrap: resample count for the rate study's slope interval.
     """
 
@@ -213,22 +225,42 @@ def _point_truths(
     return u_true, f_true
 
 
-def _checkpoint_rows(
-    args: tuple[SingleIndexModel, tuple[int, ...], float, int, int, np.ndarray, int],
+def _checkpoint_block(
+    args: tuple[SingleIndexModel, tuple[int, ...], float, int, range, np.ndarray, int],
 ) -> list[dict[str, Any]]:
-    """One replication: one direction pass, then each checkpoint size.
+    """A contiguous block of replications: one batched direction pass, then each one's rows.
+
+    Replication rep draws its own sample with seed master_seed XOR rep.
+    Returns rows in (replication, checkpoint, point) order.  Module-level
+    so a process pool can pickle it.
+    """
+    model, sizes, alpha, warmup, reps, eval_points, master_seed = args
+    samples = [draw(model, sizes[-1], master_seed ^ rep) for rep in reps]
+    paths = direction_paths(samples, warmup=warmup, checkpoints=sizes)
+    rows: list[dict[str, Any]] = []
+    for rep, path in zip(reps, paths):
+        rows.extend(_checkpoint_rows(path, rep, model, sizes, alpha, eval_points))
+    return rows
+
+
+def _checkpoint_rows(
+    path: DirectionPath,
+    rep: int,
+    model: SingleIndexModel,
+    sizes: tuple[int, ...],
+    alpha: float,
+    eval_points: np.ndarray,
+) -> list[dict[str, Any]]:
+    """One replication's rows from its direction path, at each checkpoint size.
 
     At checkpoint n the curve is evaluated over the log of entries k <= n
     with the direction snapshot at n.  Returns rows in (checkpoint, point)
-    order.  Module-level so a process pool can pickle it.
+    order.
     """
-    model, sizes, alpha, warmup, rep, eval_points, master_seed = args
-    rep_seed = master_seed ^ rep
-    sample = draw(model, sizes[-1], rep_seed)
+    warmup = path.warmup_n
     u_true, f_true = _point_truths(model, eval_points)
     by_vector = eval_points.ndim == 2
 
-    path = direction_path(sample, warmup=warmup, checkpoints=sizes)
     log = ProjectionLog(epanechnikov(), BandwidthSchedule(alpha=alpha), first_index=warmup + 1)
     rows: list[dict[str, Any]] = []
     for n in sizes:
@@ -287,14 +319,25 @@ def _map_replications(
         return list(pool.map(fn, tasks))
 
 
+def _replication_blocks(n_reps: int, workers: int) -> list[range]:
+    """Near-equal contiguous blocks of replications, each at most _REP_BLOCK long.
+
+    There are max(workers, ceil(n_reps / _REP_BLOCK)) of them, so every
+    worker gets one, but never more blocks than replications.
+    """
+    count = min(n_reps, max(workers, -(-n_reps // _REP_BLOCK)))
+    bounds = [n_reps * b // count for b in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _run_checkpoint_study(config: StudyConfig) -> tuple[tuple[dict[str, Any], ...], np.ndarray]:
     eval_points = config.resolved_eval_points()
     warmup = config.resolved_warmup()
     tasks = [
-        (config.model, config.sizes, config.alpha, warmup, rep, eval_points, config.seed)
-        for rep in range(config.n_reps)
+        (config.model, config.sizes, config.alpha, warmup, reps, eval_points, config.seed)
+        for reps in _replication_blocks(config.n_reps, config.workers)
     ]
-    chunks = _map_replications(_checkpoint_rows, tasks, config.workers)
+    chunks = _map_replications(_checkpoint_block, tasks, config.workers)
     records = tuple(row for chunk in chunks for row in chunk)
     return records, eval_points
 
@@ -524,6 +567,8 @@ def normality_study(config: StudyConfig) -> StudyResult:
                 "direction_distance": row["direction_distance"],
             }
         )
+
+    from scipy import stats as sps
 
     per_point = {}
     for j in range(n_points):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from streamsir import (
     cv_score,
     default_warmup,
     direction_path,
+    direction_paths,
     draw,
     epanechnikov,
     evaluate,
@@ -33,6 +36,7 @@ from streamsir import (
     tabulated_kernel,
     warm_start,
 )
+from streamsir import engine
 from streamsir.linkreg import _GRID_CHUNK
 
 
@@ -365,3 +369,97 @@ def test_maintained_inverse_stays_bit_symmetric(p):
     sample = draw(reference_model(p=p), n0 + 2100, 26 + p)
     inv = direction_path(sample).sir.moments.inv_cov
     assert np.array_equal(inv, inv.T)
+
+
+def test_an_empty_warm_up_is_refused_without_a_warning():
+    sample = draw(reference_model(p=4), 60, 27)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: init_stream(sample.head(0)),
+            lambda: run_stream(sample, warmup=0),
+            lambda: direction_path(sample, warmup=0),
+            lambda: direction_paths([sample, sample], warmup=0),
+        ):
+            with pytest.raises(InsufficientDataError, match="empty"):
+                call()
+
+
+def _path_arrays(path):
+    """Every array and count of a DirectionPath, for exact comparison."""
+    m = path.sir.moments
+    out = {
+        "theta": path.sir.theta_hat,
+        "inv_cov": m.inv_cov,
+        "mean": m.mean,
+        "slice_means": m.slice_means,
+        "slice_counts": m.slice_counts,
+        "n": m.n,
+        "projections": path.projections,
+        "responses": path.responses,
+        "warmup_n": path.warmup_n,
+        "boundary": path.slicer.boundary,
+        "snapshot_sizes": sorted(path.snapshots),
+    }
+    out.update({f"snapshot_{k}": v for k, v in path.snapshots.items()})
+    return {k: np.copy(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("p", [4, 10])
+@pytest.mark.parametrize("reps", [1, 7, 40])
+def test_direction_paths_equal_per_sample_paths_bit_for_bit(p, reps):
+    n0 = default_warmup(p)
+    n = n0 + 1100
+    samples = [draw(reference_model(p=p), n, 300 + r) for r in range(reps)]
+    checkpoints = (n0, n0 + 1, 500, n0 + _GRID_CHUNK, n)
+    batched = direction_paths(samples, checkpoints=checkpoints)
+    assert len(batched) == reps
+    for sample, path in zip(samples, batched):
+        alone = direction_path(sample, checkpoints=checkpoints)
+        _assert_same_arrays(_path_arrays(path), _path_arrays(alone))
+        assert path.projections.flags.c_contiguous
+
+
+def test_a_replication_does_not_depend_on_its_batch():
+    samples = [draw(reference_model(p=6), 400, 40 + r) for r in range(7)]
+    third = direction_paths(samples, checkpoints=(100, 400))[2]
+    alone = direction_paths(samples[2:3], checkpoints=(100, 400))[0]
+    _assert_same_arrays(_path_arrays(third), _path_arrays(alone))
+
+
+def test_direction_paths_need_samples_of_one_shape():
+    model = reference_model(p=4)
+    with pytest.raises(ValueError, match="sample 1"):
+        direction_paths([draw(model, 100, 1), draw(model, 101, 2)])
+    with pytest.raises(ValueError, match="sample 2"):
+        direction_paths([draw(model, 100, 1), draw(model, 100, 2), draw(reference_model(p=5), 100, 3)])
+    with pytest.raises(ValueError, match="at least one"):
+        direction_paths([])
+
+
+def test_direction_paths_name_the_replication_that_breaks_down(monkeypatch):
+    # A non-positive-definite inverse in replication 2 only, and a far-out
+    # first streamed row there, push its rank-one denominator below zero.
+    samples = [draw(reference_model(p=4), 60, 50 + r) for r in range(4)]
+    samples[2].covariates[30] = 100.0
+    warm_up = engine._warm_up
+
+    def broken_warm_up(head, boundary):
+        sir, slicer = warm_up(head, boundary)
+        if head.covariates.base is samples[2].covariates:
+            sir.moments.inv_cov[...] = -np.eye(4)
+        return sir, slicer
+
+    monkeypatch.setattr(engine, "_warm_up", broken_warm_up)
+    with pytest.raises(NumericalBreakdownError, match=r"n = 31 in replication 2"):
+        direction_paths(samples)
+
+
+def test_direction_paths_refuse_a_non_finite_sample_before_stepping(monkeypatch):
+    samples = [draw(reference_model(p=4), 60, 60 + r) for r in range(5)]
+    samples[3].responses[59] = np.nan
+    warm_ups = []
+    monkeypatch.setattr(engine, "_warm_up", lambda *args: warm_ups.append(args))
+    with pytest.raises(NonFiniteInputError, match="sample 3: row 59"):
+        direction_paths(samples)
+    assert warm_ups == []

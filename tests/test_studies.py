@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from streamsir import (
     reference_model,
     scatter_study,
 )
-from streamsir.studies import projected_density
+from streamsir.studies import KS_CRIT_1PCT, _REP_BLOCK, _replication_blocks, projected_density
 
+from _cli import child_env
 from conftest import central_point_indices
 
 
@@ -269,3 +272,33 @@ def test_parallel_schedule_does_not_change_results(model_m):
     parallel = convergence_study(StudyConfig(**kwargs, workers=2))
     assert serial.records == parallel.records
     assert serial.summary == parallel.summary
+
+    # Seven replications split into one, two and three blocks.
+    kwargs.update(n_reps=7, bootstrap=50)
+    serial = rate_study(StudyConfig(**kwargs, workers=1))
+    for workers in (2, 3):
+        parallel = rate_study(StudyConfig(**kwargs, workers=workers))
+        assert serial.records == parallel.records
+        assert serial.summary == parallel.summary
+
+
+@pytest.mark.parametrize("n_reps", [1, 7, _REP_BLOCK, _REP_BLOCK + 1, 3 * _REP_BLOCK - 1])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_replication_blocks_are_contiguous_bounded_and_near_equal(n_reps, workers):
+    blocks = _replication_blocks(n_reps, workers)
+    assert [rep for block in blocks for rep in block] == list(range(n_reps))
+    sizes = [len(block) for block in blocks]
+    assert max(sizes) <= _REP_BLOCK and max(sizes) - min(sizes) <= 1
+    assert len(blocks) == min(n_reps, max(workers, math.ceil(n_reps / _REP_BLOCK)))
+
+
+def test_ks_critical_value_equals_scipy():
+    assert KS_CRIT_1PCT == float(sps.kstwobign.ppf(0.99))
+
+
+def test_importing_the_package_does_not_import_scipy():
+    code = "import sys, streamsir, streamsir.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
