@@ -13,17 +13,19 @@ The log keeps (k, u_k, y_k) with precomputed h_k; a GridAccumulator
 maintains running numerator and denominator sums on a fixed abscissa grid
 so the whole curve is available at any time without rescanning the log.
 Both take entries one at a time or as arrays, with the same bits either
-way.  The grid and evaluate sum the same terms in different orders, so
-they agree to rounding, not exactly.
+way.  evaluate sums over the supported entries only (|x - u_k| <= R h_k),
+gathered in arrival order; the grid sums every entry in a running total,
+so the two agree to rounding, not exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSupportError
+from .errors import NonFiniteInputError, NoSupportError
 from .kernels import BandwidthSchedule, KernelSpec
 
 _INITIAL_CAPACITY = 64
@@ -238,36 +240,36 @@ def append(
 def evaluate(log: ProjectionLog, x: float) -> float:
     """Regression estimate at projection value x from the current log.
 
-    The result is a convex combination of logged responses, so it lies in
+    Only the entries whose window covers x (|x - u_k| <= R h_k) are
+    gathered, in arrival order, and both sums run over those alone with
+    ndarray.sum: that rule fixes the bits of the result.  The result is a
+    convex combination of logged responses, so it lies in
     [min y_k, max y_k] over the entries with positive weight.
 
     Raises:
+        NonFiniteInputError: x is NaN or infinite.
         NoSupportError: no entry's kernel window covers x (also raised for
             an empty log); carries the nearest logged projection if any.
     """
     x = float(x)
-    m = len(log)
-    if m == 0:
+    if not math.isfinite(x):
+        raise NonFiniteInputError(f"evaluation point must be finite, got {x!r}")
+    if len(log) == 0:
         raise NoSupportError("projection log is empty", nearest_u=None)
     u = log.projections
     h = log.bandwidths
     d = x - u
-    # Support-radius prefilter: kernel evaluation is only needed where the
-    # window can overlap x at all.
-    inside = np.abs(d) <= log.kernel.support_radius * h
-    if not np.any(inside):
-        raise NoSupportError(
-            f"no kernel support at {x!r}", nearest_u=float(u[np.argmin(np.abs(d))])
-        )
-    w = np.zeros(m, dtype=np.float64)
-    w[inside] = np.asarray(log.kernel.eval(d[inside] / h[inside])) / h[inside]
-    denom = float(np.sum(w))
+    idx = np.flatnonzero(np.abs(d) <= log.kernel.support_radius * h)
+    hs = h[idx]
+    w = np.asarray(log.kernel.eval(d[idx] / hs)) / hs
+    denom = float(w.sum())
+    # denom is 0 with no entry inside, or when x sits exactly on a window
+    # edge where K vanishes.
     if denom <= 0.0:
-        # Possible when x sits exactly on a window edge where K vanishes.
         raise NoSupportError(
             f"no kernel support at {x!r}", nearest_u=float(u[np.argmin(np.abs(d))])
         )
-    return float(np.sum(w * log.responses) / denom)
+    return float((w * log.responses[idx]).sum() / denom)
 
 
 def theoretical_std(

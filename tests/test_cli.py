@@ -72,6 +72,18 @@ def test_predict_without_support_writes_empty_rows(tmp_path):
     assert lines[1].split(",")[2] == "0"
 
 
+def test_predict_refuses_a_non_finite_point(tmp_path):
+    r = run_cli(["simulate", "--n", "200", "--seed", "1"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["fit", "--input", "sample.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    for point in ("nan", "0.5,inf"):
+        r = run_cli(["predict", "--log", "projection_log.csv", "--at", point], tmp_path)
+        assert r.returncode == 1, point
+        assert "NonFiniteInputError" in r.stderr
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_study_scatter_and_rate_run_small(tmp_path):
     r = run_cli(
         ["study", "--kind", "scatter", "--n", "150", "--reps", "1", "--seed", "2"],

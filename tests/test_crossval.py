@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from streamsir import (
     SingleIndexModel,
     Slicer,
     cv_score,
+    direction_path,
     draw,
     init_stream,
     predict_next,
@@ -160,3 +163,30 @@ def test_shared_path_scores_equal_per_exponent_replays(kernel, workers, slicer):
     assert report.counted == tuple(w[2] for w in want)
     assert sum(report.skipped) > 0
     assert cv_score(sample, 0.3, slicer=slicer, kernel=kernel) == want[1][:2]
+
+
+def _dense_cv(projections, responses, alpha, n0):
+    """Reference scores: each y_i predicted from a dense exact sum over j < i."""
+    h = (n0 + 1.0 + np.arange(projections.size)) ** -alpha
+    score, skipped = [], 0
+    for i in range(projections.size):
+        t = (projections[i] - projections[:i]) / h[:i]
+        w = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0) / h[:i]
+        den = math.fsum(w)
+        if den == 0.0:
+            skipped += 1
+        else:
+            score.append((responses[i] - math.fsum(w * responses[:i]) / den) ** 2)
+    return math.fsum(score), skipped
+
+
+def test_scores_match_a_dense_one_step_ahead_reference():
+    sample = _sample(n=400, p=5, seed=21)
+    grid = [0.1, 0.3, 0.55]
+    report = select_alpha(sample, grid)
+    path = direction_path(sample, warmup=report.warmup_n)
+    for j, alpha in enumerate(grid):
+        want, skipped = _dense_cv(path.projections, path.responses, alpha, report.warmup_n)
+        assert report.skipped[j] == skipped, alpha
+        assert abs(report.scores[j] - want) <= 1e-12 * want, alpha
+    assert sum(report.skipped) > 0

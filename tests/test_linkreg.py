@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -5,6 +7,7 @@ from scipy import stats as sps
 from streamsir import (
     BandwidthSchedule,
     GridAccumulator,
+    NonFiniteInputError,
     NoSupportError,
     ProjectionLog,
     append,
@@ -13,6 +16,7 @@ from streamsir import (
     evaluate,
     reference_link,
     reference_model,
+    tabulated_kernel,
     theoretical_std,
 )
 
@@ -238,3 +242,83 @@ def test_grid_absorbs_an_array_as_it_absorbs_entries_one_by_one():
     batched.absorb(epanechnikov(), u, y, h)
     for name in ("numerator", "denominator", "contributing", "n_entries"):
         assert np.array_equal(getattr(batched, name), getattr(one_by_one, name)), name
+
+
+_TABLE_XS = np.linspace(-1.5, 1.5, 301)
+_TABLE_KS = np.maximum(0.0, 1.0 - np.abs(_TABLE_XS) / 1.5) / 1.5  # triangle on [-1.5, 1.5]
+_TABLE = tabulated_kernel(_TABLE_XS, _TABLE_KS)
+
+
+def _dense_weights(kernel, log, x):
+    """Every entry's weight K((x - u_k) / h_k) / h_k, written out per kernel."""
+    t = (x - log.projections) / log.bandwidths
+    if kernel is _TABLE:
+        k = np.interp(t, _TABLE_XS, _TABLE_KS, left=0.0, right=0.0)
+    else:
+        k = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
+    return k / log.bandwidths
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+@pytest.mark.parametrize("size", [1, 2, 9, 130, 1024, 5000])
+def test_evaluate_matches_a_dense_exact_sum(kernel, size):
+    rng = np.random.default_rng(size)
+    alpha = float(rng.uniform(0.1, 0.5))
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=alpha), first_index=int(rng.integers(1, 50)))
+    log.extend(rng.standard_normal(size), rng.standard_normal(size) + 0.5)
+    queries = np.concatenate(
+        (log.projections[:10], rng.uniform(-3.0, 3.0, 20), [12.0 + 3.0 * kernel.support_radius])
+    )
+    supported = 0
+    for x in queries.tolist():
+        w = _dense_weights(kernel, log, x)
+        den = math.fsum(w)
+        if den == 0.0:
+            with pytest.raises(NoSupportError):
+                evaluate(log, x)
+            continue
+        want = math.fsum(w * log.responses) / den
+        # Summation error is relative to sum w |y|, not to a cancelled sum w y.
+        scale = math.fsum(w * np.abs(log.responses)) / den
+        assert abs(evaluate(log, x) - want) <= 1e-12 * scale, x
+        supported += 1
+    assert supported >= min(size, 10)
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+def test_evaluate_is_the_gathered_sum_in_arrival_order(kernel):
+    # The rule that fixes evaluate's bits: gather the entries with
+    # |x - u_k| <= R h_k in arrival order, then take ndarray.sum ratios.
+    rng = np.random.default_rng(17)
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=0.3), first_index=31)
+    log.extend(rng.standard_normal(3000), rng.standard_normal(3000))
+    u, h, y = log.projections, log.bandwidths, log.responses
+    for x in rng.uniform(-2.0, 2.0, 25).tolist():
+        idx = np.flatnonzero(np.abs(x - u) <= kernel.support_radius * h)
+        w = np.asarray(kernel.eval((x - u[idx]) / h[idx])) / h[idx]
+        assert evaluate(log, x) == float((w * y[idx]).sum() / w.sum()), x
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+def test_window_edges_and_far_points_have_no_support(kernel):
+    radius = kernel.support_radius
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=0.4))
+    with pytest.raises(NoSupportError) as exc:
+        evaluate(log, 0.0)
+    assert exc.value.nearest_u is None
+    log.push(0.25, 3.0)  # h_1 = 1, and K vanishes at +-R
+    for x in (0.25 + radius, 0.25 - radius, 40.0):
+        with pytest.raises(NoSupportError) as exc:
+            evaluate(log, x)
+        assert exc.value.nearest_u == 0.25
+    assert evaluate(log, 0.25 + radius / 2) == 3.0
+
+
+def test_non_finite_points_are_refused_before_any_scan():
+    log = _fresh_log()
+    with pytest.raises(NonFiniteInputError):
+        evaluate(log, float("nan"))
+    log.push(0.0, 1.0)
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(NonFiniteInputError):
+            evaluate(log, x)
