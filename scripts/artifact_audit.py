@@ -1,0 +1,97 @@
+"""Fingerprint the artifacts of a fixed set of CLI runs, for byte-identity audits.
+
+    python scripts/artifact_audit.py --src <checkout> --out <dir>
+
+Every run imports `streamsir` from `<checkout>/src` (through PYTHONPATH)
+and writes into its own subdirectory of `<dir>`.  The script prints one
+`sha256  relative-path` line per artifact, sorted by path, so the lists of
+two checkouts compare with a single `diff`:
+
+    git archive <parent> | tar -x -C /tmp/parent
+    python scripts/artifact_audit.py --src /tmp/parent --out /tmp/audit-parent > parent.txt
+    python scripts/artifact_audit.py --src . --out /tmp/audit-change > change.txt
+    diff parent.txt change.txt
+
+The runs cover, for seeds 1 and 11: fit at the defaults and at alpha 0.2
+with 37 grid points; predict at 41 points from the default fit's log; cv
+at workers 1 and 2; convergence (130 replications), rate and normality
+studies at workers 1 and 2; a 7-replication rate study at workers 3;
+missing-heavy rate and convergence studies (sizes 32,40,2000, 7
+replications); and scatter at p = 10 and 20.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (1, 11)
+PREDICT_AT = ",".join(f"{-2.0 + 0.1 * i:.1f}" for i in range(41))
+MISSING_HEAVY = ["--sizes", "32,40,2000", "--reps", "7"]
+
+
+def runs(seed: int) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every run for one seed, in an order where predict follows its fit."""
+    study = ["study", "--seed", str(seed)]
+    out = [
+        ("fit", ["fit", "--seed", str(seed)]),
+        ("fit-alpha0.2", ["fit", "--seed", str(seed), "--alpha", "0.2", "--grid-count", "37"]),
+        ("predict", ["predict", "--log", "../fit/projection_log.csv", f"--at={PREDICT_AT}"]),
+    ]
+    for workers in ("1", "2"):
+        w = ["--workers", workers]
+        out += [
+            (f"cv-w{workers}", ["cv", "--seed", str(seed), *w]),
+            (f"convergence-w{workers}",
+             [*study, "--kind", "convergence", "--sizes", "250,500,1000", "--reps", "130", *w]),
+            (f"rate-w{workers}",
+             [*study, "--kind", "rate", "--sizes", "250,500,1000,2000", "--reps", "40", *w]),
+            (f"normality-w{workers}", [*study, "--kind", "normality", "--reps", "200", *w]),
+        ]
+    out += [
+        ("rate-7reps-w3",
+         [*study, "--kind", "rate", "--sizes", "250,500,1000", "--reps", "7", "--workers", "3"]),
+        ("rate-missing", [*study, "--kind", "rate", *MISSING_HEAVY]),
+        ("convergence-missing", [*study, "--kind", "convergence", *MISSING_HEAVY]),
+        ("scatter-p10", [*study, "--kind", "scatter", "--p", "10"]),
+        ("scatter-p20", [*study, "--kind", "scatter", "--p", "20"]),
+    ]
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", required=True, help="checkout whose src/ holds the streamsir package")
+    parser.add_argument("--out", required=True, help="directory for the runs' artifacts")
+    args = parser.parse_args()
+    src = Path(args.src).resolve() / "src"
+    if not (src / "streamsir").is_dir():
+        parser.error(f"{src} has no streamsir package")
+    root = Path(args.out).resolve()
+    if root.exists() and any(root.iterdir()):
+        parser.error(f"{root} is not empty")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("STREAMSIR_OUTDIR", None)
+    for seed in SEEDS:
+        for name, argv in runs(seed):
+            run_dir = root / f"seed{seed}" / name
+            run_dir.mkdir(parents=True, exist_ok=True)
+            done = subprocess.run(
+                [sys.executable, "-m", "streamsir", *argv, "--out-dir", "."],
+                cwd=run_dir, env=env, capture_output=True, text=True,
+            )
+            if done.returncode != 0:
+                print(f"seed {seed} {name} exited {done.returncode}:\n{done.stderr}", file=sys.stderr)
+                return 1
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

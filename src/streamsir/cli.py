@@ -255,9 +255,12 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     grid = [round(args.grid_min + i * args.grid_step, 10) for i in range(count + 1)]
     grid = [a for a in grid if a <= args.grid_max + 1e-12]
     boundary = None if cfg.boundary is None else Slicer(boundary=cfg.boundary)
-    report = select_alpha(
-        sample, grid, slicer=boundary, warmup=cfg.warmup, kernel=kernel, workers=args.workers
-    )
+    try:
+        report = select_alpha(
+            sample, grid, slicer=boundary, warmup=cfg.warmup, kernel=kernel, workers=args.workers
+        )
+    except ValueError as exc:
+        raise StreamSirError(str(exc)) from exc
     io.write_json(report.to_dict(), out / "cv.json")
     print(out / "cv.json")
     return 0
@@ -268,13 +271,13 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if cfg.kernel != "epanechnikov":
         raise StreamSirError(f"study supports only the epanechnikov kernel, got {cfg.kernel!r}")
     out = _resolve_out_dir(args, cfg)
-    if args.sizes:
-        sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
-    else:
-        sizes = (cfg.n,)
     model = _model_from_config(cfg)
     default_reps = {"scatter": 1, "convergence": 100, "normality": 200, "rate": 100}
     try:
+        if args.sizes:
+            sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
+        else:
+            sizes = (cfg.n,)
         study_cfg = StudyConfig(
             model=model,
             sizes=sizes,

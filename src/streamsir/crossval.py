@@ -152,8 +152,10 @@ def select_alpha(
     processes, so it must pickle; both built-in kernels do.
 
     Raises:
-        ValueError: empty grid or a candidate outside (0, 1).
+        ValueError: empty grid, a candidate outside (0, 1) or workers < 1.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     cand = [float(a) for a in np.asarray(grid, dtype=np.float64).ravel()]
     if not cand:
         raise ValueError("exponent grid must be non-empty")

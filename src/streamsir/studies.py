@@ -24,14 +24,24 @@ replication seed.  All randomness flows through these two rules, which
 makes every artifact byte-reproducible from (config, seed); records.csv
 rows are emitted in (replication, checkpoint, point) order and
 summary.json is written with sorted keys.
+
+Inside the checkpoint studies the data stay in arrays: each replication
+yields its (checkpoint, point) curve estimates, NaN where no kernel window
+covers the point, and its per-checkpoint direction distances; these stack
+into (replication, checkpoint, point) and (replication, checkpoint)
+arrays, every summary is computed from them, and the record dicts are
+built once, at the end, for StudyResult.records and records.csv.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -227,70 +237,50 @@ def _point_truths(
 
 def _checkpoint_block(
     args: tuple[SingleIndexModel, tuple[int, ...], float, int, range, np.ndarray, int],
-) -> list[dict[str, Any]]:
-    """A contiguous block of replications: one batched direction pass, then each one's rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A contiguous block of replications: one batched direction pass, then each one's estimates.
 
     Replication rep draws its own sample with seed master_seed XOR rep.
-    Returns rows in (replication, checkpoint, point) order.  Module-level
-    so a process pool can pickle it.
+    Returns the (rep, size, point) estimates and the (rep, size) direction
+    distances of the block.  Module-level so a process pool can pickle it.
     """
     model, sizes, alpha, warmup, reps, eval_points, master_seed = args
     samples = [draw(model, sizes[-1], master_seed ^ rep) for rep in reps]
     paths = direction_paths(samples, warmup=warmup, checkpoints=sizes)
-    rows: list[dict[str, Any]] = []
-    for rep, path in zip(reps, paths):
-        rows.extend(_checkpoint_rows(path, rep, model, sizes, alpha, eval_points))
-    return rows
+    est, dd = zip(*(_checkpoint_rows(path, model, sizes, alpha, eval_points) for path in paths))
+    return np.stack(est), np.stack(dd)
 
 
 def _checkpoint_rows(
     path: DirectionPath,
-    rep: int,
     model: SingleIndexModel,
     sizes: tuple[int, ...],
     alpha: float,
     eval_points: np.ndarray,
-) -> list[dict[str, Any]]:
-    """One replication's rows from its direction path, at each checkpoint size.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One replication's curve estimates from its direction path, at each checkpoint size.
 
     At checkpoint n the curve is evaluated over the log of entries k <= n
-    with the direction snapshot at n.  Returns rows in (checkpoint, point)
-    order.
+    with the direction snapshot at n.  Returns the (size, point) estimates,
+    NaN where no kernel window covers the point, and the (size,) direction
+    distances.
     """
     warmup = path.warmup_n
-    u_true, f_true = _point_truths(model, eval_points)
-    by_vector = eval_points.ndim == 2
-
     log = ProjectionLog(epanechnikov(), BandwidthSchedule(alpha=alpha), first_index=warmup + 1)
-    rows: list[dict[str, Any]] = []
-    for n in sizes:
+    est = np.full((len(sizes), eval_points.shape[0]), np.nan)
+    dd = np.empty(len(sizes))
+    for i, n in enumerate(sizes):
         done, upto = len(log), n - warmup
         log.extend(path.projections[done:upto], path.responses[done:upto])
         theta = path.snapshots[n]
-        dd = direction_distance(theta, model.direction)
-        if by_vector:
-            u_hat = eval_points @ theta
-        else:
-            u_hat = u_true
-        for j in range(eval_points.shape[0]):
+        dd[i] = direction_distance(theta, model.direction)
+        u_hat = eval_points @ theta if eval_points.ndim == 2 else eval_points
+        for j, u in enumerate(u_hat):
             try:
-                est = evaluate(log, float(u_hat[j]))
+                est[i, j] = evaluate(log, float(u))
             except NoSupportError:
-                est = None
-            rows.append(
-                {
-                    "rep": rep,
-                    "n": n,
-                    "point": j,
-                    "u_true": float(u_true[j]),
-                    "true_value": float(f_true[j]),
-                    "estimate": est,
-                    "abs_error": None if est is None else abs(est - float(f_true[j])),
-                    "missing": est is None,
-                    "direction_distance": dd,
-                }
-            )
-    return rows
+                pass
+    return est, dd
 
 
 _CHECKPOINT_COLUMNS = (
@@ -308,17 +298,6 @@ _CHECKPOINT_COLUMNS = (
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 
 
-def _map_replications(
-    fn: Callable[[tuple], list[dict[str, Any]]],
-    tasks: Sequence[tuple],
-    workers: int,
-) -> list[list[dict[str, Any]]]:
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _replication_blocks(n_reps: int, workers: int) -> list[range]:
     """Near-equal contiguous blocks of replications, each at most _REP_BLOCK long.
 
@@ -330,40 +309,65 @@ def _replication_blocks(n_reps: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_checkpoint_study(config: StudyConfig) -> tuple[tuple[dict[str, Any], ...], np.ndarray]:
+def _run_checkpoint_study(config: StudyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, size, point) estimates, (rep, size) direction distances and the evaluation points."""
     eval_points = config.resolved_eval_points()
     warmup = config.resolved_warmup()
     tasks = [
         (config.model, config.sizes, config.alpha, warmup, reps, eval_points, config.seed)
         for reps in _replication_blocks(config.n_reps, config.workers)
     ]
-    chunks = _map_replications(_checkpoint_block, tasks, config.workers)
-    records = tuple(row for chunk in chunks for row in chunk)
-    return records, eval_points
+    if config.workers <= 1:
+        chunks = [_checkpoint_block(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            chunks = list(pool.map(_checkpoint_block, tasks))
+    est = np.concatenate([c[0] for c in chunks])
+    dd = np.concatenate([c[1] for c in chunks])
+    return est, dd, eval_points
 
 
-def _abs_error_table(
-    records: Sequence[dict[str, Any]], sizes: Sequence[int], n_points: int, n_reps: int
-) -> np.ndarray:
-    """(size, point, rep) array of absolute errors, NaN where missing."""
-    table = np.full((len(sizes), n_points, n_reps), np.nan)
-    size_index = {int(s): i for i, s in enumerate(sizes)}
-    for row in records:
-        if not row["missing"]:
-            table[size_index[row["n"]], row["point"], row["rep"]] = row["abs_error"]
-    return table
+def _records(
+    columns: Sequence[str],
+    sizes: Sequence[int],
+    u_true: np.ndarray,
+    f_true: np.ndarray,
+    dd: np.ndarray,
+    **cells: np.ndarray,
+) -> tuple[dict[str, Any], ...]:
+    """Record dicts with the given columns, in (replication, checkpoint, point) order.
+
+    cells maps column names to (rep, size, point) arrays; cells["estimate"]
+    is NaN exactly where the estimate is missing, and every cell there
+    becomes None.
+    """
+    missing = np.isnan(cells["estimate"])
+    values = {name: np.where(missing, None, a).tolist() for name, a in cells.items()}
+    m, d, u, f = missing.tolist(), dd.tolist(), u_true.tolist(), f_true.tolist()
+    rows = []
+    for r, i, j in itertools.product(*map(range, missing.shape)):
+        row = {
+            "rep": r,
+            "n": sizes[i],
+            "point": j,
+            "u_true": u[j],
+            "true_value": f[j],
+            "missing": m[r][i][j],
+            "direction_distance": d[r][i],
+        }
+        row.update((name, v[r][i][j]) for name, v in values.items())
+        rows.append({c: row[c] for c in columns})
+    return tuple(rows)
 
 
-def _direction_table(
-    records: Sequence[dict[str, Any]], sizes: Sequence[int], n_reps: int
-) -> np.ndarray:
-    """(size, rep) array of direction distances."""
-    table = np.full((len(sizes), n_reps), np.nan)
-    size_index = {int(s): i for i, s in enumerate(sizes)}
-    for row in records:
-        if row["point"] == 0:
-            table[size_index[row["n"]], row["rep"]] = row["direction_distance"]
-    return table
+def _nanmedian(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.nanmedian without numpy's warning for an all-missing cell.
+
+    Such a cell's median is NaN and the summaries report it as null.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "All-NaN slice encountered", RuntimeWarning)
+        return np.nanmedian(a, axis=axis)
 
 
 def _quantile_block(values: np.ndarray) -> dict[str, Any]:
@@ -386,28 +390,25 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     Record count is n_reps * len(sizes) * n_points; rows with no kernel
     support at the evaluation point are kept and flagged missing.
     """
-    records, eval_points = _run_checkpoint_study(config)
-    n_points = eval_points.shape[0]
-    errors = _abs_error_table(records, config.sizes, n_points, config.n_reps)
-    dds = _direction_table(records, config.sizes, config.n_reps)
+    est, dd, eval_points = _run_checkpoint_study(config)
     u_true, f_true = _point_truths(config.model, eval_points)
-
-    abs_error_summary = {}
-    for i, n in enumerate(config.sizes):
-        abs_error_summary[str(n)] = {
-            str(j): _quantile_block(errors[i, j]) for j in range(n_points)
-        }
-    direction_summary = {
-        str(n): _quantile_block(dds[i]) for i, n in enumerate(config.sizes)
-    }
+    errors = np.abs(est - f_true)
     summary = {
         "study": "convergence",
         "config": _config_echo(config, eval_points),
         "true_projections": [float(v) for v in u_true],
         "true_values": [float(v) for v in f_true],
-        "abs_error_quantiles": abs_error_summary,
-        "direction_distance_quantiles": direction_summary,
+        "abs_error_quantiles": {
+            str(n): {str(j): _quantile_block(errors[:, i, j]) for j in range(est.shape[2])}
+            for i, n in enumerate(config.sizes)
+        },
+        "direction_distance_quantiles": {
+            str(n): _quantile_block(dd[:, i]) for i, n in enumerate(config.sizes)
+        },
     }
+    records = _records(
+        _CHECKPOINT_COLUMNS, config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors
+    )
     return StudyResult(
         study="convergence",
         columns=_CHECKPOINT_COLUMNS,
@@ -416,14 +417,35 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     )
 
 
-def _slope(log_n: np.ndarray, medians: np.ndarray) -> float | None:
-    """Least-squares slope of log median error against log n."""
+def _slopes(log_n: np.ndarray, medians: np.ndarray) -> np.ndarray:
+    """Least-squares slope of log median error against log n, per row of medians.
+
+    A row with fewer than two non-missing sizes, or with a non-positive
+    median, has no slope (NaN).  Rows that miss the same sizes share one
+    np.polyfit call, which gives each row the bits of fitting it alone.
+    """
     ok = ~np.isnan(medians)
-    if int(ok.sum()) < 2:
-        return None
-    if np.any(medians[ok] <= 0.0):
-        return None
-    return float(np.polyfit(log_n[ok], np.log(medians[ok]), 1)[0])
+    slopes = np.full(medians.shape[0], np.nan)
+    fit = (ok.sum(axis=1) >= 2) & ~np.any(medians <= 0.0, axis=1)
+    for mask in np.unique(ok[fit], axis=0):
+        rows = np.flatnonzero(fit & np.all(ok == mask, axis=1))
+        slopes[rows] = np.polyfit(log_n[mask], np.log(medians[rows][:, mask]).T, 1)[0]
+    return slopes
+
+
+def _bootstrap_slopes(
+    errors: np.ndarray, log_n: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Slopes of count bootstrap resamples of the (rep, size) errors, in resample order.
+
+    The resamples are drawn as one (count, n_reps) block of replication
+    indices, which consumes rng exactly as count draws of n_reps each.
+    Resamples without a slope are dropped.
+    """
+    n_reps = errors.shape[0]
+    picks = rng.integers(0, n_reps, size=(count, n_reps))
+    slopes = _slopes(log_n, _nanmedian(errors[picks], axis=1))
+    return slopes[~np.isnan(slopes)]
 
 
 def rate_study(config: StudyConfig) -> StudyResult:
@@ -440,59 +462,43 @@ def rate_study(config: StudyConfig) -> StudyResult:
     like n**-1/2 up to slowly varying factors, so whichever is slower
     sets the observable slope.
     """
-    records, eval_points = _run_checkpoint_study(config)
-    n_points = eval_points.shape[0]
-    sizes = np.asarray(config.sizes, dtype=np.float64)
-    errors = _abs_error_table(records, config.sizes, n_points, config.n_reps)
-    dds = _direction_table(records, config.sizes, config.n_reps)
+    est, dd, eval_points = _run_checkpoint_study(config)
     u_true, f_true = _point_truths(config.model, eval_points)
+    errors = np.abs(est - f_true)
+    sizes = np.asarray(config.sizes, dtype=np.float64)
     log_n = np.log(sizes)
 
-    single_size = len(config.sizes) < 2
-    decade_spanned = not single_size and config.sizes[-1] >= 10 * config.sizes[0]
+    decade_spanned = config.sizes[-1] >= 10 * config.sizes[0]
     rng = np.random.default_rng([config.seed, 0xB007])
 
+    medians = _nanmedian(errors, axis=0)
     slopes: dict[str, Any] = {}
-    for j in range(n_points):
-        med = np.nanmedian(errors[:, j, :], axis=1)
-        point_slope = None if single_size else _slope(log_n, med)
+    for j, point_slope in enumerate(_slopes(log_n, medians.T).tolist()):
         entry: dict[str, Any] = {
-            "median_abs_error": [None if np.isnan(v) else float(v) for v in med],
-            "slope": point_slope,
+            "median_abs_error": [None if np.isnan(v) else float(v) for v in medians[:, j]],
+            "slope": None,
+            "slope_ci_low": None,
+            "slope_ci_high": None,
         }
-        if point_slope is None:
-            entry["slope_ci_low"] = None
-            entry["slope_ci_high"] = None
+        if math.isnan(point_slope):
             entry["explanation"] = (
                 "slope undefined: need at least two checkpoint sizes with "
                 "positive median errors"
             )
         else:
-            boot = []
-            for _ in range(config.bootstrap):
-                pick = rng.integers(0, config.n_reps, size=config.n_reps)
-                boot_med = np.nanmedian(errors[:, j, pick], axis=1)
-                s = _slope(log_n, boot_med)
-                if s is not None:
-                    boot.append(s)
-            if boot:
+            entry["slope"] = point_slope
+            boot = _bootstrap_slopes(errors[:, :, j], log_n, config.bootstrap, rng)
+            if boot.size:
                 lo, hi = np.percentile(boot, [2.5, 97.5])
                 entry["slope_ci_low"] = float(lo)
                 entry["slope_ci_high"] = float(hi)
-            else:
-                entry["slope_ci_low"] = None
-                entry["slope_ci_high"] = None
         slopes[str(j)] = entry
 
     loglog = np.log(np.log(sizes))
-    envelope = {}
-    for i, n in enumerate(config.sizes):
-        vals = dds[i][~np.isnan(dds[i])]
-        envelope[str(int(n))] = (
-            float(np.percentile(vals * float(sizes[i]) / float(loglog[i]), 90.0))
-            if vals.size
-            else None
-        )
+    envelope = {
+        str(n): float(np.percentile(dd[:, i] * sizes[i] / loglog[i], 90.0))
+        for i, n in enumerate(config.sizes)
+    }
 
     summary = {
         "study": "rate",
@@ -504,6 +510,9 @@ def rate_study(config: StudyConfig) -> StudyResult:
         "slopes": slopes,
         "direction_envelope_q90": envelope,
     }
+    records = _records(
+        _CHECKPOINT_COLUMNS, config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors
+    )
     return StudyResult(study="rate", columns=_CHECKPOINT_COLUMNS, records=records, summary=summary)
 
 
@@ -534,8 +543,7 @@ def normality_study(config: StudyConfig) -> StudyResult:
     if len(config.sizes) != 1:
         raise ValueError("normality study uses exactly one sample size")
     n = config.sizes[0]
-    records, eval_points = _run_checkpoint_study(config)
-    n_points = eval_points.shape[0]
+    est, dd, eval_points = _run_checkpoint_study(config)
     u_true, f_true = _point_truths(model, eval_points)
     h_n = float(n) ** (-config.alpha)
     scale = np.sqrt(n * h_n)
@@ -546,33 +554,13 @@ def normality_study(config: StudyConfig) -> StudyResult:
             for u in u_true
         ]
     )
-
-    rows = []
-    zmat = np.full((n_points, config.n_reps), np.nan)
-    for row in records:
-        j, r = row["point"], row["rep"]
-        z = None
-        if not row["missing"]:
-            z = float(scale * (row["estimate"] - row["true_value"]) / ref_std[j])
-            zmat[j, r] = z
-        rows.append(
-            {
-                "rep": r,
-                "point": j,
-                "u_true": row["u_true"],
-                "true_value": row["true_value"],
-                "estimate": row["estimate"],
-                "z": z,
-                "missing": row["missing"],
-                "direction_distance": row["direction_distance"],
-            }
-        )
+    z = scale * (est - f_true) / ref_std
 
     from scipy import stats as sps
 
     per_point = {}
-    for j in range(n_points):
-        zs = zmat[j][~np.isnan(zmat[j])]
+    for j in range(eval_points.shape[0]):
+        zs = z[:, 0, j][~np.isnan(z[:, 0, j])]
         m = int(zs.size)
         block: dict[str, Any] = {
             "count": m,
@@ -621,7 +609,8 @@ def normality_study(config: StudyConfig) -> StudyResult:
         "missing",
         "direction_distance",
     )
-    return StudyResult(study="normality", columns=columns, records=tuple(rows), summary=summary)
+    records = _records(columns, config.sizes, u_true, f_true, dd, estimate=est, z=z)
+    return StudyResult(study="normality", columns=columns, records=records, summary=summary)
 
 
 def scatter_study(config: StudyConfig) -> StudyResult:

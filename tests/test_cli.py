@@ -216,3 +216,20 @@ def test_study_refuses_a_non_default_kernel(tmp_path):
     assert r.returncode == 1
     assert "StreamSirError" in r.stderr and "epanechnikov" in r.stderr
     assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, artifact, message",
+    [
+        (["cv", "--n", "200", "--grid-min", "0.0"], "cv.json", "alpha must lie in (0, 1)"),
+        (["cv", "--n", "200", "--grid-min", "0.5", "--grid-max", "0.3"], "cv.json", "non-empty"),
+        (["cv", "--n", "200", "--workers", "-3"], "cv.json", "workers must be at least 1"),
+        (["study", "--kind", "rate", "--sizes", "250,abc", "--reps", "2"], "records.csv", "'abc'"),
+    ],
+)
+def test_bad_cv_and_study_input_is_a_one_line_error(tmp_path, args, artifact, message):
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("StreamSirError: ") and message in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / artifact).exists()

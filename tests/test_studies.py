@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from streamsir import (
     reference_model,
     scatter_study,
 )
-from streamsir.studies import KS_CRIT_1PCT, _REP_BLOCK, _replication_blocks, projected_density
+from streamsir import studies
+from streamsir.studies import (
+    KS_CRIT_1PCT,
+    _REP_BLOCK,
+    _bootstrap_slopes,
+    _quantile_block,
+    _replication_blocks,
+    projected_density,
+)
 
 from _cli import child_env
 from conftest import central_point_indices
@@ -302,3 +311,148 @@ def test_importing_the_package_does_not_import_scipy():
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _reference_slope(log_n, medians):
+    """The per-resample slope the rate study used to fit: None without two
+    non-missing sizes or with a non-positive median."""
+    ok = ~np.isnan(medians)
+    if int(ok.sum()) < 2 or np.any(medians[ok] <= 0.0):
+        return None
+    return float(np.polyfit(log_n[ok], np.log(medians[ok]), 1)[0])
+
+
+def _reference_bootstrap(errors, log_n, count, rng):
+    """One resample at a time over a (size, rep) error table, in resample order."""
+    n_reps = errors.shape[1]
+    boot = []
+    for _ in range(count):
+        pick = rng.integers(0, n_reps, size=n_reps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            s = _reference_slope(log_n, np.nanmedian(errors[:, pick], axis=1))
+        if s is not None:
+            boot.append(s)
+    return boot
+
+
+def _error_table(case, n_reps):
+    """A synthetic (size, rep) error table over four sizes."""
+    rng = np.random.default_rng([n_reps, len(case)])
+    errors = rng.gamma(2.0, 0.1, size=(4, n_reps)) / np.array([[1.0], [1.5], [2.0], [3.0]])
+    if case == "all-missing size":
+        errors[1] = np.nan
+    elif case == "missing in some resamples":
+        errors[2, : max(1, n_reps - 3)] = np.nan
+        errors[0, : max(1, n_reps - 2)] = np.nan
+    elif case == "zero medians":
+        errors[3, : n_reps // 2 + 1] = 0.0
+    elif case == "fewer than two sizes":
+        errors[:3] = np.nan
+    return errors
+
+
+@pytest.mark.parametrize("n_reps", [1, 7, 40])
+@pytest.mark.parametrize(
+    "case",
+    ["complete", "all-missing size", "missing in some resamples", "zero medians", "fewer than two sizes"],
+)
+def test_bootstrap_equals_the_per_resample_loop(case, n_reps):
+    errors = _error_table(case, n_reps)
+    log_n = np.log(np.array([32.0, 250.0, 1000.0, 2000.0]))
+    rng_loop, rng_block = np.random.default_rng(99), np.random.default_rng(99)
+    expected = _reference_bootstrap(errors, log_n, 200, rng_loop)
+    got = _bootstrap_slopes(errors.T, log_n, 200, rng_block)
+    assert got.tolist() == expected
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+    if case == "fewer than two sizes":
+        assert expected == []
+
+
+@pytest.fixture(scope="module")
+def missing_heavy(model_m):
+    """Sizes 32 and 40 leave most points without kernel support."""
+    return StudyConfig(model=model_m, sizes=(32, 40, 2000), n_reps=7, seed=1)
+
+
+def test_rate_study_warns_nothing_on_all_missing_cells(missing_heavy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = rate_study(missing_heavy)
+    assert any(v is None for b in result.summary["slopes"].values() for v in b["median_abs_error"])
+
+
+def _tables_from_records(records, sizes, n_points, n_reps):
+    """(size, point, rep) absolute errors, NaN where missing, and (size, rep)
+    direction distances, read back from the record dicts."""
+    errors = np.full((len(sizes), n_points, n_reps), np.nan)
+    dds = np.full((len(sizes), n_reps), np.nan)
+    size_index = {int(s): i for i, s in enumerate(sizes)}
+    for row in records:
+        i = size_index[row["n"]]
+        if not row["missing"]:
+            errors[i, row["point"], row["rep"]] = row["abs_error"]
+        if row["point"] == 0:
+            dds[i, row["rep"]] = row["direction_distance"]
+    return errors, dds
+
+
+def test_summaries_equal_those_rebuilt_from_the_records(missing_heavy):
+    config = missing_heavy
+    sizes, n_reps = config.sizes, config.n_reps
+    log_n = np.log(np.asarray(sizes, dtype=np.float64))
+
+    conv = convergence_study(config)
+    errors, dds = _tables_from_records(conv.records, sizes, 10, n_reps)
+    assert conv.summary["abs_error_quantiles"] == {
+        str(n): {str(j): _quantile_block(errors[i, j]) for j in range(10)}
+        for i, n in enumerate(sizes)
+    }
+    assert conv.summary["direction_distance_quantiles"] == {
+        str(n): _quantile_block(dds[i]) for i, n in enumerate(sizes)
+    }
+
+    rate = rate_study(config)
+    assert rate.records == conv.records
+    rng = np.random.default_rng([config.seed, 0xB007])
+    for j in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            med = np.nanmedian(errors[:, j, :], axis=1)
+        slope = _reference_slope(log_n, med)
+        block = rate.summary["slopes"][str(j)]
+        assert block["median_abs_error"] == [None if np.isnan(v) else float(v) for v in med]
+        assert block["slope"] == slope
+        if slope is not None:
+            boot = _reference_bootstrap(errors[:, j, :], log_n, config.bootstrap, rng)
+            ci = [float(v) for v in np.percentile(boot, [2.5, 97.5])] if boot else [None, None]
+            assert [block["slope_ci_low"], block["slope_ci_high"]] == ci
+    loglog = np.log(np.log(np.asarray(sizes, dtype=np.float64)))
+    assert rate.summary["direction_envelope_q90"] == {
+        str(n): float(np.percentile(dds[i] * float(n) / float(loglog[i]), 90.0))
+        for i, n in enumerate(sizes)
+    }
+
+    missing = [r for r in conv.records if r["missing"]]
+    assert 0 < len(missing) < len(conv.records)
+    assert all(r["estimate"] is None and r["abs_error"] is None for r in missing)
+    assert all(
+        isinstance(r["estimate"], float) and r["abs_error"] == abs(r["estimate"] - r["true_value"])
+        for r in conv.records
+        if not r["missing"]
+    )
+
+
+def test_checkpoint_rows_runs_once_per_replication(model_m, monkeypatch):
+    # The benchmark tracer times one replication as one _checkpoint_rows call.
+    calls = []
+    original = studies._checkpoint_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(studies, "_checkpoint_rows", counted)
+    config = StudyConfig(model=model_m, sizes=(100, 200), n_reps=5, seed=2, warmup=30)
+    result = convergence_study(config)
+    assert len(calls) == 5 and len(result.records) == 5 * 2 * 10
