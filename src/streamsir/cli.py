@@ -17,8 +17,10 @@ Usage errors exit 2 via the argument parser.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -32,10 +34,19 @@ from .kernels import KernelSpec, epanechnikov, tabulated_kernel, BandwidthSchedu
 from .linkreg import evaluate
 from .moments import Slicer
 from .simulate import Sample, SingleIndexModel, draw, reference_model
-from .studies import StudyConfig, convergence_study, normality_study, rate_study, scatter_study
+from .studies import (
+    StudyConfig,
+    convergence_study,
+    draw_eval_points,
+    normality_study,
+    rate_study,
+    scatter_study,
+)
 from . import io
 
 OUTDIR_ENV = "STREAMSIR_OUTDIR"
+
+_MAX_CV_GRID = 10_000  # largest exponent grid `cv` builds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-min", type=float, default=0.1, help="smallest exponent")
     sp.add_argument("--grid-max", type=float, default=0.6, help="largest exponent")
     sp.add_argument("--grid-step", type=float, default=0.025, help="grid spacing")
-    sp.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+    sp.add_argument("--workers", type=int, default=1, help="kept for compatibility; runs serially")
 
     sp = sub.add_parser("study", allow_abbrev=False, help="run a Monte Carlo study")
     common(sp)
@@ -129,22 +140,8 @@ def _resolve_out_dir(args: argparse.Namespace, cfg: EngineConfig) -> Path:
 
 
 def _engine_overrides(args: argparse.Namespace, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
-    take = (
-        "alpha",
-        "warmup",
-        "boundary",
-        "kernel",
-        "kernel_table",
-        "grid_min",
-        "grid_max",
-        "grid_count",
-        "seed",
-        "model",
-        "n",
-        "p",
-        "noise_std",
-        "input",
-    )
+    """The config keys this subcommand has flags for; --out-dir resolves on its own."""
+    take = [f.name for f in fields(EngineConfig) if f.name != "out_dir"]
     return {k: getattr(args, k) for k in take if k not in exclude and hasattr(args, k)}
 
 
@@ -247,10 +244,16 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args, exclude=("grid_min", "grid_max")))
     out = _resolve_out_dir(args, cfg)
     kernel = _load_kernel(cfg)
-    sample = _obtain_sample(cfg)
+    if not all(math.isfinite(v) for v in (args.grid_min, args.grid_max, args.grid_step)):
+        raise StreamSirError("--grid-min, --grid-max and --grid-step must be finite")
     if args.grid_step <= 0.0:
         raise StreamSirError("--grid-step must be positive")
-    count = int(round((args.grid_max - args.grid_min) / args.grid_step))
+    span = (args.grid_max - args.grid_min) / args.grid_step
+    # Exactly round(span) + 1 > _MAX_CV_GRID, also for an infinite span.
+    if not span < _MAX_CV_GRID - 0.5:
+        raise StreamSirError(f"the exponent grid would hold more than {_MAX_CV_GRID} points")
+    count = round(span)
+    sample = _obtain_sample(cfg)
     # Rounding keeps accumulated steps on clean decimal values.
     grid = [round(args.grid_min + i * args.grid_step, 10) for i in range(count + 1)]
     grid = [a for a in grid if a <= args.grid_max + 1e-12]
@@ -284,7 +287,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             n_reps=args.reps if args.reps is not None else default_reps[args.kind],
             alpha=cfg.alpha,
             seed=cfg.seed,
-            eval_points=None if args.eval_count == 10 else _default_points(model, args.eval_count),
+            eval_points=None if args.eval_count == 10 else draw_eval_points(model, args.eval_count),
             warmup=cfg.warmup,
             workers=args.workers,
         )
@@ -301,12 +304,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     print(records_path)
     print(summary_path)
     return 0
-
-
-def _default_points(model: SingleIndexModel, count: int) -> np.ndarray:
-    from .studies import draw_eval_points
-
-    return draw_eval_points(model, count=count)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

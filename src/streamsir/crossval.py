@@ -10,23 +10,22 @@ noticeably fewer terms than its neighbours.
 
 The logged projections u_k = theta_{k-1}' x_k do not depend on the
 exponent, so the direction path runs once and every candidate replays only
-the kernel log over the fixed (k, u_k, y_k).  Candidate replays are
-independent, so they can run in a process pool; the report is assembled in
-grid order either way and is identical for serial and parallel runs.
+the kernel sums over the fixed (k, u_k, y_k), a block of queries at a time
+in one process.  Each prediction follows evaluate's rule (ndarray.sum over
+the entries whose window covers the query, gathered in arrival order), so
+a score has the bits of predict_next then stream_step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from .engine import DirectionPath, _warmup_length, direction_path
-from .errors import InsufficientDataError, NoSupportError
+from .errors import InsufficientDataError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
-from .linkreg import ProjectionLog, evaluate
 from .moments import Slicer
 from .simulate import Sample
 
@@ -35,6 +34,12 @@ from .simulate import Sample
 from .engine import init_stream, predict_next, stream_step  # noqa: F401
 
 SKIP_FLAG_FRACTION = 0.05
+
+# Queries per block in _replay: each (block, n) temporary stays near 256 KB
+# at n = 2000.
+_QUERY_BLOCK = 16
+# _BEFORE[r, c]: query i + r of a block sees block entry i + c (c < r).
+_BEFORE = np.tri(_QUERY_BLOCK, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -64,17 +69,7 @@ class CvReport:
     warmup_n: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "grid": list(self.grid),
-            "scores": list(self.scores),
-            "skipped": list(self.skipped),
-            "counted": list(self.counted),
-            "flagged": list(self.flagged),
-            "argmin_index": self.argmin_index,
-            "argmin_alpha": self.argmin_alpha,
-            "n": self.n,
-            "warmup_n": self.warmup_n,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _path(sample: Sample, slicer: Slicer | None, warmup: int | None) -> DirectionPath:
@@ -93,25 +88,43 @@ def _replay(
 ) -> tuple[float, int, int]:
     """Score one exponent over the path's projections; returns (score, skipped, counted).
 
-    Each streamed response is predicted from the log of the entries before
-    it, then pushed: exactly what predict_next then stream_step compute.
+    Each streamed response is predicted from the entries before it, exactly
+    as evaluate then push compute it.  A block of queries [i, b) shares one
+    difference matrix against u[:b]; its supported (query, entry) pairs are
+    gathered row-major, so each query's entries sit contiguous and in
+    arrival order, and each query sums its own slice.
     """
     if kernel is None:
         kernel = epanechnikov()
-    log = ProjectionLog(kernel, BandwidthSchedule(alpha=alpha), first_index=path.warmup_n + 1)
-    score = 0.0
-    skipped = 0
-    counted = 0
-    for u, y in zip(path.projections.tolist(), path.responses.tolist()):
-        try:
-            pred = evaluate(log, u)
-        except NoSupportError:
-            skipped += 1
-        else:
-            err = y - pred
-            score += err * err
-            counted += 1
-        log.push(u, y)
+    u = path.projections
+    n = u.size
+    first = path.warmup_n + 1
+    h = BandwidthSchedule(alpha=alpha).h(np.arange(first, first + n, dtype=np.int64))
+    reach = kernel.support_radius * h
+    ys = path.responses.tolist()
+    score, skipped, counted = 0.0, 0, 0
+    for i in range(0, n, _QUERY_BLOCK):
+        b = min(i + _QUERY_BLOCK, n)
+        d = u[i:b, None] - u[None, :b]
+        inside = np.abs(d) <= reach[:b]
+        inside[:, i:] &= _BEFORE[: b - i, : b - i]
+        idx = np.flatnonzero(inside)
+        col = idx % b
+        hs = h[col]
+        w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
+        wy = w * path.responses[col]
+        ends = np.searchsorted(idx, np.arange(1, b - i + 1) * b).tolist()
+        start = 0
+        for q, end in zip(range(i, b), ends):
+            denom = float(w[start:end].sum())
+            # As in evaluate: no entry inside, or only window edges where K is 0.
+            if denom <= 0.0:
+                skipped += 1
+            else:
+                err = ys[q] - float(wy[start:end].sum() / denom)
+                score += err * err
+                counted += 1
+            start = end
     return score, skipped, counted
 
 
@@ -132,10 +145,6 @@ def cv_score(
     return score, skipped
 
 
-def _grid_task(args: tuple[DirectionPath, float, KernelSpec | None]) -> tuple[float, int, int]:
-    return _replay(*args)
-
-
 def select_alpha(
     sample: Sample,
     grid: np.ndarray | list[float],
@@ -148,8 +157,8 @@ def select_alpha(
 
     Ties break toward the smaller alpha value, and among equal values
     toward the earlier grid position, so the selection never depends on
-    evaluation order.  With workers > 1 the kernel goes to the worker
-    processes, so it must pickle; both built-in kernels do.
+    evaluation order.  workers is validated and accepted for compatibility;
+    scoring runs in this process, since the blocked replay outruns a pool.
 
     Raises:
         ValueError: empty grid, a candidate outside (0, 1) or workers < 1.
@@ -164,15 +173,9 @@ def select_alpha(
             raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
 
     path = _path(sample, slicer, warmup)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_task, [(path, a, kernel) for a in cand]))
-    else:
-        results = [_replay(path, a, kernel) for a in cand]
+    results = [_replay(path, a, kernel) for a in cand]
 
-    scores = tuple(r[0] for r in results)
-    skipped = tuple(r[1] for r in results)
-    counted = tuple(r[2] for r in results)
+    scores, skipped, counted = zip(*results)
     streamed = [s + c for s, c in zip(skipped, counted)]
     flagged = tuple(
         (s / t if t > 0 else 1.0) > SKIP_FLAG_FRACTION for s, t in zip(skipped, streamed)

@@ -233,3 +233,20 @@ def test_bad_cv_and_study_input_is_a_one_line_error(tmp_path, args, artifact, me
     assert r.stderr.startswith("StreamSirError: ") and message in r.stderr
     assert len(r.stderr.splitlines()) == 1, r.stderr
     assert not (tmp_path / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid-step", "nan", "must be finite"),
+        ("--grid-min", "nan", "must be finite"),
+        ("--grid-max", "inf", "must be finite"),
+        ("--grid-step", "1e-9", "more than 10000 points"),
+    ],
+)
+def test_cv_refuses_a_non_finite_or_oversized_grid(tmp_path, flag, value, message):
+    r = run_cli(["cv", "--n", "200", flag, value], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("StreamSirError: ") and message in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "cv.json").exists()

@@ -1,18 +1,24 @@
+import concurrent.futures
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from streamsir import (
+    BandwidthSchedule,
     EmptySliceError,
     InsufficientDataError,
     NoSupportError,
+    ProjectionLog,
     Sample,
     SingleIndexModel,
     Slicer,
     cv_score,
     direction_path,
     draw,
+    epanechnikov,
+    evaluate,
     init_stream,
     predict_next,
     reference_model,
@@ -20,6 +26,7 @@ from streamsir import (
     stream_step,
     tabulated_kernel,
 )
+from streamsir.crossval import _replay
 
 
 def _sample(n=160, p=4, seed=0):
@@ -190,3 +197,61 @@ def test_scores_match_a_dense_one_step_ahead_reference():
         assert report.skipped[j] == skipped, alpha
         assert abs(report.scores[j] - want) <= 1e-12 * want, alpha
     assert sum(report.skipped) > 0
+
+
+def _replay_by_evaluate(path, alpha, kernel):
+    """The per-arrival replay: evaluate on a ProjectionLog, then push."""
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=alpha), first_index=path.warmup_n + 1)
+    score, skipped, counted = 0.0, 0, 0
+    for u, y in zip(path.projections.tolist(), path.responses.tolist()):
+        try:
+            pred = evaluate(log, u)
+        except NoSupportError:
+            skipped += 1
+        else:
+            err = y - pred
+            score += err * err
+            counted += 1
+        log.push(u, y)
+    return score, skipped, counted
+
+
+# Parabolic kernel stretched to [-2, 2]: support_radius 2.
+_WIDE = tabulated_kernel(2.0 * _XS, 0.375 * (1.0 - _XS * _XS), name="wide")
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _WIDE], ids=["epanechnikov", "wide"])
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+@pytest.mark.parametrize("streamed", [1, 15, 16, 17, 33])
+def test_blocked_replay_equals_evaluate_then_push(kernel, alpha, streamed):
+    # Lengths around the 16-query block cross its edges.
+    path = direction_path(_sample(n=30 + streamed, p=4, seed=streamed), warmup=30)
+    assert path.projections.size == streamed
+    assert _replay(path, alpha, kernel) == _replay_by_evaluate(path, alpha, kernel)
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _WIDE], ids=["epanechnikov", "wide"])
+def test_replay_skips_a_query_on_a_window_edge(kernel):
+    path = direction_path(_sample(n=60, p=4, seed=2), warmup=30)
+    h0 = BandwidthSchedule(alpha=0.35).h(31)
+    edge = kernel.support_radius * h0
+    # The second query sits exactly on the first entry's window edge, where
+    # K vanishes, so its only weight is 0; the later queries lie inside.
+    u = np.array([0.0, edge, 0.25 * edge, -0.5 * edge, 0.5 * edge])
+    t = edge / h0
+    assert t == kernel.support_radius and kernel.eval(np.array([t]))[0] == 0.0
+    path = replace(path, projections=u, responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    got = _replay(path, 0.35, kernel)
+    assert got == _replay_by_evaluate(path, 0.35, kernel)
+    assert got[1:] == (2, 3)  # skipped: the empty log and the edge query
+
+
+def test_no_process_pool_is_started(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("select_alpha started a process pool")
+
+    # Patching the class itself also catches a name bound at import time.
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+    sample = _sample(n=140, seed=5)
+    grid = [0.25, 0.45]
+    assert select_alpha(sample, grid, workers=4) == select_alpha(sample, grid)
