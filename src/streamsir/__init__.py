@@ -15,7 +15,6 @@ from .engine import (
     direction_path,
     direction_paths,
     init_stream,
-    iter_stream,
     predict_next,
     run_stream,
     stream_step,
@@ -33,14 +32,7 @@ from .errors import (
 )
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov, tabulated_kernel
 from .linkreg import GridAccumulator, ProjectionLog, append, evaluate, theoretical_std
-from .moments import (
-    MomentState,
-    Slicer,
-    batch_moments,
-    observe,
-    riccati_update,
-    slice_update,
-)
+from .moments import MomentState, Slicer, batch_moments, observe
 from .sir import (
     SirState,
     batch_sir,
@@ -104,7 +96,6 @@ __all__ = [
     "epanechnikov",
     "evaluate",
     "init_stream",
-    "iter_stream",
     "most_central",
     "normality_study",
     "observe",
@@ -114,11 +105,9 @@ __all__ = [
     "recursive_step",
     "reference_link",
     "reference_model",
-    "riccati_update",
     "run_stream",
     "scatter_study",
     "select_alpha",
-    "slice_update",
     "stream_step",
     "tabulated_kernel",
     "theoretical_std",

@@ -11,6 +11,8 @@ current directory.
 
 Exit status is 0 exactly when every requested artifact was written; any
 engine error prints its class name and message on stderr and exits 1.
+The output directory is created only once every check has passed, so a
+refused run leaves none behind.
 Usage errors exit 2 via the argument parser.
 """
 
@@ -133,9 +135,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(args: argparse.Namespace, cfg: EngineConfig) -> Path:
+    """The output directory, created on the spot: call it only once every check has passed."""
     out = args.out_dir or os.environ.get(OUTDIR_ENV) or cfg.out_dir or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StreamSirError(f"cannot create output directory {out!s}: {exc}") from None
     return path
 
 
@@ -167,8 +173,8 @@ def _obtain_sample(cfg: EngineConfig) -> Sample:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
-    out = _resolve_out_dir(args, cfg)
     sample = draw(_model_from_config(cfg), cfg.n, cfg.seed)
+    out = _resolve_out_dir(args, cfg)
     io.write_sample_csv(sample, out / "sample.csv")
     print(out / "sample.csv")
     return 0
@@ -176,7 +182,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
-    out = _resolve_out_dir(args, cfg)
     sample = _obtain_sample(cfg)
     kernel = _load_kernel(cfg)
     state = run_stream(
@@ -187,6 +192,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         boundary=cfg.boundary,
         grid_points=cfg.grid_points(),
     )
+    out = _resolve_out_dir(args, cfg)
     io.write_json(
         {
             "n": int(state.n),
@@ -218,7 +224,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             "seed": args.seed,
         },
     )
-    out = _resolve_out_dir(args, cfg)
     kernel = _load_kernel(cfg)
     log = io.read_projection_log_csv(args.log, kernel, BandwidthSchedule(alpha=cfg.alpha))
     try:
@@ -234,6 +239,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             lines.append(f"{io.fmt(x)},{io.fmt(pred)},1")
         except NoSupportError:
             lines.append(f"{io.fmt(x)},,0")
+    out = _resolve_out_dir(args, cfg)
     (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(out / "predictions.csv")
     return 0
@@ -242,7 +248,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_cv(args: argparse.Namespace) -> int:
     # --grid-min/--grid-max mean the exponent grid here, not the curve grid.
     cfg = load_config(args.config, _engine_overrides(args, exclude=("grid_min", "grid_max")))
-    out = _resolve_out_dir(args, cfg)
     kernel = _load_kernel(cfg)
     if not all(math.isfinite(v) for v in (args.grid_min, args.grid_max, args.grid_step)):
         raise StreamSirError("--grid-min, --grid-max and --grid-step must be finite")
@@ -264,6 +269,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise StreamSirError(str(exc)) from exc
+    out = _resolve_out_dir(args, cfg)
     io.write_json(report.to_dict(), out / "cv.json")
     print(out / "cv.json")
     return 0
@@ -273,7 +279,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
     if cfg.kernel != "epanechnikov":
         raise StreamSirError(f"study supports only the epanechnikov kernel, got {cfg.kernel!r}")
-    out = _resolve_out_dir(args, cfg)
     model = _model_from_config(cfg)
     default_reps = {"scatter": 1, "convergence": 100, "normality": 200, "rate": 100}
     try:
@@ -300,7 +305,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         result = runner(study_cfg)
     except ValueError as exc:
         raise StreamSirError(str(exc)) from exc
-    records_path, summary_path = result.write(out)
+    records_path, summary_path = result.write(_resolve_out_dir(args, cfg))
     print(records_path)
     print(summary_path)
     return 0

@@ -11,9 +11,9 @@ noticeably fewer terms than its neighbours.
 The logged projections u_k = theta_{k-1}' x_k do not depend on the
 exponent, so the direction path runs once and every candidate replays only
 the kernel sums over the fixed (k, u_k, y_k), a block of queries at a time
-in one process.  Each prediction follows evaluate's rule (ndarray.sum over
-the entries whose window covers the query, gathered in arrival order), so
-a score has the bits of predict_next then stream_step.
+in one process.  Each prediction's sums come from linkreg.window_sums,
+the rule evaluate uses, so a score has the bits of predict_next then
+stream_step.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .engine import DirectionPath, _warmup_length, direction_path
 from .errors import InsufficientDataError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
+from .linkreg import window_sums
 from .moments import Slicer
 from .simulate import Sample
 
@@ -90,9 +91,8 @@ def _replay(
 
     Each streamed response is predicted from the entries before it, exactly
     as evaluate then push compute it.  A block of queries [i, b) shares one
-    difference matrix against u[:b]; its supported (query, entry) pairs are
-    gathered row-major, so each query's entries sit contiguous and in
-    arrival order, and each query sums its own slice.
+    difference matrix against u[:b], masked to each query's supported
+    predecessors, and linkreg.window_sums takes every query's sums.
     """
     if kernel is None:
         kernel = epanechnikov()
@@ -108,23 +108,15 @@ def _replay(
         d = u[i:b, None] - u[None, :b]
         inside = np.abs(d) <= reach[:b]
         inside[:, i:] &= _BEFORE[: b - i, : b - i]
-        idx = np.flatnonzero(inside)
-        col = idx % b
-        hs = h[col]
-        w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
-        wy = w * path.responses[col]
-        ends = np.searchsorted(idx, np.arange(1, b - i + 1) * b).tolist()
-        start = 0
-        for q, end in zip(range(i, b), ends):
-            denom = float(w[start:end].sum())
+        num, den = window_sums(kernel, d, inside, h[:b], path.responses[:b])
+        for y, top, bottom in zip(ys[i:b], num.tolist(), den.tolist()):
             # As in evaluate: no entry inside, or only window edges where K is 0.
-            if denom <= 0.0:
+            if bottom <= 0.0:
                 skipped += 1
             else:
-                err = ys[q] - float(wy[start:end].sum() / denom)
+                err = y - top / bottom
                 score += err * err
                 counted += 1
-            start = end
     return score, skipped, counted
 
 

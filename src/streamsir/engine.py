@@ -33,7 +33,7 @@ direction_path(..., checkpoints=) for direction snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -412,26 +412,3 @@ def run_stream(
     if state.grid is not None:
         state.grid.absorb(log.kernel, log.projections, log.responses, log.bandwidths)
     return state
-
-
-def iter_stream(
-    sample: Sample,
-    alpha: float = DEFAULT_ALPHA,
-    kernel: KernelSpec | None = None,
-    warmup: int | None = None,
-    boundary: float | None = None,
-    grid_points: np.ndarray | None = None,
-) -> Iterator[StreamState]:
-    """Yield the state after warm-up and after every subsequent observation.
-
-    Every yield is the same live engine state, advanced in place; callers
-    that need a historical value must copy it before advancing.
-    """
-    n0 = _warmup_length(sample, warmup)
-    state = init_stream(
-        sample.head(n0), alpha=alpha, kernel=kernel, boundary=boundary, grid_points=grid_points
-    )
-    yield state
-    xs, ys = sample.covariates, sample.responses
-    for i in range(n0, sample.n):
-        yield stream_step(state, xs[i], float(ys[i]))

@@ -25,6 +25,11 @@ from .simulate import Sample
 
 SCHEMA_VERSION = 1
 
+# A double holds every integer below 2**53, so the parsed index k is the
+# written one; from 2**53 on, float() may round it (and int64 overflows
+# further up), so such indices are refused.
+_INDEX_LIMIT = 2**53
+
 
 def fmt(value: float) -> str:
     """Shortest-exact decimal form of a double."""
@@ -134,9 +139,10 @@ def read_projection_log_csv(
                 f"line {line_no}: expected 3 cells, got {len(row)}", row=line_no
             )
         k = _parse_cell(row[0], line_no, "k")
-        if k != int(k) or k < 1:
+        if not 1 <= k < _INDEX_LIMIT or k != int(k):
             raise CsvFormatError(
-                f"line {line_no}: k must be a positive integer, got {row[0]!r}", row=line_no
+                f"line {line_no}: k must be a positive integer below 2**53, got {row[0]!r}",
+                row=line_no,
             )
         ks[i] = int(k)
         us[i] = _parse_cell(row[1], line_no, "u")

@@ -13,9 +13,13 @@ The log keeps (k, u_k, y_k) with precomputed h_k; a GridAccumulator
 maintains running numerator and denominator sums on a fixed abscissa grid
 so the whole curve is available at any time without rescanning the log.
 Both take entries one at a time or as arrays, with the same bits either
-way.  evaluate sums over the supported entries only (|x - u_k| <= R h_k),
-gathered in arrival order; the grid sums every entry in a running total,
-so the two agree to rounding, not exactly.
+way.
+
+window_sums holds the one summation rule behind every estimate read from
+the log (evaluate, the cross-validation replay, the study checkpoints):
+the sums run over the entries whose window covers the point, gathered in
+arrival order.  The grid sums every entry in a running total instead, so
+it agrees with them to rounding, not exactly.
 """
 
 from __future__ import annotations
@@ -237,14 +241,46 @@ def append(
         grid.absorb(log.kernel, u, y, float(log.schedule.h(k)))
 
 
+def window_sums(
+    kernel: KernelSpec, d: np.ndarray, inside: np.ndarray, h: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row kernel sums over the marked entries of a difference block.
+
+    d[r, j] = x_r - u_j has shape (rows, width), and inside marks the
+    entries each row sees; h and y hold the width entries' bandwidths and
+    responses.  The marked pairs are gathered row-major, so each row's
+    entries sit contiguous and in arrival order; w = K(d / h_j) / h_j, and
+    each row's two sums are ndarray.sum over its own slice.  That rule
+    fixes the bits of every estimate taken from the log.
+
+    Returns (numerator, denominator), each of shape (rows,).  A row's
+    denominator is 0 when no entry is marked, or when it sits only on
+    window edges where K vanishes.
+    """
+    rows, width = d.shape
+    idx = np.flatnonzero(inside)
+    col = idx % width if rows > 1 else idx
+    hs = h[col]
+    w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
+    wy = w * y[col]
+    if rows == 1:
+        return wy.sum(keepdims=True), w.sum(keepdims=True)
+    bounds = [0, *np.searchsorted(idx, np.arange(1, rows + 1) * width).tolist()]
+    num = np.empty(rows)
+    den = np.empty(rows)
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        num[r] = wy[a:b].sum()
+        den[r] = w[a:b].sum()
+    return num, den
+
+
 def evaluate(log: ProjectionLog, x: float) -> float:
     """Regression estimate at projection value x from the current log.
 
-    Only the entries whose window covers x (|x - u_k| <= R h_k) are
-    gathered, in arrival order, and both sums run over those alone with
-    ndarray.sum: that rule fixes the bits of the result.  The result is a
-    convex combination of logged responses, so it lies in
-    [min y_k, max y_k] over the entries with positive weight.
+    The sums are window_sums over the entries whose window covers x
+    (|x - u_k| <= R h_k).  The result is a convex combination of logged
+    responses, so it lies in [min y_k, max y_k] over the entries with
+    positive weight.
 
     Raises:
         NonFiniteInputError: x is NaN or infinite.
@@ -258,18 +294,16 @@ def evaluate(log: ProjectionLog, x: float) -> float:
         raise NoSupportError("projection log is empty", nearest_u=None)
     u = log.projections
     h = log.bandwidths
-    d = x - u
-    idx = np.flatnonzero(np.abs(d) <= log.kernel.support_radius * h)
-    hs = h[idx]
-    w = np.asarray(log.kernel.eval(d[idx] / hs)) / hs
-    denom = float(w.sum())
-    # denom is 0 with no entry inside, or when x sits exactly on a window
-    # edge where K vanishes.
-    if denom <= 0.0:
+    d = (x - u)[None, :]
+    # R h is h itself when R = 1 (Epanechnikov): skip that O(m) product.
+    radius = log.kernel.support_radius
+    inside = np.abs(d) <= (h if radius == 1.0 else radius * h)
+    num, den = window_sums(log.kernel, d, inside, h, log.responses)
+    if den[0] <= 0.0:
         raise NoSupportError(
             f"no kernel support at {x!r}", nearest_u=float(u[np.argmin(np.abs(d))])
         )
-    return float((w * log.responses[idx]).sum() / denom)
+    return float(num[0] / den[0])
 
 
 def theoretical_std(

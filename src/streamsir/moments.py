@@ -16,9 +16,9 @@ symmetric: the warm-up inverse is symmetrized, and each update subtracts the
 bit-symmetric matrix w w' / (n + rho) and rescales.
 
 MomentState is mutable: the recursion advances it in place
-(rank_one_terms, absorb_covariate, absorb_slice).  riccati_update,
-slice_update and observe are the functional API over the same steps; they
-work on a copy and never modify the state they are given.
+(rank_one_terms, absorb_covariate, absorb_slice).  observe is the
+functional API over the same steps; it works on a copy and never modifies
+the state it is given.
 
 Slices partition responses into "low" (slice 1, y <= boundary) and "high"
 (slice 2, y > boundary).  The boundary is chosen once, before streaming
@@ -222,45 +222,14 @@ def require_finite_rows(xs: np.ndarray, ys: np.ndarray) -> None:
         raise NonFiniteInputError(f"row {row} holds a NaN or infinite value")
 
 
-def riccati_update(state: MomentState, x: np.ndarray) -> MomentState:
-    """Absorb one covariate vector into the mean and inverse covariance.
-
-    Slice fields are left untouched; pair with slice_update to absorb the
-    full observation.
-
-    Raises:
-        NonFiniteInputError: x holds NaN or inf.
-        NumericalBreakdownError: the update denominator n + rho is not
-            positive, which cannot happen in exact arithmetic once the
-            covariance is positive definite.
-    """
-    x = finite_covariates(x)
-    m = state.copy()
-    m.absorb_covariate(*m.rank_one_terms(x))
-    return m
-
-
-def slice_update(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
-    """Absorb one observation into its slice count and slice mean.
-
-    The overall count n is not advanced here; riccati_update owns that.
-
-    Raises:
-        NonFiniteInputError: x or y holds NaN or inf.
-    """
-    x, y = finite_covariates(x), finite_response(y)
-    m = state.copy()
-    i = slicer.slice_of(y) - 1
-    m.absorb_slice(i, x - m.slice_means[i])
-    return m
-
-
 def observe(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
     """Absorb one full observation: rank-one moment update plus slice update.
 
     Raises:
         NonFiniteInputError: x or y holds NaN or inf; nothing is absorbed.
-        NumericalBreakdownError: as riccati_update.
+        NumericalBreakdownError: the update denominator n + rho is not
+            positive, which cannot happen in exact arithmetic once the
+            covariance is positive definite.
     """
     x, y = finite_covariates(x), finite_response(y)
     m = state.copy()

@@ -26,11 +26,13 @@ rows are emitted in (replication, checkpoint, point) order and
 summary.json is written with sorted keys.
 
 Inside the checkpoint studies the data stay in arrays: each replication
-yields its (checkpoint, point) curve estimates, NaN where no kernel window
-covers the point, and its per-checkpoint direction distances; these stack
-into (replication, checkpoint, point) and (replication, checkpoint)
-arrays, every summary is computed from them, and the record dicts are
-built once, at the end, for StudyResult.records and records.csv.
+yields its (checkpoint, point) curve estimates, taken by
+linkreg.window_sums over the entries up to the checkpoint and NaN where
+no kernel window covers the point, and its per-checkpoint direction
+distances; these stack into (replication, checkpoint, point) and
+(replication, checkpoint) arrays, every summary is computed from them,
+and the record dicts are built once, at the end, for StudyResult.records
+and records.csv.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .engine import DirectionPath, default_warmup, direction_path, direction_paths
-from .errors import NoSupportError
 from .kernels import BandwidthSchedule, epanechnikov
-from .linkreg import ProjectionLog, evaluate, theoretical_std
+from .linkreg import theoretical_std, window_sums
 from .sir import direction_distance
 from .simulate import Sample, SingleIndexModel, draw
 from .io import write_json, write_records_csv
@@ -56,6 +57,7 @@ from .io import write_json, write_records_csv
 # Not called here: the per-layer tracer (perfbench/tracing.py) patches these
 # names by module attribute, so they stay importable.
 from .engine import init_stream, stream_step  # noqa: F401
+from .linkreg import evaluate  # noqa: F401
 
 # Seed of the evaluation-point draw; fixed so every study run of a given
 # model sees the same points regardless of the study's own master seed.
@@ -71,6 +73,10 @@ KS_CRIT_1PCT = 1.6276236115189502
 # Most replications one direction_paths call steps together.  Its state is
 # (block, p, p), so memory stays bounded whatever n_reps is.
 _REP_BLOCK = 64
+
+# Most (point, entry) cells one window_sums call in _checkpoint_rows takes,
+# so its temporaries stay near 2 MB however many points a study asks for.
+_POINT_CELLS = 1 << 18
 
 
 def draw_eval_points(model: SingleIndexModel, count: int = 10, seed: int = EVAL_POINT_SEED) -> np.ndarray:
@@ -165,6 +171,8 @@ class StudyConfig:
                 raise ValueError("eval point vectors must have length p")
             if pts.ndim not in (1, 2) or pts.shape[0] == 0:
                 raise ValueError("eval_points must be a non-empty 1-d or 2-d array")
+            if not np.isfinite(pts).all():
+                raise ValueError("eval_points must be finite")
             object.__setattr__(self, "eval_points", pts)
 
     def resolved_eval_points(self) -> np.ndarray:
@@ -260,26 +268,30 @@ def _checkpoint_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One replication's curve estimates from its direction path, at each checkpoint size.
 
-    At checkpoint n the curve is evaluated over the log of entries k <= n
-    with the direction snapshot at n.  Returns the (size, point) estimates,
-    NaN where no kernel window covers the point, and the (size,) direction
-    distances.
+    At checkpoint n the curve is evaluated over the entries k <= n with the
+    direction snapshot at n; linkreg.window_sums takes the sums, so each
+    estimate has the bits of evaluate on that log.  Returns the
+    (size, point) estimates, NaN where no kernel window covers the point,
+    and the (size,) direction distances.
     """
-    warmup = path.warmup_n
-    log = ProjectionLog(epanechnikov(), BandwidthSchedule(alpha=alpha), first_index=warmup + 1)
+    kernel = epanechnikov()
+    u, y = path.projections, path.responses
+    first = path.warmup_n + 1
+    h = BandwidthSchedule(alpha=alpha).h(np.arange(first, first + u.size, dtype=np.int64))
+    reach = kernel.support_radius * h
     est = np.full((len(sizes), eval_points.shape[0]), np.nan)
     dd = np.empty(len(sizes))
     for i, n in enumerate(sizes):
-        done, upto = len(log), n - warmup
-        log.extend(path.projections[done:upto], path.responses[done:upto])
+        m = n - path.warmup_n
         theta = path.snapshots[n]
         dd[i] = direction_distance(theta, model.direction)
         u_hat = eval_points @ theta if eval_points.ndim == 2 else eval_points
-        for j, u in enumerate(u_hat):
-            try:
-                est[i, j] = evaluate(log, float(u))
-            except NoSupportError:
-                pass
+        step = max(1, _POINT_CELLS // m)
+        for a in range(0, u_hat.size, step):
+            d = u_hat[a : a + step, None] - u[None, :m]
+            num, den = window_sums(kernel, d, np.abs(d) <= reach[:m], h[:m], y[:m])
+            ok = den > 0.0
+            est[i, a : a + step][ok] = num[ok] / den[ok]
     return est, dd
 
 

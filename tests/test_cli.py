@@ -250,3 +250,35 @@ def test_cv_refuses_a_non_finite_or_oversized_grid(tmp_path, flag, value, messag
     assert r.stderr.startswith("StreamSirError: ") and message in r.stderr
     assert len(r.stderr.splitlines()) == 1, r.stderr
     assert not (tmp_path / "cv.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cv", "--n", "200", "--grid-step", "nan"],
+        ["predict", "--log", "missing.csv", "--at", "0"],
+        ["study", "--kind", "rate", "--sizes", "250,abc", "--reps", "2"],
+    ],
+    ids=["cv-nan-step", "predict-missing-log", "study-bad-sizes"],
+)
+def test_a_refused_run_leaves_no_output_directory(tmp_path, args):
+    r = run_cli(args + ["--out-dir", "od/new"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert not (tmp_path / "od").exists()
+
+
+def test_predict_refuses_an_index_beyond_exact_doubles(tmp_path):
+    (tmp_path / "log.csv").write_text("k,u,y\n1,0.0,1.0\n1e300,0.5,2.0\n")
+    r = run_cli(["predict", "--log", "log.csv", "--at", "0"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("CsvFormatError: line 3: ")
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_an_output_path_that_is_a_file_is_a_one_line_error(tmp_path):
+    (tmp_path / "taken").write_text("")
+    r = run_cli(["simulate", "--n", "50", "--out-dir", "taken"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("StreamSirError: cannot create output directory taken")
+    assert len(r.stderr.splitlines()) == 1, r.stderr

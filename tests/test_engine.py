@@ -23,15 +23,12 @@ from streamsir import (
     epanechnikov,
     evaluate,
     init_stream,
-    iter_stream,
     observe,
     predict_next,
     recursive_step,
     reference_model,
-    riccati_update,
     run_stream,
     select_alpha,
-    slice_update,
     stream_step,
     tabulated_kernel,
     warm_start,
@@ -138,15 +135,6 @@ def test_run_stream_rejects_short_samples():
     sample = draw(reference_model(p=4), 20, 9)
     with pytest.raises(InsufficientDataError):
         run_stream(sample)  # default warm-up is 30
-
-
-def test_iter_stream_walks_every_state():
-    model = reference_model(p=4)
-    sample = draw(model, 40, 10)
-    states = list(iter_stream(sample, warmup=30))
-    assert len(states) == 11  # warm-up state plus ten streamed observations
-    final = run_stream(sample, warmup=30)
-    assert np.array_equal(states[-1].theta_hat, final.theta_hat)
 
 
 def test_grid_points_accumulate_during_run():
@@ -353,8 +341,6 @@ def test_functional_steps_never_modify_their_input():
         outputs = (
             stepped.moments,
             observe(sir.moments, x, y, slicer),
-            riccati_update(sir.moments, x),
-            slice_update(sir.moments, x, y, slicer),
         )
         _assert_same_arrays(_engine_arrays(state), before)
         assert not np.shares_memory(stepped.theta_hat, sir.theta_hat)

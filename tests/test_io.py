@@ -180,3 +180,19 @@ def test_stream_order_is_preserved(tmp_path):
     for i in range(sample.n):
         assert np.array_equal(back.covariates[i], sample.covariates[i])
         assert back.responses[i] == sample.responses[i]
+
+
+@pytest.mark.parametrize(
+    "index", ["1e300", "9223372036854775808", "9007199254740993", "9007199254740992"]
+)
+def test_projection_log_refuses_an_index_a_double_cannot_hold(tmp_path, index):
+    # float() rounds 2**53 + 1 to 2**53, and int64 overflows further up.
+    kernel = epanechnikov()
+    schedule = BandwidthSchedule(alpha=0.35)
+    path = tmp_path / "log.csv"
+    path.write_text(f"k,u,y\n1,0.0,1.0\n{index},0.5,2.0\n")
+    with pytest.raises(CsvFormatError, match="line 3") as exc:
+        read_projection_log_csv(path, kernel, schedule)
+    assert exc.value.row == 3
+    path.write_text("k,u,y\n1,0.0,1.0\n9007199254740991,0.5,2.0\n")
+    assert read_projection_log_csv(path, kernel, schedule).indices[-1] == 2**53 - 1

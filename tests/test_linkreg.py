@@ -19,6 +19,7 @@ from streamsir import (
     tabulated_kernel,
     theoretical_std,
 )
+from streamsir.linkreg import window_sums
 
 
 def _fresh_log(alpha=0.35, first_index=1):
@@ -249,14 +250,16 @@ _TABLE_KS = np.maximum(0.0, 1.0 - np.abs(_TABLE_XS) / 1.5) / 1.5  # triangle on 
 _TABLE = tabulated_kernel(_TABLE_XS, _TABLE_KS)
 
 
-def _dense_weights(kernel, log, x):
-    """Every entry's weight K((x - u_k) / h_k) / h_k, written out per kernel."""
-    t = (x - log.projections) / log.bandwidths
+def _dense_kernel(kernel, t):
+    """K(t), written out per kernel."""
     if kernel is _TABLE:
-        k = np.interp(t, _TABLE_XS, _TABLE_KS, left=0.0, right=0.0)
-    else:
-        k = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
-    return k / log.bandwidths
+        return np.interp(t, _TABLE_XS, _TABLE_KS, left=0.0, right=0.0)
+    return np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
+
+
+def _dense_weights(kernel, log, x):
+    """Every entry's weight K((x - u_k) / h_k) / h_k."""
+    return _dense_kernel(kernel, (x - log.projections) / log.bandwidths) / log.bandwidths
 
 
 @pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
@@ -322,3 +325,37 @@ def test_non_finite_points_are_refused_before_any_scan():
     for x in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NonFiniteInputError):
             evaluate(log, x)
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
+    rng = np.random.default_rng(29)
+    width = 600
+    u = np.concatenate(([0.25], rng.standard_normal(width - 1)))
+    y = rng.standard_normal(width) + 0.5
+    h = BandwidthSchedule(alpha=0.3).h(np.arange(1, width + 1))  # h_1 = 1
+    radius = kernel.support_radius
+    # Row 0 lies outside every window; row 1 sees only entry 0, exactly on
+    # its window edge, where K vanishes.
+    xs = np.concatenate(([40.0, 0.25 + radius], rng.uniform(-2.5, 2.5, 30)))
+    d = xs[:, None] - u
+    inside = np.abs(d) <= radius * h
+    inside[1] = False
+    inside[1, 0] = True
+    # A caller may mask more than the windows, as the CV replay's triangle does.
+    inside[2:] &= rng.random((xs.size - 2, width)) < 0.7
+    num, den = window_sums(kernel, d, inside, h, y)
+    assert num.shape == den.shape == (xs.size,)
+    assert not inside[0].any() and num[0] == den[0] == 0.0
+    assert num[1] == den[1] == 0.0
+    for r in range(2, xs.size):
+        w = np.where(inside[r], _dense_kernel(kernel, d[r] / h) / h, 0.0)
+        want_den = math.fsum(w)
+        assert want_den > 0.0
+        scale = math.fsum(w * np.abs(y)) / want_den
+        assert abs(num[r] / den[r] - math.fsum(w * y) / want_den) <= 1e-12 * scale, r
+        assert abs(den[r] - want_den) <= 1e-12 * want_den, r
+    for r in range(xs.size):
+        # A one-row block takes its own path, with the same bits.
+        one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y)
+        assert one[0][0] == num[r] and one[1][0] == den[r], r

@@ -11,8 +11,6 @@ from streamsir import (
     Slicer,
     batch_moments,
     observe,
-    riccati_update,
-    slice_update,
 )
 
 
@@ -67,7 +65,7 @@ def test_one_riccati_step_equals_direct_inverse():
     sample = _random_sample(6, 2, 7)
     slicer = Slicer(boundary=0.0)
     state = batch_moments(sample.head(5), slicer)
-    stepped = riccati_update(state, sample.covariates[5])
+    stepped = observe(state, sample.covariates[5], float(sample.responses[5]), slicer)
 
     xs = sample.covariates
     mean = xs.mean(axis=0)
@@ -79,8 +77,9 @@ def test_one_riccati_step_equals_direct_inverse():
 
 def test_update_at_the_mean_is_pure_rescaling():
     sample = _random_sample(12, 3, 3)
-    state = batch_moments(sample, Slicer(boundary=0.0))
-    stepped = riccati_update(state, state.mean.copy())
+    slicer = Slicer(boundary=0.0)
+    state = batch_moments(sample, slicer)
+    stepped = observe(state, state.mean.copy(), 1.0, slicer)
     n_new = state.n + 1
     # phi = 0 kills the rank-one term, so the inverse scales exactly.
     assert np.array_equal(stepped.inv_cov, (n_new / (n_new - 1.0)) * state.inv_cov)
@@ -118,10 +117,9 @@ def test_single_slice_stream_keeps_exact_mean():
         slice_counts=np.zeros(2, dtype=np.int64),
         slice_means=np.zeros((2, p)),
     )
-    slicer = Slicer(boundary=0.0)
     rows = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     for row in rows:
-        state = slice_update(state, row, -1.0, slicer)
+        state.absorb_slice(0, row - state.slice_means[0])
     assert np.array_equal(state.slice_means[0], rows.mean(axis=0))
     assert state.slice_counts[0] == 3
     assert state.slice_counts[1] == 0
@@ -171,4 +169,4 @@ def test_denominator_breakdown_is_loud():
         slice_means=np.zeros((2, p)),
     )
     with pytest.raises(NumericalBreakdownError):
-        riccati_update(state, np.array([4.0, 0.0]))
+        observe(state, np.array([4.0, 0.0]), -1.0, Slicer(boundary=0.0))

@@ -8,10 +8,18 @@ import pytest
 import scipy.stats as sps
 
 from streamsir import (
+    BandwidthSchedule,
+    NoSupportError,
+    ProjectionLog,
     SingleIndexModel,
     StudyConfig,
     convergence_study,
+    direction_distance,
+    direction_path,
+    draw,
     draw_eval_points,
+    epanechnikov,
+    evaluate,
     most_central,
     normality_study,
     rate_study,
@@ -456,3 +464,48 @@ def test_checkpoint_rows_runs_once_per_replication(model_m, monkeypatch):
     config = StudyConfig(model=model_m, sizes=(100, 200), n_reps=5, seed=2, warmup=30)
     result = convergence_study(config)
     assert len(calls) == 5 and len(result.records) == 5 * 2 * 10
+
+
+def _checkpoint_rows_by_evaluate(path, model, sizes, alpha, eval_points):
+    """The per-point loop _checkpoint_rows replaced: a log prefix, then evaluate."""
+    schedule = BandwidthSchedule(alpha=alpha)
+    log = ProjectionLog(epanechnikov(), schedule, first_index=path.warmup_n + 1)
+    est = np.full((len(sizes), eval_points.shape[0]), np.nan)
+    dd = np.empty(len(sizes))
+    for i, n in enumerate(sizes):
+        done, upto = len(log), n - path.warmup_n
+        log.extend(path.projections[done:upto], path.responses[done:upto])
+        theta = path.snapshots[n]
+        dd[i] = direction_distance(theta, model.direction)
+        u_hat = eval_points @ theta if eval_points.ndim == 2 else eval_points
+        for j, u in enumerate(u_hat):
+            try:
+                est[i, j] = evaluate(log, float(u))
+            except NoSupportError:
+                pass
+    return est, dd
+
+
+@pytest.mark.parametrize("points", ["vectors", "projections"])
+def test_checkpoint_rows_equal_evaluate_on_each_log_prefix(model_m, points):
+    sizes = (32, 40, 2000)  # two and ten entries at the first checkpoints
+    if points == "vectors":
+        eval_points = draw_eval_points(model_m, 25)
+    else:
+        eval_points = np.linspace(-6.0, 6.0, 49)
+    missing = 0
+    for seed, alpha in ((3, 0.35), (4, 0.2), (5, 0.5)):
+        path = direction_path(draw(model_m, sizes[-1], seed), warmup=30, checkpoints=sizes)
+        got = studies._checkpoint_rows(path, model_m, sizes, alpha, eval_points)
+        want = _checkpoint_rows_by_evaluate(path, model_m, sizes, alpha, eval_points)
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1])
+        missing += int(np.isnan(got[0]).sum())
+    assert 0 < missing < 3 * got[0].size
+
+
+def test_non_finite_eval_points_are_refused(model_m):
+    # A NaN point would otherwise read as "no kernel support" at every checkpoint.
+    for pts in (np.array([0.0, np.nan]), np.full((2, model_m.p), np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            StudyConfig(model=model_m, sizes=(100,), n_reps=1, eval_points=pts)
