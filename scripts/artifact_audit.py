@@ -12,12 +12,15 @@ two checkouts compare with a single `diff`:
     python scripts/artifact_audit.py --src . --out /tmp/audit-change > change.txt
     diff parent.txt change.txt
 
-The runs cover, for seeds 1 and 11: fit at the defaults and at alpha 0.2
-with 37 grid points; predict at 41 points from the default fit's log; cv
+The runs cover, for seeds 1 and 11: fit at the defaults, at alpha 0.2
+with 37 grid points and with a tabulated triangle kernel (the table is
+written to `<dir>/kernel_table.csv`); predict at 41 points from the
+default fit's log and from the tabulated fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
-replications); and scatter at p = 10 and 20.
+replications); and scatter at p = 10 and 20.  That is 77 artifacts with
+the kernel table.
 """
 
 from __future__ import annotations
@@ -32,15 +35,23 @@ from pathlib import Path
 SEEDS = (1, 11)
 PREDICT_AT = ",".join(f"{-2.0 + 0.1 * i:.1f}" for i in range(41))
 MISSING_HEAVY = ["--sizes", "32,40,2000", "--reps", "7"]
+# A triangle on [-1.5, 1.5]: a support radius other than 1 and a kernel
+# other than the Epanechnikov one.
+TRIANGLE_TABLE = "x,k\n-1.5,0\n0,0.6666666666666666\n1.5,0\n"
 
 
-def runs(seed: int) -> list[tuple[str, list[str]]]:
+def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every run for one seed, in an order where predict follows its fit."""
     study = ["study", "--seed", str(seed)]
+    tabulated = ["--kernel", "tabulated", "--kernel-table", str(table)]
     out = [
         ("fit", ["fit", "--seed", str(seed)]),
         ("fit-alpha0.2", ["fit", "--seed", str(seed), "--alpha", "0.2", "--grid-count", "37"]),
+        ("fit-tabulated", ["fit", "--seed", str(seed), *tabulated]),
         ("predict", ["predict", "--log", "../fit/projection_log.csv", f"--at={PREDICT_AT}"]),
+        ("predict-tabulated",
+         ["predict", "--log", "../fit-tabulated/projection_log.csv", *tabulated,
+          f"--at={PREDICT_AT}"]),
     ]
     for workers in ("1", "2"):
         w = ["--workers", workers]
@@ -76,8 +87,11 @@ def main() -> int:
         parser.error(f"{root} is not empty")
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("STREAMSIR_OUTDIR", None)
+    root.mkdir(parents=True, exist_ok=True)
+    table = root / "kernel_table.csv"
+    table.write_text(TRIANGLE_TABLE, encoding="utf-8")
     for seed in SEEDS:
-        for name, argv in runs(seed):
+        for name, argv in runs(seed, table):
             run_dir = root / f"seed{seed}" / name
             run_dir.mkdir(parents=True, exist_ok=True)
             done = subprocess.run(

@@ -31,7 +31,7 @@ from .errors import (
     StreamSirError,
 )
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov, tabulated_kernel
-from .linkreg import GridAccumulator, ProjectionLog, append, evaluate, theoretical_std
+from .linkreg import ProjectionLog, append, curve, evaluate, theoretical_std
 from .moments import MomentState, Slicer, batch_moments, observe
 from .sir import (
     SirState,
@@ -64,7 +64,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DirectionPath",
     "EmptySliceError",
-    "GridAccumulator",
     "InsufficientDataError",
     "KernelSpec",
     "MomentState",
@@ -85,6 +84,7 @@ __all__ = [
     "batch_moments",
     "batch_sir",
     "convergence_study",
+    "curve",
     "cv_score",
     "default_warmup",
     "direction_distance",

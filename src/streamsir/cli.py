@@ -31,9 +31,9 @@ import numpy as np
 from .config import EngineConfig, load_config
 from .crossval import select_alpha
 from .engine import run_stream
-from .errors import NoSupportError, StreamSirError
+from .errors import StreamSirError
 from .kernels import KernelSpec, epanechnikov, tabulated_kernel, BandwidthSchedule
-from .linkreg import evaluate
+from .linkreg import curve
 from .moments import Slicer
 from .simulate import Sample, SingleIndexModel, draw, reference_model
 from .studies import (
@@ -185,13 +185,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     sample = _obtain_sample(cfg)
     kernel = _load_kernel(cfg)
     state = run_stream(
-        sample,
-        alpha=cfg.alpha,
-        kernel=kernel,
-        warmup=cfg.warmup,
-        boundary=cfg.boundary,
-        grid_points=cfg.grid_points(),
+        sample, alpha=cfg.alpha, kernel=kernel, warmup=cfg.warmup, boundary=cfg.boundary
     )
+    log = state.log
+    points = cfg.grid_points()
+    grid = curve(kernel, points, log.projections, log.bandwidths, log.responses)
     out = _resolve_out_dir(args, cfg)
     io.write_json(
         {
@@ -206,8 +204,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         },
         out / "fit.json",
     )
-    io.write_projection_log_csv(state.log, out / "projection_log.csv")
-    io.write_grid_csv(state.grid, out / "grid_estimates.csv")
+    io.write_projection_log_csv(log, out / "projection_log.csv")
+    io.write_grid_csv(points, *grid, out / "grid_estimates.csv")
     io.write_moment_state(state.sir.moments, state.slicer, out / "state.json")
     for name in ("fit.json", "projection_log.csv", "grid_estimates.csv", "state.json"):
         print(out / name)
@@ -232,13 +230,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise StreamSirError(f"--at must be comma-separated numbers, got {args.at!r}") from None
     if not points:
         raise StreamSirError("--at lists no points")
+    est, _, _ = curve(kernel, points, log.projections, log.bandwidths, log.responses)
     lines = ["x,f_hat,supported"]
-    for x in points:
-        try:
-            pred = evaluate(log, x)
-            lines.append(f"{io.fmt(x)},{io.fmt(pred)},1")
-        except NoSupportError:
-            lines.append(f"{io.fmt(x)},,0")
+    for x, f in zip(points, est.tolist()):
+        lines.append(f"{io.fmt(x)},,0" if math.isnan(f) else f"{io.fmt(x)},{io.fmt(f)},1")
     out = _resolve_out_dir(args, cfg)
     (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(out / "predictions.csv")

@@ -11,6 +11,7 @@ the command line override file values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
@@ -122,6 +123,9 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ConfigError("kernel = tabulated requires kernel_table", key="kernel_table")
     if cfg.grid_count < 1:
         raise ConfigError("grid_count must be at least 1", key="grid_count")
+    for key in ("grid_min", "grid_max"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)!r}", key=key)
     if cfg.grid_count > 1 and not (cfg.grid_min < cfg.grid_max):
         raise ConfigError("grid_min must be below grid_max", key="grid_min")
     if cfg.model not in _MODELS:

@@ -108,7 +108,7 @@ def _replay(
         d = u[i:b, None] - u[None, :b]
         inside = np.abs(d) <= reach[:b]
         inside[:, i:] &= _BEFORE[: b - i, : b - i]
-        num, den = window_sums(kernel, d, inside, h[:b], path.responses[:b])
+        num, den, _ = window_sums(kernel, d, inside, h[:b], path.responses[:b])
         for y, top, bottom in zip(ys[i:b], num.tolist(), den.tolist()):
             # As in evaluate: no entry inside, or only window edges where K is 0.
             if bottom <= 0.0:

@@ -7,27 +7,27 @@ The estimator runs in two stages over one stream.
    and seeds the inverse covariance and the direction estimate.  Each later
    observation k is first projected on the estimate from the previous step,
    u_k = theta_{k-1}' x_k, and then advances theta by the closed-form
-   recursion.  Neither the bandwidth exponent nor the curve grid enters
-   this stage.
+   recursion.  The bandwidth exponent does not enter this stage.
 2. Kernel sums.  The recursive Nadaraya-Watson estimate runs over the
    frozen log (k, u_k, y_k) with h_k = k ** (-alpha).  The log starts at
    arrival index n0 + 1, so bandwidths line up with global observation
-   counts.
+   counts.  Everything the estimate needs is in the log: linkreg.evaluate
+   reads it at one point and linkreg.curve at many.
 
 The ordering is the whole point: the logged projection and any prediction
 made for the new point depend only on data seen strictly before it.
 
 direction_path runs stage 1 once over a whole sample, stepping one
 direction state in place, and returns the projections; run_stream and
-cross-validation build their logs, grids and scores from them.
+cross-validation build their logs and scores from them.
 direction_paths runs stage 1 over R samples of equal length at once, on
 stacked (R, ...) arrays, with the same bits per sample as direction_path;
 the Monte Carlo studies use it for their replications.  init_stream,
 stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
-and returns that same object.  run_stream(sample, alpha,
-kernel, warmup, boundary, grid_points) always returns a StreamState; use
-direction_path(..., checkpoints=) for direction snapshots.
+and returns that same object.  run_stream(sample, alpha, kernel, warmup,
+boundary) always returns a StreamState; use direction_path(...,
+checkpoints=) for direction snapshots.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NonFiniteInputError, NumericalBreakdownError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
-from .linkreg import GridAccumulator, ProjectionLog, append, evaluate
+from .linkreg import ProjectionLog, append, evaluate
 from .moments import (
     MomentState,
     Slicer,
@@ -81,14 +81,12 @@ class StreamState:
     Attributes:
         sir: direction estimate plus running moments.
         log: projection log for the regression estimate.
-        grid: optional fixed-grid accumulator kept in sync with the log.
         slicer: frozen slice boundary.
         warmup_n: number of observations absorbed in the batch warm-up.
     """
 
     sir: SirState
     log: ProjectionLog
-    grid: GridAccumulator | None
     slicer: Slicer
     warmup_n: int
 
@@ -304,19 +302,13 @@ def _warm_up(head: Sample, boundary: float | None) -> tuple[SirState, Slicer]:
 
 
 def _stream_state(
-    sir: SirState,
-    slicer: Slicer,
-    n0: int,
-    alpha: float,
-    kernel: KernelSpec | None,
-    grid_points: np.ndarray | None,
+    sir: SirState, slicer: Slicer, n0: int, alpha: float, kernel: KernelSpec | None
 ) -> StreamState:
-    """Engine state with an empty log (and grid) after n0 observations."""
+    """Engine state with an empty log after n0 observations."""
     if kernel is None:
         kernel = epanechnikov()
     log = ProjectionLog(kernel, BandwidthSchedule(alpha=alpha), first_index=n0 + 1)
-    grid = GridAccumulator(points=np.asarray(grid_points)) if grid_points is not None else None
-    return StreamState(sir=sir, log=log, grid=grid, slicer=slicer, warmup_n=n0)
+    return StreamState(sir=sir, log=log, slicer=slicer, warmup_n=n0)
 
 
 def init_stream(
@@ -324,7 +316,6 @@ def init_stream(
     alpha: float = DEFAULT_ALPHA,
     kernel: KernelSpec | None = None,
     boundary: float | None = None,
-    grid_points: np.ndarray | None = None,
 ) -> StreamState:
     """Batch warm-up over an entire sample; streaming continues after it.
 
@@ -338,11 +329,9 @@ def init_stream(
         Defaults to the parabolic kernel.
     boundary : float, optional
         Slice boundary; defaults to the median of the warm-up responses.
-    grid_points : array, optional
-        When given, a GridAccumulator tracks the curve on these abscissas.
     """
     sir, slicer = _warm_up(warmup_sample, boundary)
-    return _stream_state(sir, slicer, warmup_sample.n, alpha, kernel, grid_points)
+    return _stream_state(sir, slicer, warmup_sample.n, alpha, kernel)
 
 
 def predict_next(state: StreamState, x: np.ndarray) -> float:
@@ -365,13 +354,12 @@ def stream_step(state: StreamState, x: np.ndarray, y: float) -> StreamState:
     Returns the state it was given, so `state = stream_step(state, x, y)`
     reads as a step.  Every check (NonFiniteInputError, EmptySliceError,
     NumericalBreakdownError) runs before anything changes, so a call that
-    raises leaves the direction, the moments, the log and the grid as they
-    were.
+    raises leaves the direction, the moments and the log as they were.
     """
     x, y = finite_covariates(x), finite_response(y)
     sir = state.sir
     terms = step_terms(sir, x)
-    append(state.log, state.grid, x, y, sir.theta_hat)
+    append(state.log, x, y, sir.theta_hat)
     advance(sir, x, state.slicer.slice_of(y) - 1, terms)
     return state
 
@@ -382,13 +370,12 @@ def run_stream(
     kernel: KernelSpec | None = None,
     warmup: int | None = None,
     boundary: float | None = None,
-    grid_points: np.ndarray | None = None,
 ) -> StreamState:
     """Run the full pipeline over a sample in arrival order.
 
     Same result, bit for bit, as init_stream followed by one stream_step
-    per row: the direction path runs first, then the log and grid are
-    filled from its projections in one vectorized pass each.
+    per row: the direction path runs first, then the log is filled from
+    its projections in one vectorized pass.
 
     Parameters
     ----------
@@ -406,9 +393,6 @@ def run_stream(
         InsufficientDataError: the sample is shorter than the warm-up.
     """
     path = direction_path(sample, warmup=warmup, boundary=boundary)
-    state = _stream_state(path.sir, path.slicer, path.warmup_n, alpha, kernel, grid_points)
-    log = state.log
-    log.extend(path.projections, path.responses)
-    if state.grid is not None:
-        state.grid.absorb(log.kernel, log.projections, log.responses, log.bandwidths)
+    state = _stream_state(path.sir, path.slicer, path.warmup_n, alpha, kernel)
+    state.log.extend(path.projections, path.responses)
     return state

@@ -3,9 +3,9 @@
 All floating-point values are written with the %.17g format, which is
 enough digits to round-trip an IEEE double exactly; reading back what was
 written reproduces the same bits.  CSV schemas are strict: exact headers,
-rectangular rows, finite numeric cells.  JSON documents carry a
-schema_version field and are written with sorted keys and a trailing
-newline so byte-identical reruns are possible.
+rectangular rows, finite numeric cells, log indices as decimal digits.
+JSON documents carry a schema_version field and are written with sorted
+keys and a trailing newline so byte-identical reruns are possible.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ import numpy as np
 
 from .errors import CsvFormatError
 from .kernels import BandwidthSchedule, KernelSpec
-from .linkreg import GridAccumulator, ProjectionLog
+from .linkreg import ProjectionLog
 from .moments import MomentState, Slicer
 from .simulate import Sample
 
 SCHEMA_VERSION = 1
 
-# A double holds every integer below 2**53, so the parsed index k is the
-# written one; from 2**53 on, float() may round it (and int64 overflows
-# further up), so such indices are refused.
+# A double holds every integer below 2**53, so h_k = k ** -alpha is taken
+# at the written k; from 2**53 on the conversion may round it (and int64
+# overflows further up), so such indices are refused.
 _INDEX_LIMIT = 2**53
 
 
@@ -138,13 +138,15 @@ def read_projection_log_csv(
             raise CsvFormatError(
                 f"line {line_no}: expected 3 cells, got {len(row)}", row=line_no
             )
-        k = _parse_cell(row[0], line_no, "k")
-        if not 1 <= k < _INDEX_LIMIT or k != int(k):
+        # Whole numbers only, as the writer produces: float() would read
+        # 2.0, 2e0 or 2.0000000000000001 as k = 2.
+        k = int(row[0]) if row[0].isascii() and row[0].isdigit() else 0
+        if not 1 <= k < _INDEX_LIMIT:
             raise CsvFormatError(
                 f"line {line_no}: k must be a positive integer below 2**53, got {row[0]!r}",
                 row=line_no,
             )
-        ks[i] = int(k)
+        ks[i] = k
         us[i] = _parse_cell(row[1], line_no, "u")
         ys[i] = _parse_cell(row[2], line_no, "y")
     try:
@@ -153,18 +155,20 @@ def read_projection_log_csv(
         raise CsvFormatError(str(exc)) from exc
 
 
-def write_grid_csv(grid: GridAccumulator, path: str | Path) -> None:
-    """Write grid estimates as x,f_hat,denominator,n_contributing rows.
+def write_grid_csv(
+    points: np.ndarray,
+    estimates: np.ndarray,
+    denominators: np.ndarray,
+    contributing: np.ndarray,
+    path: str | Path,
+) -> None:
+    """Write a curve (linkreg.curve's arrays) as x,f_hat,denominator,n_contributing rows.
 
-    Points no observation has reached get f_hat = nan with denominator 0.
+    Points no kernel window covers get f_hat = nan with denominator 0.
     """
-    est = grid.estimates()
     out = ["x,f_hat,denominator,n_contributing"]
-    for j in range(grid.points.size):
-        out.append(
-            f"{fmt(grid.points[j])},{fmt(est[j])},{fmt(grid.denominator[j])},"
-            f"{int(grid.contributing[j])}"
-        )
+    for x, f, den, count in zip(points, estimates, denominators, contributing):
+        out.append(f"{fmt(x)},{fmt(f)},{fmt(den)},{int(count)}")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

@@ -5,27 +5,21 @@ W_k(u) = K((u - u_k) / h_k) / h_k, where u_k is the projection of the k-th
 covariate on the direction estimate available *before* that observation was
 absorbed, and h_k = k ** (-alpha).  The regression estimate at u is then
 sum_k W_k(u) y_k / sum_k W_k(u) over everything logged so far.  Because
-old terms never change, appending is O(1) per observation (plus the fixed
-grid refresh) and the estimate at any point can be formed on demand from
-the log.
-
-The log keeps (k, u_k, y_k) with precomputed h_k; a GridAccumulator
-maintains running numerator and denominator sums on a fixed abscissa grid
-so the whole curve is available at any time without rescanning the log.
-Both take entries one at a time or as arrays, with the same bits either
-way.
+old terms never change, appending is O(1) per observation and the estimate
+at any point can be formed on demand from the log, which keeps
+(k, u_k, y_k) with precomputed h_k.
 
 window_sums holds the one summation rule behind every estimate read from
-the log (evaluate, the cross-validation replay, the study checkpoints):
-the sums run over the entries whose window covers the point, gathered in
-arrival order.  The grid sums every entry in a running total instead, so
-it agrees with them to rounding, not exactly.
+the log: the sums run over the entries whose window covers the point,
+gathered in arrival order.  evaluate reads one point through it, and curve
+reads many (the fit curve, predict, the study checkpoints), so a curve
+value equals evaluate at that point bit for bit; the cross-validation
+replay calls it on blocks of queries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,14 +28,9 @@ from .kernels import BandwidthSchedule, KernelSpec
 
 _INITIAL_CAPACITY = 64
 
-# Entries per block when a grid absorbs an array: 1024 entries on a
-# 121-point grid keep each temporary near 1 MB.
-_GRID_CHUNK = 1024
-
-
-def _running_total(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """total + terms[0] + terms[1] + ..., added strictly left to right per column."""
-    return np.cumsum(np.vstack((total, terms)), axis=0)[-1].copy()
+# Most (point, entry) cells one window_sums call in curve takes, so its
+# temporaries stay near 2 MB however many points are asked for.
+_POINT_CELLS = 1 << 18
 
 
 class ProjectionLog:
@@ -159,91 +148,19 @@ class ProjectionLog:
         return log
 
 
-@dataclass
-class GridAccumulator:
-    """Running numerator/denominator sums of the estimate on a fixed grid.
+def append(log: ProjectionLog, x_new: np.ndarray, y_new: float, theta_prev: np.ndarray) -> None:
+    """Log one observation, projected on theta_prev.
 
-    Attributes:
-        points: evaluation abscissas, shape (m,), strictly increasing.
-        numerator: sum of W_k(x_j) y_k per point.
-        denominator: sum of W_k(x_j) per point.
-        contributing: number of entries with a strictly positive weight at
-            each point.
-        n_entries: observations absorbed so far.
+    theta_prev is the direction estimate from before this observation: each
+    logged u_k must be the prediction-time projection, or the streaming
+    estimate would peek at its own input.
     """
-
-    points: np.ndarray
-    numerator: np.ndarray = field(init=False)
-    denominator: np.ndarray = field(init=False)
-    contributing: np.ndarray = field(init=False)
-    n_entries: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("grid points must form a non-empty 1-d array")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        self.points = pts
-        self.numerator = np.zeros(pts.size, dtype=np.float64)
-        self.denominator = np.zeros(pts.size, dtype=np.float64)
-        self.contributing = np.zeros(pts.size, dtype=np.int64)
-
-    def absorb(
-        self,
-        kernel: KernelSpec,
-        u: float | np.ndarray,
-        y: float | np.ndarray,
-        h: float | np.ndarray,
-    ) -> None:
-        """Add the weight profiles of one or more entries to every grid point.
-
-        The sums run through the entries in order (a cumulative sum along
-        the entry axis, seeded with the running totals), so absorbing an
-        array gives the same bits as absorbing its entries one at a time.
-        Entries go in chunks to bound the temporary (chunk, m) arrays.
-        """
-        u, y, h = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (u, y, h))
-        for a in range(0, u.size, _GRID_CHUNK):
-            rows = slice(a, a + _GRID_CHUNK)
-            hc = h[rows, None]
-            w = np.asarray(kernel.eval((self.points - u[rows, None]) / hc)) / hc
-            self.numerator = _running_total(self.numerator, w * y[rows, None])
-            self.denominator = _running_total(self.denominator, w)
-            self.contributing += np.count_nonzero(w > 0.0, axis=0)
-            self.n_entries += w.shape[0]
-
-    def estimates(self) -> np.ndarray:
-        """Current estimate per point; NaN where no weight has arrived."""
-        out = np.full(self.points.size, np.nan, dtype=np.float64)
-        ok = self.denominator > 0.0
-        out[ok] = self.numerator[ok] / self.denominator[ok]
-        return out
-
-
-def append(
-    log: ProjectionLog,
-    grid: GridAccumulator | None,
-    x_new: np.ndarray,
-    y_new: float,
-    theta_prev: np.ndarray,
-) -> None:
-    """Absorb one observation into the log (and grid, when present).
-
-    The projection uses theta_prev, the direction estimate from before this
-    observation: each logged u_k must be the prediction-time projection, or
-    the streaming estimate would peek at its own input.
-    """
-    u = float(np.asarray(theta_prev, dtype=np.float64) @ np.asarray(x_new, dtype=np.float64))
-    y = float(y_new)
-    k = log.push(u, y)
-    if grid is not None:
-        grid.absorb(log.kernel, u, y, float(log.schedule.h(k)))
+    log.push(float(theta_prev @ x_new), float(y_new))
 
 
 def window_sums(
     kernel: KernelSpec, d: np.ndarray, inside: np.ndarray, h: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row kernel sums over the marked entries of a difference block.
 
     d[r, j] = x_r - u_j has shape (rows, width), and inside marks the
@@ -253,9 +170,11 @@ def window_sums(
     each row's two sums are ndarray.sum over its own slice.  That rule
     fixes the bits of every estimate taken from the log.
 
-    Returns (numerator, denominator), each of shape (rows,).  A row's
-    denominator is 0 when no entry is marked, or when it sits only on
-    window edges where K vanishes.
+    Returns (numerator, denominator, contributing), each of shape (rows,);
+    contributing counts the entries with a positive weight (kernels are
+    non-negative, so those are the non-zero ones).  A row's denominator is
+    0 when no entry is marked, or when it sits only on window edges where K
+    vanishes.
     """
     rows, width = d.shape
     idx = np.flatnonzero(inside)
@@ -264,14 +183,52 @@ def window_sums(
     w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
     wy = w * y[col]
     if rows == 1:
-        return wy.sum(keepdims=True), w.sum(keepdims=True)
+        return wy.sum(keepdims=True), w.sum(keepdims=True), np.array([np.count_nonzero(w)])
     bounds = [0, *np.searchsorted(idx, np.arange(1, rows + 1) * width).tolist()]
     num = np.empty(rows)
     den = np.empty(rows)
     for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
         num[r] = wy[a:b].sum()
         den[r] = w[a:b].sum()
-    return num, den
+    return num, den, np.bincount(idx[w != 0.0] // width, minlength=rows)
+
+
+def curve(
+    kernel: KernelSpec, points: np.ndarray, u: np.ndarray, h: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimate of the log (u_k, h_k, y_k) at many points, with evaluate's bits.
+
+    Each point's sums are window_sums over the entries whose window covers
+    it (|x - u_k| <= R h_k), taken over chunks of at most _POINT_CELLS
+    (point, entry) cells.
+
+    Returns (estimates, denominators, contributing), each of shape
+    (points,): NaN estimates where the denominator is <= 0, which an empty
+    log gives everywhere, with zero denominators and counts.
+
+    Raises:
+        NonFiniteInputError: a point is NaN or infinite.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    bad = ~np.isfinite(points)
+    if bad.any():
+        raise NonFiniteInputError(f"evaluation point must be finite, got {points[bad][0]!r}")
+    num = np.zeros(points.size)
+    den = np.zeros(points.size)
+    count = np.zeros(points.size, dtype=np.int64)
+    est = np.full(points.size, np.nan)
+    if u.size == 0:
+        return est, den, count
+    radius = kernel.support_radius
+    reach = h if radius == 1.0 else radius * h
+    step = max(1, _POINT_CELLS // u.size)
+    for a in range(0, points.size, step):
+        rows = slice(a, a + step)
+        d = points[rows, None] - u
+        num[rows], den[rows], count[rows] = window_sums(kernel, d, np.abs(d) <= reach, h, y)
+    ok = den > 0.0
+    est[ok] = num[ok] / den[ok]
+    return est, den, count
 
 
 def evaluate(log: ProjectionLog, x: float) -> float:
@@ -298,7 +255,7 @@ def evaluate(log: ProjectionLog, x: float) -> float:
     # R h is h itself when R = 1 (Epanechnikov): skip that O(m) product.
     radius = log.kernel.support_radius
     inside = np.abs(d) <= (h if radius == 1.0 else radius * h)
-    num, den = window_sums(log.kernel, d, inside, h, log.responses)
+    num, den, _ = window_sums(log.kernel, d, inside, h, log.responses)
     if den[0] <= 0.0:
         raise NoSupportError(
             f"no kernel support at {x!r}", nearest_u=float(u[np.argmin(np.abs(d))])

@@ -26,9 +26,9 @@ rows are emitted in (replication, checkpoint, point) order and
 summary.json is written with sorted keys.
 
 Inside the checkpoint studies the data stay in arrays: each replication
-yields its (checkpoint, point) curve estimates, taken by
-linkreg.window_sums over the entries up to the checkpoint and NaN where
-no kernel window covers the point, and its per-checkpoint direction
+yields its (checkpoint, point) curve estimates, taken by linkreg.curve
+over the entries up to the checkpoint (NaN where no kernel window covers
+the point), and its per-checkpoint direction
 distances; these stack into (replication, checkpoint, point) and
 (replication, checkpoint) arrays, every summary is computed from them,
 and the record dicts are built once, at the end, for StudyResult.records
@@ -49,7 +49,7 @@ import numpy as np
 
 from .engine import DirectionPath, default_warmup, direction_path, direction_paths
 from .kernels import BandwidthSchedule, epanechnikov
-from .linkreg import theoretical_std, window_sums
+from .linkreg import curve, theoretical_std
 from .sir import direction_distance
 from .simulate import Sample, SingleIndexModel, draw
 from .io import write_json, write_records_csv
@@ -73,10 +73,6 @@ KS_CRIT_1PCT = 1.6276236115189502
 # Most replications one direction_paths call steps together.  Its state is
 # (block, p, p), so memory stays bounded whatever n_reps is.
 _REP_BLOCK = 64
-
-# Most (point, entry) cells one window_sums call in _checkpoint_rows takes,
-# so its temporaries stay near 2 MB however many points a study asks for.
-_POINT_CELLS = 1 << 18
 
 
 def draw_eval_points(model: SingleIndexModel, count: int = 10, seed: int = EVAL_POINT_SEED) -> np.ndarray:
@@ -269,29 +265,23 @@ def _checkpoint_rows(
     """One replication's curve estimates from its direction path, at each checkpoint size.
 
     At checkpoint n the curve is evaluated over the entries k <= n with the
-    direction snapshot at n; linkreg.window_sums takes the sums, so each
-    estimate has the bits of evaluate on that log.  Returns the
-    (size, point) estimates, NaN where no kernel window covers the point,
-    and the (size,) direction distances.
+    direction snapshot at n; linkreg.curve takes the sums, so each estimate
+    has the bits of evaluate on that log.  Returns the (size, point)
+    estimates, NaN where no kernel window covers the point, and the (size,)
+    direction distances.
     """
     kernel = epanechnikov()
     u, y = path.projections, path.responses
     first = path.warmup_n + 1
     h = BandwidthSchedule(alpha=alpha).h(np.arange(first, first + u.size, dtype=np.int64))
-    reach = kernel.support_radius * h
-    est = np.full((len(sizes), eval_points.shape[0]), np.nan)
+    est = np.empty((len(sizes), eval_points.shape[0]))
     dd = np.empty(len(sizes))
     for i, n in enumerate(sizes):
         m = n - path.warmup_n
         theta = path.snapshots[n]
         dd[i] = direction_distance(theta, model.direction)
         u_hat = eval_points @ theta if eval_points.ndim == 2 else eval_points
-        step = max(1, _POINT_CELLS // m)
-        for a in range(0, u_hat.size, step):
-            d = u_hat[a : a + step, None] - u[None, :m]
-            num, den = window_sums(kernel, d, np.abs(d) <= reach[:m], h[:m], y[:m])
-            ok = den > 0.0
-            est[i, a : a + step][ok] = num[ok] / den[ok]
+        est[i] = curve(kernel, u_hat, u[:m], h[:m], y[:m])[0]
     return est, dd
 
 

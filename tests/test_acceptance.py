@@ -23,13 +23,13 @@ from _cli import run_cli
 from conftest import central_point_indices
 from streamsir import (
     BandwidthSchedule,
-    GridAccumulator,
     NoSupportError,
     ProjectionLog,
     Sample,
     Slicer,
     StudyConfig,
     batch_sir,
+    curve,
     draw,
     draw_eval_points,
     epanechnikov,
@@ -380,19 +380,18 @@ def test_c7_property_invariants(tmp_path_factory):
         points=st.lists(finite, min_size=1, max_size=6, unique=True),
     )
     def grid_matches_direct_evaluation(entries, points):
-        grid = GridAccumulator(np.array(sorted(points)))
+        grid = np.array(sorted(points))
         log = ProjectionLog(kernel=kernel, schedule=schedule, first_index=1)
         for u, y in entries:
-            k = log.push(u, y)
-            grid.absorb(kernel, u, y, schedule.h(k))
-        estimates = grid.estimates()
-        for j, x in enumerate(grid.points):
+            log.push(u, y)
+        estimates = curve(kernel, grid, log.projections, log.bandwidths, log.responses)[0]
+        for j, x in enumerate(grid):
             try:
                 direct = evaluate(log, float(x))
             except NoSupportError:
                 assert math.isnan(estimates[j])
                 continue
-            assert abs(estimates[j] - direct) <= 1e-12 * max(1.0, abs(direct))
+            assert estimates[j] == direct
 
     @prop_settings
     @given(data=st.data())

@@ -282,3 +282,53 @@ def test_an_output_path_that_is_a_file_is_a_one_line_error(tmp_path):
     assert r.returncode == 1
     assert r.stderr.startswith("StreamSirError: cannot create output directory taken")
     assert len(r.stderr.splitlines()) == 1, r.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid-max", "inf", "grid_max must be finite"),
+        ("--grid-min", "nan", "grid_min must be finite"),
+    ],
+)
+def test_fit_refuses_a_non_finite_grid_end(tmp_path, flag, value, message):
+    count = "5" if flag == "--grid-max" else "1"
+    args = ["fit", "--n", "200", flag, value, "--grid-count", count, "--out-dir", "od/new"]
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("ConfigError: ") and message in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "od").exists()
+
+
+def test_predict_refuses_an_index_that_is_not_decimal_digits(tmp_path):
+    (tmp_path / "log.csv").write_text("k,u,y\n1,0.0,1.0\n2.0000000000000001,0.5,2.0\n")
+    r = run_cli(["predict", "--log", "log.csv", "--at", "0"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("CsvFormatError: line 3: ")
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_predict_at_the_fit_grid_writes_the_fit_curve(tmp_path):
+    r = run_cli(["fit", "--n", "1000", "--seed", "3"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    grid = _csv_rows(tmp_path / "grid_estimates.csv")
+    at = ",".join(row[0] for row in grid)
+    r = run_cli(["predict", "--log", "projection_log.csv", f"--at={at}"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = _csv_rows(tmp_path / "predictions.csv")
+    assert len(rows) == len(grid) == 121
+    supported = 0
+    for (x, f_hat, _, count), (px, pf, flag) in zip(grid, rows):
+        assert px == x
+        if f_hat == "nan":
+            assert (pf, flag, count) == ("", "0", "0"), x
+        else:
+            assert (pf, flag) == (f_hat, "1"), x
+            supported += 1
+    assert supported > 60

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,13 @@ def test_grid_validation():
         validate_config(EngineConfig(grid_count=0))
     with pytest.raises(ConfigError, match="grid_min"):
         validate_config(EngineConfig(grid_min=2.0, grid_max=-2.0))
+    # A config file can name them too: JSON reads Infinity and NaN.
+    for key, value in (("grid_min", "NaN"), ("grid_max", "Infinity"), ("grid_min", "-Infinity")):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            validate_config(replace(EngineConfig(), **parse_config_text(f"{key} = {value}\n")))
+    for values in ({"grid_min": math.nan, "grid_count": 1}, {"grid_max": math.inf}):
+        with pytest.raises(ConfigError, match="must be finite"):
+            validate_config(EngineConfig(**values))
 
 
 def test_model_parameters():

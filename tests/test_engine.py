@@ -34,7 +34,6 @@ from streamsir import (
     warm_start,
 )
 from streamsir import engine
-from streamsir.linkreg import _GRID_CHUNK
 
 
 def test_default_warmup():
@@ -104,7 +103,7 @@ def test_engine_equals_manual_composition():
     for i in range(n0, 60):
         x, y = sample.covariates[i], float(sample.responses[i])
         state = stream_step(state, x, y)
-        append(log, None, x, y, sir.theta_hat)
+        append(log, x, y, sir.theta_hat)
         sir = recursive_step(sir, x, y, slicer)
     assert np.array_equal(state.theta_hat, sir.theta_hat)
     assert np.array_equal(state.log.projections, log.projections)
@@ -137,16 +136,6 @@ def test_run_stream_rejects_short_samples():
         run_stream(sample)  # default warm-up is 30
 
 
-def test_grid_points_accumulate_during_run():
-    model = reference_model(p=4)
-    sample = draw(model, 150, 11)
-    state = run_stream(sample, grid_points=np.linspace(-2.0, 2.0, 9))
-    assert state.grid is not None
-    assert state.grid.n_entries == 150 - 30
-    est = state.grid.estimates()
-    assert np.any(~np.isnan(est))
-
-
 def test_predict_next_matches_log_evaluation():
     model = reference_model(p=4)
     sample = draw(model, 80, 12)
@@ -174,11 +163,6 @@ def _engine_arrays(state):
         "log_y": state.log.responses,
         "next_index": state.log.next_index,
     }
-    if state.grid is not None:
-        out["grid_numerator"] = state.grid.numerator
-        out["grid_denominator"] = state.grid.denominator
-        out["grid_contributing"] = state.grid.contributing
-        out["grid_entries"] = state.grid.n_entries
     return {k: np.copy(v) for k, v in out.items()}
 
 
@@ -200,22 +184,14 @@ _TABLE_XS = np.linspace(-1.0, 1.0, 4001)
     ],
 )
 def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary):
-    # More than one grid chunk of streamed rows: the grid absorbs the log
-    # in two chunks.
     n, n0 = 1100 + default_warmup(p), default_warmup(p)
-    assert n - n0 > _GRID_CHUNK
     sample = draw(reference_model(p=p), n, 40 + p)
-    grid_points = np.linspace(-3.0, 3.0, 121)
-    checkpoints = (n0, n0 + 1, 500, n0 + _GRID_CHUNK, n)
+    checkpoints = (n0, n0 + 1, 500, n0 + 1024, n)
 
-    fast = run_stream(
-        sample, alpha=0.3, kernel=kernel, boundary=boundary, grid_points=grid_points
-    )
+    fast = run_stream(sample, alpha=0.3, kernel=kernel, boundary=boundary)
     snaps = direction_path(sample, boundary=boundary, checkpoints=checkpoints).snapshots
 
-    slow = init_stream(
-        sample.head(n0), alpha=0.3, kernel=kernel, boundary=boundary, grid_points=grid_points
-    )
+    slow = init_stream(sample.head(n0), alpha=0.3, kernel=kernel, boundary=boundary)
     want_snaps = {n0: slow.theta_hat.copy()}
     for i in range(n0, n):
         slow = stream_step(slow, sample.covariates[i], float(sample.responses[i]))
@@ -250,12 +226,10 @@ _GUARD_SAMPLE = draw(reference_model(p=4), 60, 17)
     arrival=st.integers(30, 59),
     target=st.integers(-1, 3),  # -1: the response, else that covariate
     bad=_BAD_VALUES,
-    with_grid=st.booleans(),
 )
-def test_non_finite_arrival_is_refused_without_touching_state(arrival, target, bad, with_grid):
+def test_non_finite_arrival_is_refused_without_touching_state(arrival, target, bad):
     sample = _GUARD_SAMPLE
-    grid = np.linspace(-2.0, 2.0, 7) if with_grid else None
-    state = init_stream(sample.head(30), grid_points=grid)
+    state = init_stream(sample.head(30))
     for i in range(30, arrival):
         state = stream_step(state, sample.covariates[i], float(sample.responses[i]))
     x, y = sample.covariates[arrival].copy(), float(sample.responses[arrival])
@@ -302,19 +276,19 @@ def test_batch_entry_points_reject_a_non_finite_row(row):
 
 def test_stream_step_advances_the_given_state_in_place():
     sample = draw(reference_model(p=4), 40, 23)
-    state = init_stream(sample.head(30), grid_points=np.linspace(-2.0, 2.0, 5))
-    sir, log, grid = state.sir, state.log, state.grid
+    state = init_stream(sample.head(30))
+    sir, log = state.sir, state.log
     for i in range(30, 40):
         assert stream_step(state, sample.covariates[i], float(sample.responses[i])) is state
-    assert state.sir is sir and state.log is log and state.grid is grid
-    assert state.n == 40 and len(state.log) == 10 and state.grid.n_entries == 10
+    assert state.sir is sir and state.log is log
+    assert state.n == 40 and len(state.log) == 10
 
 
 def test_breakdown_in_stream_step_leaves_everything_unchanged():
     # A non-positive-definite inverse pushes the rank-one denominator
     # n + rho below zero for a far-out x; nothing may move before the refusal.
     sample = draw(reference_model(p=4), 40, 24)
-    state = init_stream(sample.head(30), grid_points=np.linspace(-2.0, 2.0, 5))
+    state = init_stream(sample.head(30))
     for i in range(30, 35):
         state = stream_step(state, sample.covariates[i], float(sample.responses[i]))
     state.sir.moments.inv_cov[...] = -np.eye(4)
@@ -397,7 +371,7 @@ def test_direction_paths_equal_per_sample_paths_bit_for_bit(p, reps):
     n0 = default_warmup(p)
     n = n0 + 1100
     samples = [draw(reference_model(p=p), n, 300 + r) for r in range(reps)]
-    checkpoints = (n0, n0 + 1, 500, n0 + _GRID_CHUNK, n)
+    checkpoints = (n0, n0 + 1, 500, n0 + 1024, n)
     batched = direction_paths(samples, checkpoints=checkpoints)
     assert len(batched) == reps
     for sample, path in zip(samples, batched):

@@ -7,10 +7,10 @@ import pytest
 from streamsir import (
     BandwidthSchedule,
     CsvFormatError,
-    GridAccumulator,
     ProjectionLog,
     Sample,
     Slicer,
+    curve,
     draw,
     epanechnikov,
     reference_model,
@@ -107,16 +107,18 @@ def test_projection_log_rejects_bad_index(tmp_path):
 
 
 def test_grid_csv_marks_unsupported_points(tmp_path):
-    grid = GridAccumulator(np.array([-1.0, 0.0, 5.0]))
-    grid.absorb(epanechnikov(), 0.1, 2.0, 0.5)
+    points = np.array([-1.0, 0.0, 5.0])
+    # One entry at u = 0.1 with h = 0.5: its window covers 0 and not -1 or 5.
+    est, den, count = curve(
+        epanechnikov(), points, np.array([0.1]), np.array([0.5]), np.array([2.0])
+    )
     path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path)
+    write_grid_csv(points, est, den, count, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f_hat,denominator,n_contributing"
-    last = lines[3].split(",")
-    assert last[0] == "5"
-    assert last[1] == "nan"
-    assert last[2] == "0"
+    assert lines[2] == f"0,2,{fmt(den[1])},1"
+    for line, x in ((lines[1], "-1"), (lines[3], "5")):
+        assert line == f"{x},nan,0,0"
 
 
 def test_kernel_table_round_trip(tmp_path):
@@ -180,6 +182,21 @@ def test_stream_order_is_preserved(tmp_path):
     for i in range(sample.n):
         assert np.array_equal(back.covariates[i], sample.covariates[i])
         assert back.responses[i] == sample.responses[i]
+
+
+@pytest.mark.parametrize("index", ["2.0", "2e0", "+2", "1_0", "2.0000000000000001", "", " 2"])
+def test_projection_log_refuses_an_index_that_is_not_decimal_digits(tmp_path, index):
+    # float() reads every non-empty one of these as a whole number (int()
+    # takes "+2", "1_0" and " 2" too); the writer only produces digits.
+    kernel = epanechnikov()
+    schedule = BandwidthSchedule(alpha=0.35)
+    path = tmp_path / "log.csv"
+    path.write_text(f"k,u,y\n1,0.0,1.0\n{index},0.5,2.0\n")
+    with pytest.raises(CsvFormatError, match="line 3: k must be a positive integer") as exc:
+        read_projection_log_csv(path, kernel, schedule)
+    assert exc.value.row == 3
+    path.write_text("k,u,y\n1,0.0,1.0\n2,0.5,2.0\n")
+    assert read_projection_log_csv(path, kernel, schedule).indices.tolist() == [1, 2]
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,11 @@ from scipy import stats as sps
 
 from streamsir import (
     BandwidthSchedule,
-    GridAccumulator,
     NonFiniteInputError,
     NoSupportError,
     ProjectionLog,
     append,
+    curve,
     draw,
     epanechnikov,
     evaluate,
@@ -19,6 +19,7 @@ from streamsir import (
     tabulated_kernel,
     theoretical_std,
 )
+from streamsir import linkreg
 from streamsir.linkreg import window_sums
 
 
@@ -26,24 +27,28 @@ def _fresh_log(alpha=0.35, first_index=1):
     return ProjectionLog(epanechnikov(), BandwidthSchedule(alpha=alpha), first_index=first_index)
 
 
+def _curve(log, points):
+    """curve over a whole log."""
+    return curve(log.kernel, points, log.projections, log.bandwidths, log.responses)
+
+
 def test_single_entry_returns_its_response_exactly():
     log = _fresh_log()
-    grid = GridAccumulator(points=np.array([0.25]))
-    append(log, grid, np.array([0.5]), 7.0, np.array([0.5]))  # u = 0.25, h_1 = 1
+    append(log, np.array([0.5]), 7.0, np.array([0.5]))  # u = 0.25, h_1 = 1
     assert evaluate(log, 0.25) == 7.0
-    assert grid.estimates()[0] == 7.0
-    assert grid.contributing[0] == 1
+    est, _, count = _curve(log, [0.25])
+    assert est[0] == 7.0
+    assert count[0] == 1
 
 
 def test_entry_outside_every_window_leaves_grid_unchanged():
     log = _fresh_log(alpha=0.5)
-    grid = GridAccumulator(points=np.array([-1.0, 0.0, 1.0]))
     # Projection 50 with h_1 = 1: no grid point within the support radius.
-    append(log, grid, np.array([50.0]), 3.0, np.array([1.0]))
-    assert np.array_equal(grid.numerator, np.zeros(3))
-    assert np.array_equal(grid.denominator, np.zeros(3))
-    assert np.array_equal(grid.contributing, np.zeros(3, dtype=np.int64))
-    assert grid.n_entries == 1
+    append(log, np.array([50.0]), 3.0, np.array([1.0]))
+    est, den, count = _curve(log, [-1.0, 0.0, 1.0])
+    assert np.all(np.isnan(est))
+    assert np.array_equal(den, np.zeros(3))
+    assert np.array_equal(count, np.zeros(3, dtype=np.int64))
 
 
 def test_constant_responses_evaluate_to_the_constant():
@@ -79,15 +84,15 @@ def test_denominator_tracks_the_projected_density():
     points = np.array([-1.0, 0.0, 1.0])
     streams = 5
     masses = np.zeros((streams, points.size))
+    kernel = epanechnikov()
+    h = BandwidthSchedule(alpha=0.35).h(np.arange(1, 5001))
     for s in range(streams):
         sample = draw(model, 5000, 140 + s)
-        log = _fresh_log(alpha=0.35)
-        grid = GridAccumulator(points=points)
-        for i in range(sample.n):
-            append(log, grid, sample.covariates[i], float(sample.responses[i]), model.direction)
-            if s == 0 and grid.n_entries == 1000:
-                assert abs(grid.denominator[1] / 1000.0 - sps.norm.pdf(0.0)) <= 0.15
-        masses[s] = grid.denominator / 5000.0
+        u, y = sample.covariates @ model.direction, sample.responses
+        if s == 0:
+            den = curve(kernel, points, u[:1000], h[:1000], y[:1000])[1]
+            assert abs(den[1] / 1000.0 - sps.norm.pdf(0.0)) <= 0.15
+        masses[s] = curve(kernel, points, u, h, y)[1] / 5000.0
     target = sps.norm.pdf(points)
     assert np.all(np.abs(masses.mean(axis=0) - target) <= 0.1 * target)
 
@@ -102,10 +107,8 @@ def test_curve_estimate_near_truth_with_known_direction():
     for rep in range(reps):
         sample = draw(model, 2000, 500 + rep)
         log = _fresh_log(alpha=0.35)
-        u = sample.covariates @ model.direction
-        for k in range(sample.n):
-            log.push(float(u[k]), float(sample.responses[k]))
-        if abs(evaluate(log, 0.0) - reference_link(0.0)) <= 0.15:
+        log.extend(sample.covariates @ model.direction, sample.responses)
+        if abs(_curve(log, [0.0])[0][0] - reference_link(0.0)) <= 0.15:
             hits += 1
     assert hits >= 90
 
@@ -115,17 +118,15 @@ def test_grid_matches_log_evaluation():
     sample = draw(model, 300, 9)
     log = _fresh_log(alpha=0.35)
     points = np.linspace(-2.0, 2.0, 21)
-    grid = GridAccumulator(points=points)
     for i in range(sample.n):
-        append(log, grid, sample.covariates[i], float(sample.responses[i]), model.direction)
-    est = grid.estimates()
+        append(log, sample.covariates[i], float(sample.responses[i]), model.direction)
+    est = _curve(log, points)[0]
     for j, x in enumerate(points):
         if np.isnan(est[j]):
             with pytest.raises(NoSupportError):
                 evaluate(log, float(x))
         else:
-            direct = evaluate(log, float(x))
-            assert abs(est[j] - direct) <= 1e-12 * max(1.0, abs(direct))
+            assert est[j] == evaluate(log, float(x))
 
 
 def test_log_growth_and_bandwidths():
@@ -158,19 +159,12 @@ def test_from_entries_round_trip_and_validation():
         ProjectionLog.from_entries(kernel, sched, np.array([0, 1]), np.zeros(2), np.zeros(2))
 
 
-def test_grid_accumulator_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        GridAccumulator(points=np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError, match="non-empty"):
-        GridAccumulator(points=np.array([]))
-
-
 def test_estimates_nan_where_nothing_arrived():
-    grid = GridAccumulator(points=np.array([0.0, 100.0]))
-    grid.absorb(epanechnikov(), 0.0, 2.0, 1.0)
-    est = grid.estimates()
-    assert est[0] == 2.0
-    assert np.isnan(est[1])
+    log = _fresh_log()
+    log.push(0.0, 2.0)  # h_1 = 1
+    est, den, count = _curve(log, [0.0, 100.0])
+    assert est[0] == 2.0 and count[0] == 1
+    assert np.isnan(est[1]) and den[1] == 0.0 and count[1] == 0
 
 
 def test_theoretical_std_noiseless_is_zero():
@@ -201,8 +195,8 @@ def test_theoretical_std_validation():
 
 def test_vectorized_bandwidths_equal_the_scalar_schedule():
     # from_entries and extend compute h_k = k ** -alpha over an array; push
-    # and the per-step grid use the scalar schedule.  The two must agree bit
-    # for bit, or a vectorized log would differ from a streamed one.
+    # uses the scalar schedule.  The two must agree bit for bit, or a
+    # vectorized log would differ from a streamed one.
     ks = np.arange(1, 30001)
     for alpha in np.round(np.arange(0.1, 0.5001, 0.05), 10):
         sched = BandwidthSchedule(alpha=float(alpha))
@@ -228,21 +222,6 @@ def test_extend_equals_pushing_one_at_a_time():
     assert extended.next_index == pushed.next_index == 331
     with pytest.raises(ValueError, match="identical shapes"):
         extended.extend(u[:2], y[:3])
-
-
-def test_grid_absorbs_an_array_as_it_absorbs_entries_one_by_one():
-    # 2500 entries span three chunks; the sums must keep the entry order.
-    rng = np.random.default_rng(5)
-    u, y = rng.standard_normal(2500), rng.standard_normal(2500)
-    h = BandwidthSchedule(alpha=0.3).h(np.arange(1, 2501))
-    points = np.linspace(-3.0, 3.0, 61)
-    one_by_one = GridAccumulator(points=points)
-    for a, b, c in zip(u, y, h):
-        one_by_one.absorb(epanechnikov(), float(a), float(b), float(c))
-    batched = GridAccumulator(points=points)
-    batched.absorb(epanechnikov(), u, y, h)
-    for name in ("numerator", "denominator", "contributing", "n_entries"):
-        assert np.array_equal(getattr(batched, name), getattr(one_by_one, name)), name
 
 
 _TABLE_XS = np.linspace(-1.5, 1.5, 301)
@@ -344,12 +323,13 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
     inside[1, 0] = True
     # A caller may mask more than the windows, as the CV replay's triangle does.
     inside[2:] &= rng.random((xs.size - 2, width)) < 0.7
-    num, den = window_sums(kernel, d, inside, h, y)
-    assert num.shape == den.shape == (xs.size,)
-    assert not inside[0].any() and num[0] == den[0] == 0.0
-    assert num[1] == den[1] == 0.0
+    num, den, count = window_sums(kernel, d, inside, h, y)
+    assert num.shape == den.shape == count.shape == (xs.size,)
+    assert not inside[0].any() and num[0] == den[0] == 0.0 and count[0] == 0
+    assert num[1] == den[1] == 0.0 and count[1] == 0
     for r in range(2, xs.size):
         w = np.where(inside[r], _dense_kernel(kernel, d[r] / h) / h, 0.0)
+        assert count[r] == np.count_nonzero(w > 0.0), r
         want_den = math.fsum(w)
         assert want_den > 0.0
         scale = math.fsum(w * np.abs(y)) / want_den
@@ -358,4 +338,77 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
     for r in range(xs.size):
         # A one-row block takes its own path, with the same bits.
         one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y)
-        assert one[0][0] == num[r] and one[1][0] == den[r], r
+        assert one[0][0] == num[r] and one[1][0] == den[r] and one[2][0] == count[r], r
+
+
+def _curve_cases(kernel):
+    """(label, log, points): an empty log, one entry seen from its window
+    edges, and random logs; the 5000-entry log puts its points in chunks."""
+    radius = kernel.support_radius
+    schedule = BandwidthSchedule(alpha=0.3)
+    empty = ProjectionLog(kernel, schedule)
+    single = ProjectionLog(kernel, schedule)
+    single.push(0.25, 3.0)  # h_1 = 1, so the window edges are 0.25 +- R
+    yield "empty", empty, np.array([-1.0, 0.0, 0.25, 7.0])
+    yield "single", single, np.array([0.25 - radius, 0.25, 0.25 + radius / 2, 0.25 + radius])
+    for size, count in ((9, 40), (5000, 130)):
+        rng = np.random.default_rng(size)
+        log = ProjectionLog(kernel, schedule, first_index=31)
+        log.extend(rng.standard_normal(size), rng.standard_normal(size) + 0.5)
+        edge = log.projections[0] + radius * log.bandwidths[0]
+        points = np.concatenate((rng.uniform(-3.0, 3.0, count), log.projections[:5], [edge, 40.0]))
+        yield f"random-{size}", log, points
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+def test_curve_equals_evaluate_and_a_dense_exact_sum(kernel):
+    chunked = False
+    for label, log, points in _curve_cases(kernel):
+        est, den, count = _curve(log, points)
+        assert est.shape == den.shape == count.shape == points.shape, label
+        chunked |= len(log) > 0 and linkreg._POINT_CELLS // len(log) < points.size
+        supported = 0
+        for j, x in enumerate(points.tolist()):
+            w = _dense_weights(kernel, log, x)
+            want_den = math.fsum(w)
+            assert count[j] == np.count_nonzero(w > 0.0), (label, x)
+            if want_den == 0.0:
+                assert np.isnan(est[j]) and den[j] == 0.0, (label, x)
+                with pytest.raises(NoSupportError):
+                    evaluate(log, x)
+                continue
+            assert est[j] == evaluate(log, x), (label, x)
+            scale = math.fsum(w * np.abs(log.responses)) / want_den
+            assert abs(est[j] - math.fsum(w * log.responses) / want_den) <= 1e-12 * scale
+            assert abs(den[j] - want_den) <= 1e-12 * want_den, (label, x)
+            supported += 1
+        if label == "single":
+            # Both window edges get weight 0: only the two inner points count.
+            assert supported == 2 and est[1] == est[2] == 3.0
+        elif label != "empty":
+            assert supported >= 5, label
+    assert chunked
+
+
+def test_curve_chunks_keep_the_bits(monkeypatch):
+    # Chunks of one point take window_sums' one-row path; any chunking
+    # gives the same arrays.
+    rng = np.random.default_rng(8)
+    log = _fresh_log(alpha=0.3)
+    log.extend(rng.standard_normal(500), rng.standard_normal(500))
+    points = rng.uniform(-2.5, 2.5, 23)
+    whole = _curve(log, points)
+    for cells in (1, 3 * 500, 7 * 500, 22 * 500):
+        monkeypatch.setattr(linkreg, "_POINT_CELLS", cells)
+        for got, want in zip(_curve(log, points), whole):
+            assert np.array_equal(got, want, equal_nan=True), cells
+
+
+def test_curve_refuses_non_finite_points():
+    log = _fresh_log()
+    log.push(0.0, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInputError):
+            _curve(log, [0.0, bad])
+    with pytest.raises(NonFiniteInputError):
+        _curve(_fresh_log(), [np.nan])
