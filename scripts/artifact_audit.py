@@ -13,13 +13,15 @@ two checkouts compare with a single `diff`:
     diff parent.txt change.txt
 
 The runs cover, for seeds 1 and 11: fit at the defaults, at alpha 0.2
-with 37 grid points and with a tabulated triangle kernel (the table is
-written to `<dir>/kernel_table.csv`); predict at 41 points from the
-default fit's log and from the tabulated fit's log; cv
+with 37 grid points, at 20000 grid points (several write blocks) and with
+a tabulated triangle kernel (the table is written to
+`<dir>/kernel_table.csv`); simulate at n = 5000, and fit on that
+sample.csv through --input; predict at 41 points from the default fit's
+log, from the tabulated fit's log and from the --input fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
-replications); and scatter at p = 10 and 20.  That is 77 artifacts with
+replications); and scatter at p = 10 and 20.  That is 97 artifacts with
 the kernel table.
 """
 
@@ -41,17 +43,22 @@ TRIANGLE_TABLE = "x,k\n-1.5,0\n0,0.6666666666666666\n1.5,0\n"
 
 
 def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
-    """(name, argv) of every run for one seed, in an order where predict follows its fit."""
+    """(name, argv) of every run for one seed, each after the runs whose files it reads."""
     study = ["study", "--seed", str(seed)]
     tabulated = ["--kernel", "tabulated", "--kernel-table", str(table)]
     out = [
         ("fit", ["fit", "--seed", str(seed)]),
         ("fit-alpha0.2", ["fit", "--seed", str(seed), "--alpha", "0.2", "--grid-count", "37"]),
+        ("fit-grid20000", ["fit", "--seed", str(seed), "--grid-count", "20000"]),
         ("fit-tabulated", ["fit", "--seed", str(seed), *tabulated]),
+        ("simulate", ["simulate", "--seed", str(seed), "--n", "5000"]),
+        ("fit-input", ["fit", "--input", "../simulate/sample.csv"]),
         ("predict", ["predict", "--log", "../fit/projection_log.csv", f"--at={PREDICT_AT}"]),
         ("predict-tabulated",
          ["predict", "--log", "../fit-tabulated/projection_log.csv", *tabulated,
           f"--at={PREDICT_AT}"]),
+        ("predict-input",
+         ["predict", "--log", "../fit-input/projection_log.csv", f"--at={PREDICT_AT}"]),
     ]
     for workers in ("1", "2"):
         w = ["--workers", workers]

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -188,8 +189,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         sample, alpha=cfg.alpha, kernel=kernel, warmup=cfg.warmup, boundary=cfg.boundary
     )
     log = state.log
-    points = cfg.grid_points()
-    grid = curve(kernel, points, log.projections, log.bandwidths, log.responses)
     out = _resolve_out_dir(args, cfg)
     io.write_json(
         {
@@ -205,7 +204,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         out / "fit.json",
     )
     io.write_projection_log_csv(log, out / "projection_log.csv")
-    io.write_grid_csv(points, *grid, out / "grid_estimates.csv")
+    read = partial(curve, kernel, u=log.projections, h=log.bandwidths, y=log.responses)
+    io.write_grid_csv(cfg.grid_points(), read, out / "grid_estimates.csv")
     io.write_moment_state(state.sir.moments, state.slicer, out / "state.json")
     for name in ("fit.json", "projection_log.csv", "grid_estimates.csv", "state.json"):
         print(out / name)
@@ -213,15 +213,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config,
-        {
-            "alpha": args.alpha,
-            "kernel": args.kernel,
-            "kernel_table": args.kernel_table,
-            "seed": args.seed,
-        },
-    )
+    cfg = load_config(args.config, _engine_overrides(args))
     kernel = _load_kernel(cfg)
     log = io.read_projection_log_csv(args.log, kernel, BandwidthSchedule(alpha=cfg.alpha))
     try:
@@ -231,11 +223,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if not points:
         raise StreamSirError("--at lists no points")
     est, _, _ = curve(kernel, points, log.projections, log.bandwidths, log.responses)
-    lines = ["x,f_hat,supported"]
-    for x, f in zip(points, est.tolist()):
-        lines.append(f"{io.fmt(x)},,0" if math.isnan(f) else f"{io.fmt(x)},{io.fmt(f)},1")
     out = _resolve_out_dir(args, cfg)
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    io.write_predictions_csv(points, est, out / "predictions.csv")
     print(out / "predictions.csv")
     return 0
 

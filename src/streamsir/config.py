@@ -22,6 +22,7 @@ from .errors import ConfigError
 
 _KERNELS = ("epanechnikov", "tabulated")
 _MODELS = ("reference",)
+_MAX_GRID = 10**6  # largest estimate grid `fit` reads and writes
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,9 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 def _coerce(key: str, raw: Any) -> Any:
     if key in _INT_KEYS:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"key {key!r} needs an integer, got {raw!r}", key=key)
-        if isinstance(raw, float) and raw != int(raw):
+        # is_integer() is False for NaN and the infinities, which int() cannot take.
+        integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+        if isinstance(raw, bool) or not integral:
             raise ConfigError(f"key {key!r} needs an integer, got {raw!r}", key=key)
         return int(raw)
     if key in _FLOAT_KEYS:
@@ -123,6 +124,8 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ConfigError("kernel = tabulated requires kernel_table", key="kernel_table")
     if cfg.grid_count < 1:
         raise ConfigError("grid_count must be at least 1", key="grid_count")
+    if cfg.grid_count > _MAX_GRID:
+        raise ConfigError(f"grid_count must be at most {_MAX_GRID}", key="grid_count")
     for key in ("grid_min", "grid_max"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)!r}", key=key)

@@ -4,16 +4,19 @@ All floating-point values are written with the %.17g format, which is
 enough digits to round-trip an IEEE double exactly; reading back what was
 written reproduces the same bits.  CSV schemas are strict: exact headers,
 rectangular rows, finite numeric cells, log indices as decimal digits.
-JSON documents carry a schema_version field and are written with sorted
-keys and a trailing newline so byte-identical reruns are possible.
+Every CSV is read through _cells and written through _write_csv, a block
+of lines at a time, so no file's text is ever held whole.  JSON documents
+carry a schema_version field and are written with sorted keys and a
+trailing newline so byte-identical reruns are possible.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,47 +33,87 @@ SCHEMA_VERSION = 1
 # overflows further up), so such indices are refused.
 _INDEX_LIMIT = 2**53
 
+_BLOCK_LINES = 1024  # lines per write call, and grid points per read
+
 
 def fmt(value: float) -> str:
     """Shortest-exact decimal form of a double."""
     return f"{float(value):.17g}"
 
 
-def _parse_cell(text: str, line_no: int, what: str) -> float:
+def _cell_error(text: str, what: str, index: bool) -> str | None:
+    """Why one cell breaks the schema, or None if it does not."""
+    if index:
+        # Whole numbers only, as the writer produces: float() would read
+        # 2.0, 2e0 or 2.0000000000000001 as k = 2.  Past 16 significant
+        # digits a number is above 2**53, so int() never gets a huge string.
+        digits = text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 16
+        if digits and 1 <= int(text) < _INDEX_LIMIT:
+            return None
+        return f"k must be a positive integer below 2**53, got {text!r}"
     try:
         value = float(text)
     except ValueError:
-        raise CsvFormatError(
-            f"line {line_no}: {what} cell {text!r} is not numeric", row=line_no
-        ) from None
-    if not math.isfinite(value):
-        raise CsvFormatError(
-            f"line {line_no}: {what} cell {text!r} is not finite", row=line_no
-        )
-    return value
+        return f"{what} cell {text!r} is not numeric"
+    return None if math.isfinite(value) else f"{what} cell {text!r} is not finite"
+
+
+def _cells(rows: list[list[str]], names: Sequence[str], index: bool = False) -> np.ndarray:
+    """The data rows (file lines 2, 3, ...) as a (rows, len(names)) float array.
+
+    One np.array call converts every cell; numpy parses a str cell with
+    Python's float, so the bits are those of a cell-by-cell read.  With
+    index set, the first column is a log index.  If any check fails, a scan
+    in row order raises the error a cell-by-cell read meets first.
+    """
+    width = len(names)
+    try:
+        cells = np.array(rows or np.empty((0, width)), dtype=np.float64)
+    except ValueError:
+        cells = None
+    ok = cells is not None and cells.shape[1:] == (width,) and np.isfinite(cells).all()
+    if ok and index and rows:
+        digits = "".join([row[0] for row in rows])
+        ks = cells[:, 0]
+        ok = digits.isascii() and digits.isdigit() and ks.min() >= 1 and ks.max() < _INDEX_LIMIT
+    if ok:
+        return cells
+    for line_no, row in enumerate(rows, start=2):
+        problem = f"expected {width} cells, got {len(row)}" if len(row) != width else None
+        for j, (text, what) in enumerate(zip(row, names)):
+            problem = problem or _cell_error(text, what, index and j == 0)
+        if problem:
+            raise CsvFormatError(f"line {line_no}: {problem}", row=line_no)
+    raise AssertionError("numpy refused cells that float() accepts")
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path!s}: {exc}") from exc
-    lines = text.splitlines()
     if not lines:
         raise CsvFormatError("empty file: missing header")
-    return [line.split(",") for line in lines]
+    # Split in place: each line's text is freed as soon as its cells exist.
+    for i, line in enumerate(lines):
+        lines[i] = line.split(",")
+    return lines
+
+
+def _write_csv(path: str | Path, header: str, lines: Iterable[str]) -> None:
+    """Write the header, then the lines, _BLOCK_LINES of them per write call."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        while block := list(islice(lines, _BLOCK_LINES)):
+            f.write("\n".join(block) + "\n")
 
 
 def write_sample_csv(sample: Sample, path: str | Path) -> None:
     """Write a sample as x1,...,xp,y rows."""
-    p = sample.p
-    header = ",".join([f"x{j}" for j in range(1, p + 1)] + ["y"])
-    out = [header]
-    for i in range(sample.n):
-        cells = [fmt(v) for v in sample.covariates[i]]
-        cells.append(fmt(sample.responses[i]))
-        out.append(",".join(cells))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    header = ",".join([*(f"x{j}" for j in range(1, sample.p + 1)), "y"])
+    rows = zip(sample.covariates, sample.responses)
+    _write_csv(path, header, (",".join(map(fmt, [*x.tolist(), y])) for x, y in rows))
 
 
 def read_sample_csv(path: str | Path) -> Sample:
@@ -94,28 +137,16 @@ def read_sample_csv(path: str | Path) -> Sample:
         raise CsvFormatError(
             f"header covariate columns must be x1..x{p}, got {','.join(got)!r}", row=1
         )
-    xs = np.empty((len(rows) - 1, p), dtype=np.float64)
-    ys = np.empty(len(rows) - 1, dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
-        line_no = i + 2
-        if len(row) != p + 1:
-            raise CsvFormatError(
-                f"line {line_no}: expected {p + 1} cells, got {len(row)}", row=line_no
-            )
-        for j in range(p):
-            xs[i, j] = _parse_cell(row[j], line_no, f"x{j + 1}")
-        ys[i] = _parse_cell(row[p], line_no, "y")
-    if xs.shape[0] == 0:
+    cells = _cells(rows[1:], [*expected, "y"])
+    if cells.shape[0] == 0:
         raise CsvFormatError("no data rows after header")
-    return Sample(xs, ys)
+    return Sample(cells[:, :p], cells[:, p])
 
 
 def write_projection_log_csv(log: ProjectionLog, path: str | Path) -> None:
     """Write a projection log as k,u,y rows."""
-    out = ["k,u,y"]
-    for k, u, y in zip(log.indices, log.projections, log.responses):
-        out.append(f"{int(k)},{fmt(u)},{fmt(y)}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    rows = zip(log.indices.tolist(), log.projections.tolist(), log.responses.tolist())
+    _write_csv(path, "k,u,y", (f"{k},{fmt(u)},{fmt(y)}" for k, u, y in rows))
 
 
 def read_projection_log_csv(
@@ -129,47 +160,34 @@ def read_projection_log_csv(
     rows = _read_rows(path)
     if [c.strip() for c in rows[0]] != ["k", "u", "y"]:
         raise CsvFormatError(f"header must be k,u,y, got {','.join(rows[0])!r}", row=1)
-    ks = np.empty(len(rows) - 1, dtype=np.int64)
-    us = np.empty(len(rows) - 1, dtype=np.float64)
-    ys = np.empty(len(rows) - 1, dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
-        line_no = i + 2
-        if len(row) != 3:
-            raise CsvFormatError(
-                f"line {line_no}: expected 3 cells, got {len(row)}", row=line_no
-            )
-        # Whole numbers only, as the writer produces: float() would read
-        # 2.0, 2e0 or 2.0000000000000001 as k = 2.
-        k = int(row[0]) if row[0].isascii() and row[0].isdigit() else 0
-        if not 1 <= k < _INDEX_LIMIT:
-            raise CsvFormatError(
-                f"line {line_no}: k must be a positive integer below 2**53, got {row[0]!r}",
-                row=line_no,
-            )
-        ks[i] = k
-        us[i] = _parse_cell(row[1], line_no, "u")
-        ys[i] = _parse_cell(row[2], line_no, "y")
+    ks, us, ys = _cells(rows[1:], ("k", "u", "y"), index=True).T
     try:
-        return ProjectionLog.from_entries(kernel, schedule, ks, us, ys)
+        return ProjectionLog.from_entries(kernel, schedule, ks.astype(np.int64), us, ys)
     except ValueError as exc:
         raise CsvFormatError(str(exc)) from exc
 
 
 def write_grid_csv(
-    points: np.ndarray,
-    estimates: np.ndarray,
-    denominators: np.ndarray,
-    contributing: np.ndarray,
-    path: str | Path,
+    points: np.ndarray, read: Callable[[np.ndarray], tuple[np.ndarray, ...]], path: str | Path
 ) -> None:
-    """Write a curve (linkreg.curve's arrays) as x,f_hat,denominator,n_contributing rows.
+    """Write the curve at points as x,f_hat,denominator,n_contributing rows.
 
+    read maps points to linkreg.curve's (estimates, denominators,
+    contributing); it gets _BLOCK_LINES points at a time, each block once
+    the one before is written, so memory does not grow with the points.
     Points no kernel window covers get f_hat = nan with denominator 0.
     """
-    out = ["x,f_hat,denominator,n_contributing"]
-    for x, f, den, count in zip(points, estimates, denominators, contributing):
-        out.append(f"{fmt(x)},{fmt(f)},{fmt(den)},{int(count)}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    blocks = (points[a : a + _BLOCK_LINES] for a in range(0, points.size, _BLOCK_LINES))
+    rows = (row for b in blocks for row in zip(b.tolist(), *(a.tolist() for a in read(b))))
+    lines = (f"{fmt(x)},{fmt(f)},{fmt(den)},{int(count)}" for x, f, den, count in rows)
+    _write_csv(path, "x,f_hat,denominator,n_contributing", lines)
+
+
+def write_predictions_csv(points: Sequence[float], estimates: np.ndarray, path: str | Path) -> None:
+    """Write estimates as x,f_hat,supported rows; a NaN estimate is written x,,0."""
+    rows = zip(points, estimates.tolist())
+    lines = (f"{fmt(x)},,0" if math.isnan(f) else f"{fmt(x)},{fmt(f)},1" for x, f in rows)
+    _write_csv(path, "x,f_hat,supported", lines)
 
 
 def read_kernel_table_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -181,17 +199,8 @@ def read_kernel_table_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     rows = _read_rows(path)
     if [c.strip() for c in rows[0]] != ["x", "k"]:
         raise CsvFormatError(f"header must be x,k, got {','.join(rows[0])!r}", row=1)
-    xs = np.empty(len(rows) - 1, dtype=np.float64)
-    ks = np.empty(len(rows) - 1, dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
-        line_no = i + 2
-        if len(row) != 2:
-            raise CsvFormatError(
-                f"line {line_no}: expected 2 cells, got {len(row)}", row=line_no
-            )
-        xs[i] = _parse_cell(row[0], line_no, "x")
-        ks[i] = _parse_cell(row[1], line_no, "k")
-    return xs, ks
+    cells = _cells(rows[1:], ("x", "k"))
+    return cells[:, 0].copy(), cells[:, 1].copy()
 
 
 def write_json(payload: dict[str, Any], path: str | Path) -> None:
@@ -232,6 +241,12 @@ def write_moment_state(state: MomentState, slicer: Slicer, path: str | Path) -> 
     write_json(moment_state_to_dict(state, slicer), path)
 
 
+def _record_cell(value: Any) -> str:
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    return "" if value is None else fmt(value)
+
+
 def write_records_csv(
     columns: Sequence[str], records: Sequence[dict[str, Any]], path: str | Path
 ) -> None:
@@ -240,18 +255,5 @@ def write_records_csv(
     Floats use %.17g, ints print as ints, None prints as an empty cell and
     booleans as 0/1 so the file never depends on locale or repr quirks.
     """
-    out = [",".join(columns)]
-    for rec in records:
-        cells = []
-        for col in columns:
-            v = rec[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, bool) or isinstance(v, np.bool_):
-                cells.append(str(int(v)))
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(fmt(v))
-        out.append(",".join(cells))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    lines = (",".join(_record_cell(rec[col]) for col in columns) for rec in records)
+    _write_csv(path, ",".join(columns), lines)

@@ -159,8 +159,9 @@ def append(log: ProjectionLog, x_new: np.ndarray, y_new: float, theta_prev: np.n
 
 
 def window_sums(
-    kernel: KernelSpec, d: np.ndarray, inside: np.ndarray, h: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    kernel: KernelSpec, d: np.ndarray, inside: np.ndarray, h: np.ndarray, y: np.ndarray,
+    count: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Per-row kernel sums over the marked entries of a difference block.
 
     d[r, j] = x_r - u_j has shape (rows, width), and inside marks the
@@ -172,9 +173,9 @@ def window_sums(
 
     Returns (numerator, denominator, contributing), each of shape (rows,);
     contributing counts the entries with a positive weight (kernels are
-    non-negative, so those are the non-zero ones).  A row's denominator is
-    0 when no entry is marked, or when it sits only on window edges where K
-    vanishes.
+    non-negative, so those are the non-zero ones), and is None unless count
+    is set, since only curve reports it.  A row's denominator is 0 when no
+    entry is marked, or when it sits only on window edges where K vanishes.
     """
     rows, width = d.shape
     idx = np.flatnonzero(inside)
@@ -182,15 +183,16 @@ def window_sums(
     hs = h[col]
     w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
     wy = w * y[col]
+    contributing = np.bincount(idx[w != 0.0] // width, minlength=rows) if count else None
     if rows == 1:
-        return wy.sum(keepdims=True), w.sum(keepdims=True), np.array([np.count_nonzero(w)])
+        return wy.sum(keepdims=True), w.sum(keepdims=True), contributing
     bounds = [0, *np.searchsorted(idx, np.arange(1, rows + 1) * width).tolist()]
     num = np.empty(rows)
     den = np.empty(rows)
     for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
         num[r] = wy[a:b].sum()
         den[r] = w[a:b].sum()
-    return num, den, np.bincount(idx[w != 0.0] // width, minlength=rows)
+    return num, den, contributing
 
 
 def curve(
@@ -225,7 +227,9 @@ def curve(
     for a in range(0, points.size, step):
         rows = slice(a, a + step)
         d = points[rows, None] - u
-        num[rows], den[rows], count[rows] = window_sums(kernel, d, np.abs(d) <= reach, h, y)
+        num[rows], den[rows], count[rows] = window_sums(
+            kernel, d, np.abs(d) <= reach, h, y, count=True
+        )
     ok = den > 0.0
     est[ok] = num[ok] / den[ok]
     return est, den, count

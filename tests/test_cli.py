@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from _cli import run_cli
+from _cli import child_env, run_cli
 from streamsir import draw, reference_model, run_stream, select_alpha, tabulated_kernel
 from streamsir.io import read_sample_csv
 
@@ -332,3 +334,45 @@ def test_predict_at_the_fit_grid_writes_the_fit_curve(tmp_path):
             assert (pf, flag) == (f_hat, "1"), x
             supported += 1
     assert supported > 60
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ("grid_count = 1e400\n", []),
+        ("seed = NaN\n", []),
+        ("n = Infinity\n", []),
+        ("", ["--grid-count", "1000001"]),
+    ],
+)
+def test_fit_refuses_a_bad_integer_or_grid_count_in_one_line(tmp_path, config, flags):
+    (tmp_path / "run.cfg").write_text(config)
+    r = run_cli(["fit", "--config", "run.cfg", "--out-dir", "made", *flags], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("ConfigError: "), r.stderr
+    assert not (tmp_path / "made").exists()
+
+
+_PEAK_RSS = """
+import resource, sys
+from streamsir.cli import run
+assert run(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_fit_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # The grid is read and written a block at a time: 300000 points add
+    # their 2.4 MB points array, not the 18 MB text of the file.
+    peaks = []
+    for count in ("2000", "300000"):
+        out = tmp_path / count
+        r = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "fit", "--n", "200", "--grid-count", count,
+             "--out-dir", str(out)],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert len((out / "grid_estimates.csv").read_text().splitlines()) == int(count) + 1
+        peaks.append(int(r.stdout.splitlines()[-1]) / 1024)  # ru_maxrss is in KiB
+    assert peaks[1] - peaks[0] < 5.0, peaks

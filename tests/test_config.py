@@ -123,3 +123,23 @@ def test_numeric_strings_coerce():
     assert values["alpha"] == 0.5
     assert isinstance(values["grid_min"], float) and values["grid_min"] == -1.0
     assert isinstance(values["n"], int) and values["n"] == 2000
+
+
+@pytest.mark.parametrize("key", ["grid_count", "seed", "n", "p", "warmup"])
+@pytest.mark.parametrize("value", ["1e400", "NaN", "Infinity", "-Infinity", "2.5"])
+def test_integer_keys_refuse_non_integral_numbers(key, value):
+    # JSON reads 1e400 as inf; int() of inf or nan would raise outside ConfigError.
+    with pytest.raises(ConfigError, match=f"key '{key}' needs an integer") as exc:
+        parse_config_text(f"{key} = {value}\n")
+    assert exc.value.key == key
+    with pytest.raises(ConfigError, match=f"key '{key}' needs an integer"):
+        load_config(None, {key: float(value)})
+
+
+def test_grid_count_has_a_ceiling():
+    assert validate_config(EngineConfig(grid_count=10**6)).grid_count == 10**6
+    for count in (10**6 + 1, 10**12):
+        with pytest.raises(ConfigError, match="grid_count must be at most 1000000"):
+            validate_config(EngineConfig(grid_count=count))
+    with pytest.raises(ConfigError, match="grid_count must be at most"):
+        load_config(None, {"grid_count": 1e12})

@@ -15,6 +15,7 @@ from streamsir import (
     epanechnikov,
     reference_model,
 )
+from streamsir import io as sio
 from streamsir.io import (
     fmt,
     moment_state_from_dict,
@@ -109,11 +110,12 @@ def test_projection_log_rejects_bad_index(tmp_path):
 def test_grid_csv_marks_unsupported_points(tmp_path):
     points = np.array([-1.0, 0.0, 5.0])
     # One entry at u = 0.1 with h = 0.5: its window covers 0 and not -1 or 5.
-    est, den, count = curve(
-        epanechnikov(), points, np.array([0.1]), np.array([0.5]), np.array([2.0])
-    )
+    def read(pts):
+        return curve(epanechnikov(), pts, np.array([0.1]), np.array([0.5]), np.array([2.0]))
+
+    _, den, _ = read(points)
     path = tmp_path / "grid.csv"
-    write_grid_csv(points, est, den, count, path)
+    write_grid_csv(points, read, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f_hat,denominator,n_contributing"
     assert lines[2] == f"0,2,{fmt(den[1])},1"
@@ -200,10 +202,18 @@ def test_projection_log_refuses_an_index_that_is_not_decimal_digits(tmp_path, in
 
 
 @pytest.mark.parametrize(
-    "index", ["1e300", "9223372036854775808", "9007199254740993", "9007199254740992"]
+    "index",
+    [
+        "1e300",
+        "9223372036854775808",
+        "9007199254740993",
+        "9007199254740992",
+        pytest.param("1" * 5000, id="5000-digits"),
+    ],
 )
 def test_projection_log_refuses_an_index_a_double_cannot_hold(tmp_path, index):
-    # float() rounds 2**53 + 1 to 2**53, and int64 overflows further up.
+    # float() rounds 2**53 + 1 to 2**53, and int64 overflows further up;
+    # int() refuses more than 4300 digits outright.
     kernel = epanechnikov()
     schedule = BandwidthSchedule(alpha=0.35)
     path = tmp_path / "log.csv"
@@ -213,3 +223,117 @@ def test_projection_log_refuses_an_index_a_double_cannot_hold(tmp_path, index):
     assert exc.value.row == 3
     path.write_text("k,u,y\n1,0.0,1.0\n9007199254740991,0.5,2.0\n")
     assert read_projection_log_csv(path, kernel, schedule).indices[-1] == 2**53 - 1
+
+
+# (file text, first error): each file breaks the schema more than once, and
+# the error named is the one a cell-by-cell read in row order meets first.
+_FIRST_ERRORS = [
+    (
+        read_sample_csv,
+        "x1,x2,y\n1,2,3\n1,oops,3\n1,2,3\n1,2\n",
+        "line 3: x2 cell 'oops' is not numeric",
+    ),
+    (read_sample_csv, "x1,x2,y\n1,2,3\n1,2\n1,oops,3\n", "line 3: expected 3 cells, got 2"),
+    (read_sample_csv, "x1,x2,y\n1,2,nan\n1,x,3\n", "line 2: y cell 'nan' is not finite"),
+    (read_sample_csv, "x1,x2,y\n1,2,3\n1e400,,3\n", "line 3: x1 cell '1e400' is not finite"),
+    (
+        lambda path: read_projection_log_csv(path, epanechnikov(), BandwidthSchedule(alpha=0.35)),
+        "k,u,y\n1,0,1\n2,0,1\n3.0,0,1\n4,bad,1\n5,0\n",
+        "line 4: k must be a positive integer below 2**53, got '3.0'",
+    ),
+    (
+        lambda path: read_projection_log_csv(path, epanechnikov(), BandwidthSchedule(alpha=0.35)),
+        "k,u,y\n1,0,1\n2,inf,1\n0,0,1\n",
+        "line 3: u cell 'inf' is not finite",
+    ),
+    (
+        lambda path: read_projection_log_csv(path, epanechnikov(), BandwidthSchedule(alpha=0.35)),
+        "k,u,y\n1,0,1\n2,0,1,9\nx,0,1\n",
+        "line 3: expected 3 cells, got 4",
+    ),
+    (read_kernel_table_csv, "x,k\n-1,0\n0,-\n1\n", "line 3: k cell '-' is not numeric"),
+    (read_kernel_table_csv, "x,k\n-1,0\n0\n1,zz\n", "line 3: expected 2 cells, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    _FIRST_ERRORS,
+    ids=[
+        "sample-cell-before-ragged",
+        "sample-ragged-before-cell",
+        "sample-non-finite-before-non-numeric",
+        "sample-overflow-before-empty",
+        "log-index-before-cell-and-ragged",
+        "log-cell-before-index",
+        "log-ragged-before-index",
+        "kernel-cell-before-ragged",
+        "kernel-ragged-before-cell",
+    ],
+)
+def test_a_file_with_several_errors_reports_the_first(tmp_path, reader, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as exc:
+        reader(path)
+    assert str(exc.value) == message
+    assert exc.value.row == int(message.split()[1].rstrip(":"))
+
+
+# Tokens float() takes, each as spelled in a cell, and tokens it refuses or
+# reads as non-finite.
+_READ_TOKENS = [" 2", "+1", "1_0", "\uff11", "\u0661", "\t3", "1.5 ", "-0", "1e-400",
+                "4.9e-324", "2.0000000000000001", "0.1", "-1.7976931348623157e308"]
+_REFUSED_TOKENS = ["1e400", "nan", "-Infinity", "0x10", "", " ", "1__0", "_1", "1e"]
+
+
+def test_sample_cells_read_as_float_reads_them(tmp_path):
+    path = tmp_path / "tokens.csv"
+    pairs = list(zip(_READ_TOKENS, _READ_TOKENS[1:] + _READ_TOKENS[:1]))
+    path.write_text(
+        "x1,x2,y\n" + "".join(f"{a},{b},0\n" for a, b in pairs), encoding="utf-8"
+    )
+    back = read_sample_csv(path)
+    want = np.array([[float(a), float(b)] for a, b in pairs])
+    # Bit patterns, so -0 and the subnormals count too.
+    assert np.array_equal(back.covariates.view(np.uint64), want.view(np.uint64))
+    for token in _REFUSED_TOKENS:
+        path.write_text(f"x1,x2,y\n1,2,3\n1,{token},3\n", encoding="utf-8")
+        try:
+            float(token)
+            what = "not finite"
+        except ValueError:
+            what = "not numeric"
+        with pytest.raises(CsvFormatError) as exc:
+            read_sample_csv(path)
+        assert str(exc.value) == f"line 3: x2 cell {token!r} is {what}", token
+
+
+def _one_shot_grid_csv(points, estimates, denominators, contributing, path):
+    """The grid writer as it was when it built the whole file as one string."""
+    out = ["x,f_hat,denominator,n_contributing"]
+    for x, f, den, count in zip(points, estimates, denominators, contributing):
+        out.append(f"{fmt(x)},{fmt(f)},{fmt(den)},{int(count)}")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("count", [1, sio._BLOCK_LINES, 2 * sio._BLOCK_LINES + 37])
+def test_grid_csv_over_several_blocks_matches_the_one_shot_writer(tmp_path, count):
+    kernel = epanechnikov()
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=0.35))
+    rng = np.random.default_rng(5)
+    log.extend(rng.standard_normal(300), rng.standard_normal(300))
+    # The ends lie outside every window, so some rows read nan.
+    points = np.linspace(-6.0, 6.0, count) if count > 1 else np.array([0.25])
+    calls = []
+
+    def read(block):
+        calls.append(block.size)
+        return curve(kernel, block, log.projections, log.bandwidths, log.responses)
+
+    write_grid_csv(points, read, tmp_path / "blocks.csv")
+    _one_shot_grid_csv(points, *read(points), tmp_path / "whole.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # One read per block of at most _BLOCK_LINES points, then the one-shot read.
+    assert len(calls) - 1 == -(-count // sio._BLOCK_LINES)
+    assert max(calls[:-1]) <= sio._BLOCK_LINES

@@ -323,7 +323,7 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
     inside[1, 0] = True
     # A caller may mask more than the windows, as the CV replay's triangle does.
     inside[2:] &= rng.random((xs.size - 2, width)) < 0.7
-    num, den, count = window_sums(kernel, d, inside, h, y)
+    num, den, count = window_sums(kernel, d, inside, h, y, count=True)
     assert num.shape == den.shape == count.shape == (xs.size,)
     assert not inside[0].any() and num[0] == den[0] == 0.0 and count[0] == 0
     assert num[1] == den[1] == 0.0 and count[1] == 0
@@ -337,8 +337,13 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
         assert abs(den[r] - want_den) <= 1e-12 * want_den, r
     for r in range(xs.size):
         # A one-row block takes its own path, with the same bits.
-        one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y)
+        one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y, count=True)
         assert one[0][0] == num[r] and one[1][0] == den[r] and one[2][0] == count[r], r
+        # Without count, the same sums and no count.
+        bare = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y)
+        assert bare[0][0] == num[r] and bare[1][0] == den[r] and bare[2] is None, r
+    bare = window_sums(kernel, d, inside, h, y)
+    assert np.array_equal(bare[0], num) and np.array_equal(bare[1], den) and bare[2] is None
 
 
 def _curve_cases(kernel):
