@@ -23,12 +23,25 @@ studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
 replications); and scatter at p = 10 and 20.  That is 97 artifacts with
 the kernel table.
+
+With --compare, the script reads two such output directories instead and
+prints, for every artifact whose sha256 differs, the largest relative
+difference |a - b| / max(|a|, |b|) over its numeric CSV or JSON cells and
+where it occurs:
+
+    python scripts/artifact_audit.py --compare /tmp/audit-parent /tmp/audit-change
+
+Text cells must match exactly; a file whose layout differs (line or cell
+counts, JSON keys, a text cell) or that exists on one side only is
+reported as such.  The last line counts identical and differing artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -81,11 +94,121 @@ def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+class LayoutDiffers(Exception):
+    """Two artifacts differ in something other than the value of a number."""
+
+
+def _rel(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values (NaN equals NaN), inf if one is not finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _csv_cells(path: Path):
+    """(location, text) of every cell, header included."""
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        for col, cell in enumerate(line.split(","), start=1):
+            yield f"line {line_no} cell {col}", cell
+
+
+def _json_cells(doc, where: str = ""):
+    """(location, value) of every leaf; key lists and lengths count as leaves, so layouts compare."""
+    if isinstance(doc, dict):
+        yield f"{where}{{keys}}", sorted(doc)
+        for key in sorted(doc):
+            yield from _json_cells(doc[key], f"{where}.{key}")
+    elif isinstance(doc, list):
+        yield f"{where}[len]", len(doc)
+        for i, item in enumerate(doc):
+            yield from _json_cells(item, f"{where}[{i}]")
+    else:
+        yield where or ".", doc
+
+
+def _largest_difference(a: Path, b: Path) -> tuple[float, str]:
+    """The largest relative difference between two artifacts' numbers, where it is, and both values.
+
+    Raises:
+        LayoutDiffers: the files differ in anything but numeric values.
+    """
+    if a.suffix == ".json":
+        cells_a = list(_json_cells(json.loads(a.read_text(encoding="utf-8"))))
+        cells_b = list(_json_cells(json.loads(b.read_text(encoding="utf-8"))))
+    else:
+        cells_a, cells_b = list(_csv_cells(a)), list(_csv_cells(b))
+    if [where for where, _ in cells_a] != [where for where, _ in cells_b]:
+        raise LayoutDiffers("layout differs")
+    worst, at = 0.0, ""
+    for (where, x), (_, y) in zip(cells_a, cells_b):
+        if x == y:
+            continue
+        u, v = (_number(x), _number(y)) if isinstance(x, str) else (x, y)
+        if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in (u, v)):
+            raise LayoutDiffers(f"{where}: {x!r} != {y!r}")
+        rel = _rel(float(u), float(v))
+        if rel > worst or not at:
+            worst, at = rel, f"{where} ({u!r} vs {v!r})"
+    return worst, at
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compare(root_a: Path, root_b: Path) -> int:
+    """Print the largest relative difference of every artifact whose sha256 differs."""
+    files_a = {p.relative_to(root_a).as_posix() for p in root_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(root_b).as_posix() for p in root_b.rglob("*") if p.is_file()}
+    same = differ = 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"{rel}  only in {root_a if rel in files_a else root_b}")
+            differ += 1
+            continue
+        a, b = root_a / rel, root_b / rel
+        if _digest(a) == _digest(b):
+            same += 1
+            continue
+        differ += 1
+        try:
+            worst, at = _largest_difference(a, b)
+        except (LayoutDiffers, ValueError) as exc:
+            print(f"{rel}  {exc}")
+        else:
+            print(f"{rel}  max rel {worst:.3g} at {at}")
+    print(f"{same} identical, {differ} differ")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--src", required=True, help="checkout whose src/ holds the streamsir package")
-    parser.add_argument("--out", required=True, help="directory for the runs' artifacts")
+    parser.add_argument("--src", help="checkout whose src/ holds the streamsir package")
+    parser.add_argument("--out", help="directory for the runs' artifacts")
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+        help="compare the artifacts of two earlier --out directories instead of running",
+    )
     args = parser.parse_args()
+    if args.compare:
+        if args.src or args.out:
+            parser.error("--compare takes no --src or --out")
+        dirs = [Path(d).resolve() for d in args.compare]
+        for d in dirs:
+            if not d.is_dir():
+                parser.error(f"{d} is not a directory")
+        return compare(*dirs)
+    if not (args.src and args.out):
+        parser.error("--src and --out are required unless --compare is given")
     src = Path(args.src).resolve() / "src"
     if not (src / "streamsir").is_dir():
         parser.error(f"{src} has no streamsir package")

@@ -13,7 +13,8 @@ Exit status is 0 exactly when every requested artifact was written; any
 engine error prints its class name and message on stderr and exits 1.
 The output directory is created only once every check has passed, so a
 refused run leaves none behind.
-Usage errors exit 2 via the argument parser.
+Usage errors, such as a flag the subcommand does not take, print one line
+and exit 2.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ import sys
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
 from .config import EngineConfig, load_config
 from .crossval import select_alpha
 from .engine import run_stream
-from .errors import StreamSirError
+from .errors import ConfigError, StreamSirError
 from .kernels import KernelSpec, epanechnikov, tabulated_kernel, BandwidthSchedule
 from .linkreg import curve
 from .moments import Slicer
@@ -52,8 +53,15 @@ OUTDIR_ENV = "STREAMSIR_OUTDIR"
 _MAX_CV_GRID = 10_000  # largest exponent grid `cv` builds
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, like every other refusal."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="streamsir",
         description="Streaming single-index regression and its Monte Carlo studies.",
         # Abbreviated long options are rejected: a prefix that happens to
@@ -67,12 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", help="artifact output directory")
         sp.add_argument("--seed", type=int, help="random seed")
 
-    def data_source(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--input", help="sample CSV to ingest instead of simulating")
+    def synthetic(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--model", help="synthetic model name (reference)")
         sp.add_argument("--n", type=int, help="synthetic sample size")
         sp.add_argument("--p", type=int, help="synthetic covariate dimension")
         sp.add_argument("--noise-std", type=float, help="synthetic noise level")
+
+    def data_source(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--input", help="sample CSV to ingest instead of simulating")
+        synthetic(sp)
 
     def engine_opts(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--alpha", type=float, help="bandwidth exponent")
@@ -83,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", allow_abbrev=False, help="draw a synthetic sample to sample.csv")
     common(sp)
-    data_source(sp)
+    synthetic(sp)
 
     sp = sub.add_parser("fit", allow_abbrev=False, help="run the sequential engine; write fit artifacts")
     common(sp)
@@ -174,6 +185,8 @@ def _obtain_sample(cfg: EngineConfig) -> Sample:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
+    if cfg.input is not None:
+        raise ConfigError("simulate draws a synthetic sample and reads no input", key="input")
     sample = draw(_model_from_config(cfg), cfg.n, cfg.seed)
     out = _resolve_out_dir(args, cfg)
     io.write_sample_csv(sample, out / "sample.csv")

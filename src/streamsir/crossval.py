@@ -12,8 +12,9 @@ The logged projections u_k = theta_{k-1}' x_k do not depend on the
 exponent, so the direction path runs once and every candidate replays only
 the kernel sums over the fixed (k, u_k, y_k), a block of queries at a time
 in one process.  Each prediction's sums come from linkreg.window_sums,
-the rule evaluate uses, so a score has the bits of predict_next then
-stream_step.
+the rule evaluate uses, so a score has the bits of evaluate then push over
+direction_path's projections, and matches predict_next then stream_step
+within 1e-12 (bit for bit where direction_path steps the recursion).
 """
 
 from __future__ import annotations

@@ -17,13 +17,17 @@ The estimator runs in two stages over one stream.
 The ordering is the whole point: the logged projection and any prediction
 made for the new point depend only on data seen strictly before it.
 
-direction_path runs stage 1 once over a whole sample, stepping one
-direction state in place, and returns the projections; run_stream and
-cross-validation build their logs and scores from them.
-direction_paths runs stage 1 over R samples of equal length at once, on
-stacked (R, ...) arrays, with the same bits per sample as direction_path;
-the Monte Carlo studies use it for their replications.  init_stream,
-stream_step and predict_next are the per-arrival API over the same
+The recursive estimate after k rows equals the batch SIR estimate on those
+k rows, so stage 1 has two forms.  direction_path runs it once over a whole
+sample from prefix totals, a block of rows and one batched solve at a
+time, and returns the projections; run_stream and cross-validation build
+their logs and scores from them.  It matches the recursion within 1e-12
+(u_k scaled by |theta| |x_k|), and steps the recursion itself above
+_PREFIX_MAX_P covariates or when a prefix covariance is ill-conditioned.
+direction_paths runs the recursion over R samples of equal length at once,
+on stacked (R, ...) arrays, with the bits of init_stream then stream_step
+per sample; the Monte Carlo studies use it for their replications.
+init_stream, stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
 and returns that same object.  run_stream(sample, alpha, kernel, warmup,
 boundary) always returns a StreamState; use direction_path(...,
@@ -47,7 +51,7 @@ from .moments import (
     finite_response,
     require_finite_rows,
 )
-from .sir import SirState, advance, step_terms, warm_start
+from .sir import SirState, advance, direction_from_moments, step_terms, warm_start
 from .simulate import Sample
 
 # Not called here: the per-layer tracer (perfbench/tracing.py) patches this
@@ -55,6 +59,26 @@ from .simulate import Sample
 from .sir import recursive_step  # noqa: F401
 
 DEFAULT_ALPHA = 0.35
+
+# direction_path takes the prefix form only up to this many covariates.
+# Measured at n = 20000 and 30000 (one BLAS thread, pinned core, best of 3):
+# the prefix form takes 0.54 s against 1.12 s for the recursion at p = 25,
+# 0.71-0.88 s against 0.81-1.28 s at p = 30, and ties at p = 35
+# (1.12 s against 1.12 s), because its batched solves grow as p^3.
+_PREFIX_MAX_P = 30
+# ... and only while the condition number of the covariance at every block
+# start (the first is the warm-up's) and at the end is at most this; past
+# it, the recursion reruns from the warm-up.  Measured on warm-ups of a
+# given condition number at p = 10, n = 20000, eight seeds: the largest gap
+# |u_prefix - u_recursion| / (|theta| |x|) is 2.9e-14 at condition number
+# 1e2, 8.9e-13 at 1e4, 5.5e-13 at 2e4 and 1.9e-12 at 5e4, against the 1e-12
+# bound of the recursion.  Most of the gap is the recursion's drift: on
+# sampled prefixes the prefix form's u is 2.0e-14 from batch_sir at 1e4,
+# the recursion's 3.1e-13.
+_PREFIX_MAX_COND = 2e4
+# Rows per block of the prefix form: block sizes from 128 to 1024 time
+# within noise of each other at p = 10, 20 and 30.
+_PREFIX_BLOCK = 512
 
 
 def default_warmup(p: int) -> int:
@@ -128,28 +152,55 @@ def direction_path(
     boundary: float | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> DirectionPath:
-    """Run the direction recursion once over a sample, in arrival order.
+    """Run stage 1 once over a sample, in arrival order.
 
-    Gives the same bits as init_stream followed by one stream_step per row:
-    both step one direction state in place with sir.advance.
+    The recursive estimate after k rows is the batch SIR estimate on those
+    k rows, so the projections come from prefix totals (_prefix_pass),
+    within 1e-12 of the recursion once scaled by |theta| |x_k|.  Above
+    _PREFIX_MAX_P covariates, or when a prefix covariance (checked every
+    _PREFIX_BLOCK rows) is worse conditioned than _PREFIX_MAX_COND, the
+    recursion runs instead and gives the same bits as init_stream followed
+    by one stream_step per row.
 
     Raises:
         NonFiniteInputError: some row holds NaN or inf (checked once, up front).
         InsufficientDataError: the sample is shorter than the warm-up.
+        NumericalBreakdownError: a prefix covariance is singular or not
+            positive definite, or a rank-one denominator is not positive.
     """
     n0 = _warmup_length(sample, warmup)
     xs, ys = sample.covariates, sample.responses
     require_finite_rows(xs, ys)
     sir, slicer = _warm_up(sample.head(n0), boundary)
-    moments, theta = sir.moments, sir.theta_hat
-
+    slices = slicer.slices_of(ys) - 1
     want = {int(c) for c in checkpoints}
-    snapshots: dict[int, np.ndarray] = {}
-    if n0 in want:
-        snapshots[n0] = theta.copy()
-    xs, ys = xs[n0:], ys[n0:]
-    u = np.empty(ys.size, dtype=np.float64)
-    for j, i in enumerate((slicer.slices_of(ys) - 1).tolist()):
+    prefix = None
+    if n0 < sample.n and sample.p <= _PREFIX_MAX_P:
+        prefix = _prefix_pass(xs, slices, sir.moments, want)
+    if prefix is None:
+        u, snapshots = _recursion_pass(xs, slices, sir, want)
+    else:
+        sir, u, snapshots = prefix
+    return DirectionPath(
+        sir=sir,
+        slicer=slicer,
+        warmup_n=n0,
+        projections=u,
+        responses=ys[n0:],
+        snapshots=snapshots,
+    )
+
+
+def _recursion_pass(
+    xs: np.ndarray, slices: np.ndarray, sir: SirState, want: set[int]
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Step sir in place over the rows after the warm-up; returns (u, snapshots)."""
+    moments, theta = sir.moments, sir.theta_hat
+    n0 = moments.n
+    snapshots = {n0: theta.copy()} if n0 in want else {}
+    xs = xs[n0:]
+    u = np.empty(xs.shape[0], dtype=np.float64)
+    for j, i in enumerate(slices[n0:].tolist()):
         x = xs[j]
         u[j] = theta @ x
         # The warm-up leaves both slices non-empty, so only the rank-one
@@ -157,14 +208,130 @@ def direction_path(
         advance(sir, x, i, moments.rank_one_terms(x))
         if moments.n in want:
             snapshots[moments.n] = theta.copy()
-    return DirectionPath(
-        sir=sir,
-        slicer=slicer,
-        warmup_n=n0,
-        projections=u,
-        responses=ys,
-        snapshots=snapshots,
+    return u, snapshots
+
+
+def _prefix_pass(
+    xs: np.ndarray, slices: np.ndarray, warm: MomentState, want: set[int]
+) -> tuple[SirState, np.ndarray, dict[int, np.ndarray]] | None:
+    """Stage 1 from prefix totals, _PREFIX_BLOCK rows at a time; returns (sir, u, snapshots).
+
+    Rows are centred on the warm-up mean m0, c_i = x_i - m0.  Before row
+    k + 1 the totals over the first k rows are the scatter S_k = sum c_i c_i',
+    the row sum r_k = sum c_i and, per slice h, the sum t_h and count n_h.
+    Then k Sigma_k = S_k - r_k r_k' / k and z_1 - z_2 = t_1 / n_1 - t_2 / n_2,
+    so theta_k = Sigma_k^{-1} (z_1 - z_2).  A block takes cumulative sums
+    of the totals for all its rows and one batched np.linalg.solve against
+    S_k, with columns k (z_1 - z_2) and r_k; a Sherman-Morrison step then
+    removes the rank-one mean term.  theta_k projects row k + 1 and is the
+    snapshot at k; the returned state is read off the end totals.
+
+    Returns None, for the recursion to run instead, as soon as the
+    covariance at a block start or at the end is worse conditioned than
+    _PREFIX_MAX_COND.
+
+    Raises:
+        NumericalBreakdownError: a covariance at a block start or at the end
+            is not finite or not positive definite, some S_k is singular, or
+            a Sherman-Morrison denominator is not positive.
+    """
+    n0, (n, p) = warm.n, xs.shape
+    m0 = warm.mean
+    head = xs[:n0] - m0
+    scatter = head.T @ head
+    # Row 0: all rows; rows 1 and 2: the rows of slice 1 and of slice 2.
+    sums = np.zeros((3, p))
+    sums[0] = head.sum(axis=0)
+    np.add.at(sums, 1 + slices[:n0], head)
+    low = int(warm.slice_counts[0])
+
+    u = np.empty(n - n0, dtype=np.float64)
+    snapshots: dict[int, np.ndarray] = {}
+    prefix = np.empty((min(_PREFIX_BLOCK, n - n0), p, p))
+    for a in range(n0, n, _PREFIX_BLOCK):
+        if not _well_conditioned(scatter - np.outer(sums[0], sums[0]) / a, a):
+            return None
+        b = min(a + _PREFIX_BLOCK, n)
+        c, s = xs[a:b] - m0, slices[a:b]
+        # Exclusive cumulative sums over the block, plus the totals carried
+        # in: entry j holds the totals over rows < a + j.  Summing a block
+        # apart from the carried totals keeps each running sum short.
+        scatters = prefix[: b - a]
+        scatters[0] = 0.0
+        np.multiply(c[:-1, :, None], c[:-1, None, :], out=scatters[1:])
+        np.cumsum(scatters, axis=0, out=scatters)
+        scatters += scatter
+        steps = np.zeros((b - a, 3, p))
+        steps[1:, 0] = c[:-1]
+        steps[np.arange(1, b - a), 1 + s[:-1]] = c[:-1]
+        totals = np.cumsum(steps, axis=0)
+        totals += sums
+        lows = low + np.concatenate(([0], np.cumsum(s[:-1] == 0)))
+        k = np.arange(a, b, dtype=np.float64)
+        diff = totals[:, 1] / lows[:, None] - totals[:, 2] / (k - lows)[:, None]
+        r = totals[:, 0]
+        try:
+            sol = np.linalg.solve(scatters, np.stack((diff * k[:, None], r), axis=2))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError(
+                f"a prefix scatter matrix between n = {a} and {b - 1} is singular: {exc}"
+            ) from None
+        y, w = sol[:, :, 0], sol[:, :, 1]
+        denom = k - np.einsum("kj,kj->k", r, w)
+        if not (denom > 0.0).all():
+            j = int(np.argmin(denom > 0.0))
+            raise NumericalBreakdownError(
+                f"prefix covariance is not positive definite at n = {a + j} "
+                f"(Sherman-Morrison denominator {float(denom[j])!r} is not positive)"
+            )
+        theta = y + w * (np.einsum("kj,kj->k", r, y) / denom)[:, None]
+        u[a - n0 : b - n0] = np.einsum("kj,kj->k", theta, xs[a:b])
+        for m in want.intersection(range(a, b)):
+            snapshots[m] = theta[m - a].copy()
+
+        scatter += c.T @ c
+        sums[0] += c.sum(axis=0)
+        for h in (0, 1):
+            sums[1 + h] += c[s == h].sum(axis=0)
+        low += int(np.count_nonzero(s == 0))
+
+    scatter -= np.outer(sums[0], sums[0]) / n
+    if not _well_conditioned(scatter, n):
+        return None
+    inv_cov = np.linalg.inv(scatter / n)
+    counts = np.array([low, n - low], dtype=np.int64)
+    moments = MomentState(
+        n=n,
+        mean=m0 + sums[0] / n,
+        inv_cov=0.5 * (inv_cov + inv_cov.T),
+        slice_counts=counts,
+        slice_means=m0 + sums[1:] / counts[:, None],
     )
+    sir = SirState(moments=moments, theta_hat=direction_from_moments(moments))
+    if n in want:
+        snapshots[n] = sir.theta_hat.copy()
+    return sir, u, snapshots
+
+
+def _well_conditioned(centred: np.ndarray, n: int) -> bool:
+    """Whether the condition number of centred = n Sigma_n is at most _PREFIX_MAX_COND.
+
+    Each prefix covariance of a block is the one at the block start plus
+    positive semi-definite terms, so checking the block start (and the
+    Sherman-Morrison denominators row by row) checks that the whole block
+    is positive definite.
+
+    Raises:
+        NumericalBreakdownError: the matrix is not finite or not positive
+            definite.
+    """
+    try:
+        eig = np.linalg.eigvalsh(centred) if np.isfinite(centred).all() else None
+    except np.linalg.LinAlgError:
+        eig = None
+    if eig is None or not eig[0] > 0.0:
+        raise NumericalBreakdownError(f"prefix covariance is not positive definite at n = {n}")
+    return bool(eig[-1] <= _PREFIX_MAX_COND * eig[0])
 
 
 def direction_paths(
@@ -174,15 +341,17 @@ def direction_paths(
 ) -> list[DirectionPath]:
     """Run the direction recursion over R samples of equal length, all at once.
 
-    Path r equals direction_path(samples[r], warmup, checkpoints=checkpoints)
-    bit for bit.  The R states are held as stacked arrays: theta and the
-    mean (R, p), the inverse (R, p, p), the slice means (R, 2, p) and the
-    slice counts (R, 2).  Each step runs the operations of rank_one_terms,
-    sir.advance, absorb_covariate and absorb_slice one for one: matrix-vector
-    and dot products go through stacked matmuls (one BLAS call per
-    replication, the same call direction_path makes), the receiving slice is
-    gathered per replication, and the scalars become (R,) arrays combined
-    in the same order.  All samples share the count n, so the n-only
+    Path r equals init_stream on the warm-up of samples[r] followed by one
+    stream_step per row, bit for bit; direction_path gives that too where
+    it steps the recursion, and otherwise matches it within 1e-12.  The R
+    states are held as stacked arrays: theta and the mean (R, p), the
+    inverse (R, p, p), the slice means (R, 2, p) and the slice counts
+    (R, 2).  Each step runs the operations of rank_one_terms, sir.advance,
+    absorb_covariate and absorb_slice one for one: matrix-vector and dot
+    products go through stacked matmuls (one BLAS call per replication, the
+    same call the per-arrival step makes), the receiving slice is gathered
+    per replication, and the scalars become (R,) arrays combined in the
+    same order.  All samples share the count n, so the n-only
     factors stay scalars.
 
     Raises:
@@ -373,9 +542,11 @@ def run_stream(
 ) -> StreamState:
     """Run the full pipeline over a sample in arrival order.
 
-    Same result, bit for bit, as init_stream followed by one stream_step
-    per row: the direction path runs first, then the log is filled from
-    its projections in one vectorized pass.
+    The direction path runs first, then the log is filled from its
+    projections in one vectorized pass.  The log's k, h and y, the counts
+    and the slicer equal those of init_stream followed by one stream_step
+    per row; u_k, theta and the moments match them within 1e-12, and
+    bit for bit where direction_path steps the recursion.
 
     Parameters
     ----------

@@ -4,8 +4,8 @@ All floating-point values are written with the %.17g format, which is
 enough digits to round-trip an IEEE double exactly; reading back what was
 written reproduces the same bits.  CSV schemas are strict: exact headers,
 rectangular rows, finite numeric cells, log indices as decimal digits.
-Every CSV is read through _cells and written through _write_csv, a block
-of lines at a time, so no file's text is ever held whole.  JSON documents
+Every CSV is read through _read_csv and written through _write_csv, a
+block of lines at a time, so no file's text is ever held whole.  JSON documents
 carry a schema_version field and are written with sorted keys and a
 trailing newline so byte-identical reruns are possible.
 """
@@ -58,8 +58,10 @@ def _cell_error(text: str, what: str, index: bool) -> str | None:
     return None if math.isfinite(value) else f"{what} cell {text!r} is not finite"
 
 
-def _cells(rows: list[list[str]], names: Sequence[str], index: bool = False) -> np.ndarray:
-    """The data rows (file lines 2, 3, ...) as a (rows, len(names)) float array.
+def _cells(
+    rows: list[list[str]], names: Sequence[str], first_line: int, index: bool = False
+) -> np.ndarray:
+    """Data rows, the first on file line first_line, as a (rows, len(names)) float array.
 
     One np.array call converts every cell; numpy parses a str cell with
     Python's float, so the bits are those of a cell-by-cell read.  With
@@ -78,7 +80,7 @@ def _cells(rows: list[list[str]], names: Sequence[str], index: bool = False) -> 
         ok = digits.isascii() and digits.isdigit() and ks.min() >= 1 and ks.max() < _INDEX_LIMIT
     if ok:
         return cells
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in enumerate(rows, start=first_line):
         problem = f"expected {width} cells, got {len(row)}" if len(row) != width else None
         for j, (text, what) in enumerate(zip(row, names)):
             problem = problem or _cell_error(text, what, index and j == 0)
@@ -87,17 +89,31 @@ def _cells(rows: list[list[str]], names: Sequence[str], index: bool = False) -> 
     raise AssertionError("numpy refused cells that float() accepts")
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _read_csv(
+    path: str | Path, columns: Callable[[list[str]], Sequence[str]], index: bool = False
+) -> np.ndarray:
+    """The data rows of a CSV as a float array, converted _BLOCK_LINES lines at a time.
+
+    columns checks the header's cells and returns the column names.  Lines
+    split as str.splitlines splits the whole text, and blocks are checked in
+    file order, so the first error reported is the first in the file.  Only
+    one block's cells are held as text at a time.
+    """
+    header, blocks, line_no = None, [], 2
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as f:
+            while lines := list(islice(f, _BLOCK_LINES)):
+                rows = [line.split(",") for line in "".join(lines).splitlines()]
+                if header is None:
+                    header, rows = rows[0], rows[1:]
+                    names = columns(header)
+                blocks.append(_cells(rows, names, line_no, index))
+                line_no += len(rows)
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path!s}: {exc}") from exc
-    if not lines:
+    if header is None:
         raise CsvFormatError("empty file: missing header")
-    # Split in place: each line's text is freed as soon as its cells exist.
-    for i, line in enumerate(lines):
-        lines[i] = line.split(",")
-    return lines
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _write_csv(path: str | Path, header: str, lines: Iterable[str]) -> None:
@@ -116,16 +132,12 @@ def write_sample_csv(sample: Sample, path: str | Path) -> None:
     _write_csv(path, header, (",".join(map(fmt, [*x.tolist(), y])) for x, y in rows))
 
 
-def read_sample_csv(path: str | Path) -> Sample:
-    """Ingest a sample CSV, validating the schema.
+def _sample_columns(header: list[str]) -> list[str]:
+    """x1..xp then y, checked against a sample header.
 
     Raises:
-        CsvFormatError: wrong header (in particular a missing final y
-            column), ragged row, or a non-numeric / non-finite cell; the
-            error names the offending 1-based line.
+        CsvFormatError: the header is not x1,...,xp,y.
     """
-    rows = _read_rows(path)
-    header = rows[0]
     if len(header) < 2 or header[-1].strip() != "y":
         raise CsvFormatError(
             f"header must end with a y column, got {','.join(header)!r}", row=1
@@ -137,9 +149,34 @@ def read_sample_csv(path: str | Path) -> Sample:
         raise CsvFormatError(
             f"header covariate columns must be x1..x{p}, got {','.join(got)!r}", row=1
         )
-    cells = _cells(rows[1:], [*expected, "y"])
+    return [*expected, "y"]
+
+
+def _fixed_columns(*names: str) -> Callable[[list[str]], Sequence[str]]:
+    """A columns check for a CSV whose header is exactly names."""
+
+    def columns(header: list[str]) -> Sequence[str]:
+        if [c.strip() for c in header] != list(names):
+            raise CsvFormatError(
+                f"header must be {','.join(names)}, got {','.join(header)!r}", row=1
+            )
+        return names
+
+    return columns
+
+
+def read_sample_csv(path: str | Path) -> Sample:
+    """Ingest a sample CSV, validating the schema.
+
+    Raises:
+        CsvFormatError: wrong header (in particular a missing final y
+            column), ragged row, or a non-numeric / non-finite cell; the
+            error names the offending 1-based line.
+    """
+    cells = _read_csv(path, _sample_columns)
     if cells.shape[0] == 0:
         raise CsvFormatError("no data rows after header")
+    p = cells.shape[1] - 1
     return Sample(cells[:, :p], cells[:, p])
 
 
@@ -157,10 +194,7 @@ def read_projection_log_csv(
     The kernel and bandwidth schedule are not stored in the CSV; the caller
     must supply the ones used when the log was produced.
     """
-    rows = _read_rows(path)
-    if [c.strip() for c in rows[0]] != ["k", "u", "y"]:
-        raise CsvFormatError(f"header must be k,u,y, got {','.join(rows[0])!r}", row=1)
-    ks, us, ys = _cells(rows[1:], ("k", "u", "y"), index=True).T
+    ks, us, ys = _read_csv(path, _fixed_columns("k", "u", "y"), index=True).T
     try:
         return ProjectionLog.from_entries(kernel, schedule, ks.astype(np.int64), us, ys)
     except ValueError as exc:
@@ -196,10 +230,7 @@ def read_kernel_table_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     Shape validation happens here; the density properties (symmetry, unit
     mass, zero endpoints) are checked by the kernel constructor.
     """
-    rows = _read_rows(path)
-    if [c.strip() for c in rows[0]] != ["x", "k"]:
-        raise CsvFormatError(f"header must be x,k, got {','.join(rows[0])!r}", row=1)
-    cells = _cells(rows[1:], ("x", "k"))
+    cells = _read_csv(path, _fixed_columns("x", "k"))
     return cells[:, 0].copy(), cells[:, 1].copy()
 
 

@@ -278,6 +278,20 @@ def test_predict_refuses_an_index_beyond_exact_doubles(tmp_path):
     assert not (tmp_path / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--input", "/nonexistent.csv"], ["--config", "input.cfg"]],
+    ids=["flag", "config-key"],
+)
+def test_simulate_refuses_an_input(tmp_path, args):
+    # simulate only draws; an input it would ignore is refused, not dropped.
+    (tmp_path / "input.cfg").write_text("input = /nonexistent.csv\n")
+    r = run_cli(["simulate", "--n", "50", *args], tmp_path)
+    assert r.returncode != 0
+    assert len(r.stderr.splitlines()) == 1 and "input" in r.stderr, r.stderr
+    assert not (tmp_path / "sample.csv").exists()
+
+
 def test_an_output_path_that_is_a_file_is_a_one_line_error(tmp_path):
     (tmp_path / "taken").write_text("")
     r = run_cli(["simulate", "--n", "50", "--out-dir", "taken"], tmp_path)

@@ -160,16 +160,27 @@ _XS = np.linspace(-1.0, 1.0, 4001)
     ],
 )
 def test_shared_path_scores_equal_per_exponent_replays(kernel, workers, slicer):
+    # Bit for bit against evaluate-then-push over direction_path's
+    # projections; within aim 3's 1e-12 of the per-arrival replay, whose
+    # projections come from the recursion rather than prefix totals.
     sample = _sample(n=400, p=5, seed=8)
     grid = [0.1, 0.3, 0.55]
     report = select_alpha(sample, grid, slicer=slicer, kernel=kernel, workers=workers)
     boundary = None if slicer is None else slicer.boundary
+    path = direction_path(sample, warmup=30, boundary=boundary)
+    log_kernel = epanechnikov() if kernel is None else kernel
+    exact = [_replay_by_evaluate(path, a, log_kernel) for a in grid]
+    assert report.scores == tuple(w[0] for w in exact)
+    assert report.skipped == tuple(w[1] for w in exact)
+    assert report.counted == tuple(w[2] for w in exact)
+    assert cv_score(sample, 0.3, slicer=slicer, kernel=kernel) == exact[1][:2]
+
     want = [_replay_one_exponent(sample, a, kernel, boundary, 30) for a in grid]
-    assert report.scores == tuple(w[0] for w in want)
+    for got, w in zip(report.scores, want):
+        assert abs(got - w[0]) <= 1e-12 * w[0]
     assert report.skipped == tuple(w[1] for w in want)
     assert report.counted == tuple(w[2] for w in want)
     assert sum(report.skipped) > 0
-    assert cv_score(sample, 0.3, slicer=slicer, kernel=kernel) == want[1][:2]
 
 
 def _dense_cv(projections, responses, alpha, n0):

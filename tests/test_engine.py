@@ -12,8 +12,10 @@ from streamsir import (
     NonFiniteInputError,
     NumericalBreakdownError,
     ProjectionLog,
+    Sample,
     Slicer,
     append,
+    batch_moments,
     batch_sir,
     cv_score,
     default_warmup,
@@ -172,21 +174,69 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(got[key], want[key]), key
 
 
+def _conditioned(sample, n0, cond, seed=0):
+    """The sample with covariates mapped so that its warm-up covariance has condition number cond.
+
+    x -> T' x keeps a single-index model (with direction T^{-1} beta), so
+    the responses stay as they are.
+    """
+    p = sample.p
+    chol = np.linalg.cholesky(np.cov(sample.covariates[:n0], rowvar=False, bias=True))
+    scales = np.logspace(0.0, 0.5 * np.log10(cond), p)
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    t = np.linalg.inv(chol).T @ np.diag(scales) @ rotation
+    return Sample(covariates=sample.covariates @ t, responses=sample.responses)
+
+
+def _max_rel(got, want):
+    """Largest entrywise difference relative to the largest entry of want."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _u_gap(got, want, xs, theta):
+    """Largest |u_got - u_want| / (|theta| |x_k|) over the logged rows."""
+    scale = np.linalg.norm(theta) * np.linalg.norm(xs, axis=1)
+    return float(np.max(np.abs(got - want) / scale))
+
+
+# Aim 3's bound for a fast path against the recursion.
+_AIM3 = 1e-12
+_EXACT_KEYS = ("slice_counts", "n", "log_k", "log_h", "log_y", "next_index")
+
+
+def _assert_within_aim3(fast, slow, xs):
+    """fast matches slow: counts and the log's k/h/y exactly, floats within _AIM3."""
+    got, want = _engine_arrays(fast), _engine_arrays(slow)
+    assert got.keys() == want.keys()
+    for key in _EXACT_KEYS:
+        assert np.array_equal(got[key], want[key]), key
+    assert _u_gap(got["log_u"], want["log_u"], xs, want["theta"]) <= _AIM3
+    for key in ("theta", "inv_cov", "mean", "slice_means"):
+        assert _max_rel(got[key], want[key]) <= _AIM3, key
+
+
 _TABLE_XS = np.linspace(-1.0, 1.0, 4001)
+_TABLE = tabulated_kernel(_TABLE_XS, 0.75 * (1.0 - _TABLE_XS * _TABLE_XS))
 
 
 @pytest.mark.parametrize(
-    "p, kernel, boundary",
+    "p, kernel, boundary, cond",
     [
-        (4, None, None),
-        (10, None, None),
-        (10, tabulated_kernel(_TABLE_XS, 0.75 * (1.0 - _TABLE_XS * _TABLE_XS)), 0.2),
+        pytest.param(4, None, None, None, id="4-None-None"),
+        pytest.param(10, None, None, None, id="10-None-None"),
+        pytest.param(10, _TABLE, 0.2, None, id="10-kernel2-0.2"),
+        # These two take the recursion, so the bits must match.
+        pytest.param(engine._PREFIX_MAX_P + 1, None, None, None, id="above-crossover"),
+        pytest.param(10, None, None, 1e6, id="ill-conditioned"),
     ],
 )
-def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary):
+def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary, cond):
     n, n0 = 1100 + default_warmup(p), default_warmup(p)
     sample = draw(reference_model(p=p), n, 40 + p)
+    if cond is not None:
+        sample = _conditioned(sample, n0, cond)
     checkpoints = (n0, n0 + 1, 500, n0 + 1024, n)
+    recursion = p > engine._PREFIX_MAX_P or cond is not None
 
     fast = run_stream(sample, alpha=0.3, kernel=kernel, boundary=boundary)
     snaps = direction_path(sample, boundary=boundary, checkpoints=checkpoints).snapshots
@@ -198,11 +248,113 @@ def test_run_stream_equals_the_per_arrival_loop_bit_for_bit(p, kernel, boundary)
         if slow.n in checkpoints:
             want_snaps[slow.n] = slow.theta_hat.copy()
 
-    _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
+    if recursion:
+        _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
+    else:
+        _assert_within_aim3(fast, slow, sample.covariates[n0:])
     assert sorted(snaps) == sorted(want_snaps)
     for k in want_snaps:
-        assert np.array_equal(snaps[k], want_snaps[k]), k
+        if recursion:
+            assert np.array_equal(snaps[k], want_snaps[k]), k
+        else:
+            assert _max_rel(snaps[k], want_snaps[k]) <= _AIM3, k
     assert fast.slicer == slow.slicer and fast.warmup_n == slow.warmup_n
+
+
+def _recursion_path(sample, checkpoints=()):
+    """The per-arrival recursion as a DirectionPath: init_stream, then one stream_step per row."""
+    n0 = default_warmup(sample.p)
+    state = init_stream(sample.head(n0))
+    snapshots = {n0: state.theta_hat.copy()} if n0 in checkpoints else {}
+    for i in range(n0, sample.n):
+        state = stream_step(state, sample.covariates[i], float(sample.responses[i]))
+        if state.n in checkpoints:
+            snapshots[state.n] = state.theta_hat.copy()
+    return engine.DirectionPath(
+        sir=state.sir,
+        slicer=state.slicer,
+        warmup_n=n0,
+        projections=state.log.projections,
+        responses=state.log.responses,
+        snapshots=snapshots,
+    )
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4])
+def test_prefix_form_stays_within_aim3_of_the_recursion(cond):
+    p, n = 10, 4000
+    n0 = default_warmup(p)
+    sample = _conditioned(draw(reference_model(p=p), n, 70), n0, cond)
+    prefixes = tuple(int(k) for k in np.linspace(n0 + 1, n - 1, 4))
+    fast = direction_path(sample, checkpoints=prefixes)
+    slow = _recursion_path(sample, checkpoints=prefixes)
+    theta = slow.sir.theta_hat
+    assert _u_gap(fast.projections, slow.projections, sample.covariates[n0:], theta) <= _AIM3
+    if cond <= 1e2:
+        # At 1e4 the entries of theta and the inverse differ by about
+        # cond * eps relative to the largest one, in both forms alike.
+        assert _max_rel(fast.sir.theta_hat, theta) <= _AIM3
+        assert _max_rel(fast.sir.moments.inv_cov, slow.sir.moments.inv_cov) <= _AIM3
+    for k in prefixes:
+        # Against batch SIR on the first k rows, projecting row k + 1: the
+        # prefix form is no farther off than the recursion, up to 64 ulp.
+        batch, x = batch_sir(sample.head(k), fast.slicer), sample.covariates[k]
+        scale = np.linalg.norm(batch) * np.linalg.norm(x)
+        fast_off = abs((fast.snapshots[k] - batch) @ x) / scale
+        slow_off = abs((slow.snapshots[k] - batch) @ x) / scale
+        assert fast_off <= max(slow_off, 64 * np.finfo(float).eps), k
+
+
+@pytest.mark.parametrize("where", ["warm-up", "block-start", "end"])
+def test_an_ill_conditioned_prefix_takes_the_recursion_bit_for_bit(where):
+    # One outlier row makes the later prefix covariances ill-conditioned:
+    # row 100 at 2000 times its size gives condition number 9.9e4 at the
+    # block start n = 542 but 8.6e3 at the end, n = 5000; row 1400 at 10^4
+    # times its size is seen only by the end totals of a 1500-row sample.
+    p = 10
+    n = 5000 if where == "block-start" else 1500
+    sample = draw(reference_model(p=p), n, 71)
+    if where == "warm-up":
+        sample = _conditioned(sample, default_warmup(p), 1e6)
+    elif where == "block-start":
+        sample.covariates[100] *= 2000.0
+    else:
+        sample.covariates[1400] *= 1e4
+    _assert_same_arrays(
+        _path_arrays(direction_path(sample, checkpoints=(500, n))),
+        _path_arrays(_recursion_path(sample, checkpoints=(500, n))),
+    )
+
+
+def test_a_long_prefix_stream_stays_on_batch_sir():
+    # 2 * 10**5 rows at p = 10: the inverse and the projections stay within
+    # aim 3's bound of a batch computation on the same rows.
+    sample = draw(reference_model(p=10), 200_000, 72)
+    prefixes = (40_000, 90_000, 150_000, 199_999)
+    path = direction_path(sample, checkpoints=prefixes)
+    for k in prefixes:
+        batch, x = batch_sir(sample.head(k), path.slicer), sample.covariates[k]
+        u = path.projections[k - path.warmup_n]
+        assert abs(u - batch @ x) <= _AIM3 * np.linalg.norm(batch) * np.linalg.norm(x), k
+        assert _max_rel(path.snapshots[k], batch) <= _AIM3, k
+    whole = batch_moments(sample, path.slicer)
+    assert _max_rel(path.sir.moments.inv_cov, whole.inv_cov) <= _AIM3
+    assert _max_rel(path.sir.theta_hat, batch_sir(sample, path.slicer)) <= _AIM3
+
+
+def test_a_prefix_breakdown_is_refused():
+    # A row whose cross-product overflows leaves no finite prefix covariance
+    # after it; the prefix form must refuse rather than log NaN.
+    sample = draw(reference_model(p=4), 200, 73)
+    sample.covariates[100, 1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericalBreakdownError, match="n = 101"):
+            direction_path(sample)
+        sample.covariates[100, 1] = 0.0
+        sample.covariates[199, 1] = 1e200  # the last row: only the end totals see it
+        with pytest.raises(NumericalBreakdownError, match="n = 200"):
+            direction_path(sample)
 
 
 def test_direction_path_needs_no_kernel_and_matches_run_stream():
@@ -368,6 +520,8 @@ def _path_arrays(path):
 @pytest.mark.parametrize("p", [4, 10])
 @pytest.mark.parametrize("reps", [1, 7, 40])
 def test_direction_paths_equal_per_sample_paths_bit_for_bit(p, reps):
+    # The reference is the init_stream / stream_step loop: direction_path
+    # may take the prefix form, direction_paths always steps the recursion.
     n0 = default_warmup(p)
     n = n0 + 1100
     samples = [draw(reference_model(p=p), n, 300 + r) for r in range(reps)]
@@ -375,7 +529,7 @@ def test_direction_paths_equal_per_sample_paths_bit_for_bit(p, reps):
     batched = direction_paths(samples, checkpoints=checkpoints)
     assert len(batched) == reps
     for sample, path in zip(samples, batched):
-        alone = direction_path(sample, checkpoints=checkpoints)
+        alone = _recursion_path(sample, checkpoints=checkpoints)
         _assert_same_arrays(_path_arrays(path), _path_arrays(alone))
         assert path.projections.flags.c_contiguous
 

@@ -280,6 +280,31 @@ def test_a_file_with_several_errors_reports_the_first(tmp_path, reader, text, me
     assert exc.value.row == int(message.split()[1].rstrip(":"))
 
 
+@pytest.mark.parametrize(
+    "lines", [sio._BLOCK_LINES - 1, sio._BLOCK_LINES, 2 * sio._BLOCK_LINES + 37]
+)
+def test_a_sample_read_a_block_at_a_time_equals_a_cell_by_cell_read(tmp_path, lines):
+    # The header shares the first block with the first data lines; rows
+    # cross one or two block edges.
+    sample = draw(reference_model(p=4), lines, 12)
+    path = tmp_path / "sample.csv"
+    write_sample_csv(sample, path)
+    back = read_sample_csv(path)
+    text = path.read_text(encoding="utf-8").splitlines()[1:]
+    want = np.array([[float(c) for c in line.split(",")] for line in text])
+    assert np.array_equal(back.covariates, want[:, :4])
+    assert np.array_equal(back.responses, want[:, 4])
+    # An error in the last block names its file line; an earlier one wins.
+    text[-1] = text[-1].replace(",", ",x", 1)
+    path.write_text("x1,x2,x3,x4,y\n" + "\n".join(text) + "\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=f"^line {lines + 1}: x2 cell"):
+        read_sample_csv(path)
+    text[1] = "1,2"
+    path.write_text("x1,x2,x3,x4,y\n" + "\n".join(text) + "\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="^line 3: expected 5 cells, got 2"):
+        read_sample_csv(path)
+
+
 # Tokens float() takes, each as spelled in a cell, and tokens it refuses or
 # reads as non-finite.
 _READ_TOKENS = [" 2", "+1", "1_0", "\uff11", "\u0661", "\t3", "1.5 ", "-0", "1e-400",
