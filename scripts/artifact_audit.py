@@ -13,15 +13,16 @@ two checkouts compare with a single `diff`:
     diff parent.txt change.txt
 
 The runs cover, for seeds 1 and 11: fit at the defaults, at alpha 0.2
-with 37 grid points, at 20000 grid points (several write blocks) and with
+with 37 grid points, at 20000 grid points (several write blocks), with
 a tabulated triangle kernel (the table is written to
-`<dir>/kernel_table.csv`); simulate at n = 5000, and fit on that
+`<dir>/kernel_table.csv`) and at p = 40, where the direction pass steps
+the recursion; simulate at n = 5000, and fit on that
 sample.csv through --input; predict at 41 points from the default fit's
 log, from the tabulated fit's log and from the --input fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
-replications); and scatter at p = 10 and 20.  That is 97 artifacts with
+replications); and scatter at p = 10 and 20.  That is 105 artifacts with
 the kernel table.
 
 With --compare, the script reads two such output directories instead and
@@ -64,6 +65,8 @@ def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
         ("fit-alpha0.2", ["fit", "--seed", str(seed), "--alpha", "0.2", "--grid-count", "37"]),
         ("fit-grid20000", ["fit", "--seed", str(seed), "--grid-count", "20000"]),
         ("fit-tabulated", ["fit", "--seed", str(seed), *tabulated]),
+        # p above engine._PREFIX_MAX_P, so direction_path steps the recursion.
+        ("fit-p40", ["fit", "--seed", str(seed), "--p", "40"]),
         ("simulate", ["simulate", "--seed", str(seed), "--n", "5000"]),
         ("fit-input", ["fit", "--input", "../simulate/sample.csv"]),
         ("predict", ["predict", "--log", "../fit/projection_log.csv", f"--at={PREDICT_AT}"]),

@@ -166,7 +166,8 @@ def direction_path(
         NonFiniteInputError: some row holds NaN or inf (checked once, up front).
         InsufficientDataError: the sample is shorter than the warm-up.
         NumericalBreakdownError: a prefix covariance is singular or not
-            positive definite, or a rank-one denominator is not positive.
+            positive definite, or a rank-one denominator is not finite and
+            positive.
     """
     n0 = _warmup_length(sample, warmup)
     xs, ys = sample.covariates, sample.responses
@@ -359,8 +360,8 @@ def direction_paths(
         NonFiniteInputError: some row holds NaN or inf; checked for every
             sample before any stepping, and the message names the sample.
         InsufficientDataError: the samples are shorter than the warm-up.
-        NumericalBreakdownError: a rank-one denominator is not positive; the
-            message names the replication and n.
+        NumericalBreakdownError: a rank-one denominator is not finite and
+            positive; the message names the replication and n.
     """
     if not samples:
         raise ValueError("direction_paths needs at least one sample")
@@ -405,11 +406,11 @@ def direction_paths(
         phi = x - mean
         w = (inv @ phi[:, :, None])[:, :, 0]
         denom = n_new + (phi[:, None, :] @ w[:, :, None])[:, 0, 0]
-        bad = denom <= 0.0
-        if bad.any():
-            r = int(np.argmax(bad))
+        ok = (denom > 0.0) & (denom < np.inf)
+        if not ok.all():
+            r = int(np.argmin(ok))
             raise NumericalBreakdownError(
-                f"rank-one update denominator {float(denom[r])!r} is not positive "
+                f"rank-one update denominator {float(denom[r])!r} is not finite and positive "
                 f"at n = {n_new} in replication {r}"
             )
         # sir.advance

@@ -4,8 +4,11 @@ All floating-point values are written with the %.17g format, which is
 enough digits to round-trip an IEEE double exactly; reading back what was
 written reproduces the same bits.  CSV schemas are strict: exact headers,
 rectangular rows, finite numeric cells, log indices as decimal digits.
-Every CSV is read through _read_csv and written through _write_csv, a
-block of lines at a time, so no file's text is ever held whole.  JSON documents
+Every CSV is read through _read_csv, and every one but the fit curve is
+written from columns through _write_table, which alone decides how a cell
+is written: integers and booleans as digits, floats with %.17g, NaN as an
+empty cell.  Both work a block of lines at a time, so no file's text is
+ever held whole.  JSON documents
 carry a schema_version field and are written with sorted keys and a
 trailing newline so byte-identical reruns are possible.
 """
@@ -16,7 +19,7 @@ import json
 import math
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -116,20 +119,26 @@ def _read_csv(
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _write_csv(path: str | Path, header: str, lines: Iterable[str]) -> None:
-    """Write the header, then the lines, _BLOCK_LINES of them per write call."""
-    lines = iter(lines)
+def _write_table(path: str | Path, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length 1-d columns as CSV: a header of the keys, then the rows.
+
+    Integer and boolean cells are written as digits, floats with %.17g and
+    NaN as an empty cell, _BLOCK_LINES rows per write call.
+    """
+    arrays = [np.asarray(a) for a in columns.values()]
+    row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        while block := list(islice(lines, _BLOCK_LINES)):
-            f.write("\n".join(block) + "\n")
+        f.write(",".join(columns) + "\n")
+        for a in range(0, len(arrays[0]), _BLOCK_LINES):
+            rows = zip(*(c[a : a + _BLOCK_LINES].tolist() for c in arrays))
+            # %.17g writes NaN as "nan", and no other cell holds those letters.
+            f.write("".join([row % r for r in rows]).replace("nan", ""))
 
 
 def write_sample_csv(sample: Sample, path: str | Path) -> None:
     """Write a sample as x1,...,xp,y rows."""
-    header = ",".join([*(f"x{j}" for j in range(1, sample.p + 1)), "y"])
-    rows = zip(sample.covariates, sample.responses)
-    _write_csv(path, header, (",".join(map(fmt, [*x.tolist(), y])) for x, y in rows))
+    xs = {f"x{j + 1}": sample.covariates[:, j] for j in range(sample.p)}
+    _write_table(path, {**xs, "y": sample.responses})
 
 
 def _sample_columns(header: list[str]) -> list[str]:
@@ -182,8 +191,7 @@ def read_sample_csv(path: str | Path) -> Sample:
 
 def write_projection_log_csv(log: ProjectionLog, path: str | Path) -> None:
     """Write a projection log as k,u,y rows."""
-    rows = zip(log.indices.tolist(), log.projections.tolist(), log.responses.tolist())
-    _write_csv(path, "k,u,y", (f"{k},{fmt(u)},{fmt(y)}" for k, u, y in rows))
+    _write_table(path, {"k": log.indices, "u": log.projections, "y": log.responses})
 
 
 def read_projection_log_csv(
@@ -211,17 +219,18 @@ def write_grid_csv(
     the one before is written, so memory does not grow with the points.
     Points no kernel window covers get f_hat = nan with denominator 0.
     """
-    blocks = (points[a : a + _BLOCK_LINES] for a in range(0, points.size, _BLOCK_LINES))
-    rows = (row for b in blocks for row in zip(b.tolist(), *(a.tolist() for a in read(b))))
-    lines = (f"{fmt(x)},{fmt(f)},{fmt(den)},{int(count)}" for x, f, den, count in rows)
-    _write_csv(path, "x,f_hat,denominator,n_contributing", lines)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("x,f_hat,denominator,n_contributing\n")
+        for a in range(0, points.size, _BLOCK_LINES):
+            block = points[a : a + _BLOCK_LINES]
+            rows = zip(block.tolist(), *(c.tolist() for c in read(block)))
+            out.write("".join(f"{fmt(x)},{fmt(f)},{fmt(d)},{int(c)}\n" for x, f, d, c in rows))
 
 
 def write_predictions_csv(points: Sequence[float], estimates: np.ndarray, path: str | Path) -> None:
     """Write estimates as x,f_hat,supported rows; a NaN estimate is written x,,0."""
-    rows = zip(points, estimates.tolist())
-    lines = (f"{fmt(x)},,0" if math.isnan(f) else f"{fmt(x)},{fmt(f)},1" for x, f in rows)
-    _write_csv(path, "x,f_hat,supported", lines)
+    x = np.asarray(points, dtype=np.float64)
+    _write_table(path, {"x": x, "f_hat": estimates, "supported": ~np.isnan(estimates)})
 
 
 def read_kernel_table_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -272,19 +281,6 @@ def write_moment_state(state: MomentState, slicer: Slicer, path: str | Path) -> 
     write_json(moment_state_to_dict(state, slicer), path)
 
 
-def _record_cell(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    return "" if value is None else fmt(value)
-
-
-def write_records_csv(
-    columns: Sequence[str], records: Sequence[dict[str, Any]], path: str | Path
-) -> None:
-    """Write study records with a fixed column order.
-
-    Floats use %.17g, ints print as ints, None prints as an empty cell and
-    booleans as 0/1 so the file never depends on locale or repr quirks.
-    """
-    lines = (",".join(_record_cell(rec[col]) for col in columns) for rec in records)
-    _write_csv(path, ",".join(columns), lines)
+def write_records_csv(table: dict[str, np.ndarray], path: str | Path) -> None:
+    """Write study records, one column per key of table, in its key order."""
+    _write_table(path, table)

@@ -109,17 +109,18 @@ class MomentState:
         Changes nothing, so a breakdown leaves the moments as they were.
 
         Raises:
-            NumericalBreakdownError: the denominator is not positive, which
-                cannot happen in exact arithmetic once the covariance is
-                positive definite.
+            NumericalBreakdownError: the denominator is not finite and
+                positive.  It is positive in exact arithmetic once the
+                covariance is positive definite; an infinite one, from a row
+                whose rho overflows, would turn the inverse to NaN.
         """
         n_new = self.n + 1
         phi = x - self.mean
         w = self.inv_cov @ phi
         denom = n_new + float(phi @ w)
-        if denom <= 0.0:
+        if not 0.0 < denom < math.inf:
             raise NumericalBreakdownError(
-                f"rank-one update denominator {denom!r} is not positive at n = {n_new}"
+                f"rank-one update denominator {denom!r} is not finite and positive at n = {n_new}"
             )
         return phi, w, denom
 
@@ -228,8 +229,7 @@ def observe(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> Mome
     Raises:
         NonFiniteInputError: x or y holds NaN or inf; nothing is absorbed.
         NumericalBreakdownError: the update denominator n + rho is not
-            positive, which cannot happen in exact arithmetic once the
-            covariance is positive definite.
+            finite and positive (see MomentState.rank_one_terms).
     """
     x, y = finite_covariates(x), finite_response(y)
     m = state.copy()

@@ -74,7 +74,7 @@ def step_terms(state: SirState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         EmptySliceError: a slice count is still zero, so the slice-mean
             difference that the recursion corrects is not yet defined.
         NumericalBreakdownError: the rank-one denominator n + rho is not
-            positive.
+            finite and positive.
     """
     counts = state.moments.slice_counts
     if int(counts[0]) <= 0 or int(counts[1]) <= 0:

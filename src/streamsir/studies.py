@@ -31,13 +31,12 @@ over the entries up to the checkpoint (NaN where no kernel window covers
 the point), and its per-checkpoint direction
 distances; these stack into (replication, checkpoint, point) and
 (replication, checkpoint) arrays, every summary is computed from them,
-and the record dicts are built once, at the end, for StudyResult.records
-and records.csv.
+and the records are those arrays flattened into one column per field,
+which io writes as records.csv.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -186,15 +185,24 @@ class StudyResult:
 
     Attributes:
         study: study kind.
-        columns: column order of the records.
-        records: one dict per record row.
+        table: the records as columns: equal-length 1-d arrays keyed by
+            column name, in records.csv's column order; a missing value is
+            NaN.
         summary: JSON-ready summary document.
     """
 
     study: str
-    columns: tuple[str, ...]
-    records: tuple[dict[str, Any], ...]
+    table: dict[str, np.ndarray]
     summary: dict[str, Any]
+
+    @property
+    def records(self) -> tuple[dict[str, Any], ...]:
+        """One dict per record row, built from table on each access; NaN reads None."""
+        columns = [
+            [None if v != v else v for v in a.tolist()] if a.dtype.kind == "f" else a.tolist()
+            for a in self.table.values()
+        ]
+        return tuple(dict(zip(self.table, row)) for row in zip(*columns))
 
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
         """Write records.csv and summary.json into out_dir."""
@@ -202,7 +210,7 @@ class StudyResult:
         out.mkdir(parents=True, exist_ok=True)
         records_path = out / "records.csv"
         summary_path = out / "summary.json"
-        write_records_csv(self.columns, self.records, records_path)
+        write_records_csv(self.table, records_path)
         write_json(self.summary, summary_path)
         return records_path, summary_path
 
@@ -285,18 +293,6 @@ def _checkpoint_rows(
     return est, dd
 
 
-_CHECKPOINT_COLUMNS = (
-    "rep",
-    "n",
-    "point",
-    "u_true",
-    "true_value",
-    "estimate",
-    "abs_error",
-    "missing",
-    "direction_distance",
-)
-
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 
 
@@ -329,37 +325,31 @@ def _run_checkpoint_study(config: StudyConfig) -> tuple[np.ndarray, np.ndarray, 
     return est, dd, eval_points
 
 
-def _records(
-    columns: Sequence[str],
+def _checkpoint_table(
     sizes: Sequence[int],
     u_true: np.ndarray,
     f_true: np.ndarray,
     dd: np.ndarray,
     **cells: np.ndarray,
-) -> tuple[dict[str, Any], ...]:
-    """Record dicts with the given columns, in (replication, checkpoint, point) order.
+) -> dict[str, np.ndarray]:
+    """The records as columns, flattened in (replication, checkpoint, point) order.
 
-    cells maps column names to (rep, size, point) arrays; cells["estimate"]
-    is NaN exactly where the estimate is missing, and every cell there
-    becomes None.
+    cells maps column names to (rep, size, point) arrays, each NaN exactly
+    where cells["estimate"] is, that is where the estimate is missing; their
+    columns come after true_value, in the order given.
     """
     missing = np.isnan(cells["estimate"])
-    values = {name: np.where(missing, None, a).tolist() for name, a in cells.items()}
-    m, d, u, f = missing.tolist(), dd.tolist(), u_true.tolist(), f_true.tolist()
-    rows = []
-    for r, i, j in itertools.product(*map(range, missing.shape)):
-        row = {
-            "rep": r,
-            "n": sizes[i],
-            "point": j,
-            "u_true": u[j],
-            "true_value": f[j],
-            "missing": m[r][i][j],
-            "direction_distance": d[r][i],
-        }
-        row.update((name, v[r][i][j]) for name, v in values.items())
-        rows.append({c: row[c] for c in columns})
-    return tuple(rows)
+    rep, i, j = np.indices(missing.shape).reshape(3, -1)
+    return {
+        "rep": rep,
+        "n": np.asarray(sizes, dtype=np.int64)[i],
+        "point": j,
+        "u_true": u_true[j],
+        "true_value": f_true[j],
+        **{name: a.ravel() for name, a in cells.items()},
+        "missing": missing.ravel(),
+        "direction_distance": dd[rep, i],
+    }
 
 
 def _nanmedian(a: np.ndarray, axis: int) -> np.ndarray:
@@ -408,15 +398,8 @@ def convergence_study(config: StudyConfig) -> StudyResult:
             str(n): _quantile_block(dd[:, i]) for i, n in enumerate(config.sizes)
         },
     }
-    records = _records(
-        _CHECKPOINT_COLUMNS, config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors
-    )
-    return StudyResult(
-        study="convergence",
-        columns=_CHECKPOINT_COLUMNS,
-        records=records,
-        summary=summary,
-    )
+    table = _checkpoint_table(config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors)
+    return StudyResult(study="convergence", table=table, summary=summary)
 
 
 def _slopes(log_n: np.ndarray, medians: np.ndarray) -> np.ndarray:
@@ -512,10 +495,8 @@ def rate_study(config: StudyConfig) -> StudyResult:
         "slopes": slopes,
         "direction_envelope_q90": envelope,
     }
-    records = _records(
-        _CHECKPOINT_COLUMNS, config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors
-    )
-    return StudyResult(study="rate", columns=_CHECKPOINT_COLUMNS, records=records, summary=summary)
+    table = _checkpoint_table(config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors)
+    return StudyResult(study="rate", table=table, summary=summary)
 
 
 def normality_study(config: StudyConfig) -> StudyResult:
@@ -601,18 +582,9 @@ def normality_study(config: StudyConfig) -> StudyResult:
         "histogram_edges": [float(e) for e in HISTOGRAM_EDGES],
         "per_point": per_point,
     }
-    columns = (
-        "rep",
-        "point",
-        "u_true",
-        "true_value",
-        "estimate",
-        "z",
-        "missing",
-        "direction_distance",
-    )
-    records = _records(columns, config.sizes, u_true, f_true, dd, estimate=est, z=z)
-    return StudyResult(study="normality", columns=columns, records=records, summary=summary)
+    table = _checkpoint_table(config.sizes, u_true, f_true, dd, estimate=est, z=z)
+    del table["n"]  # one size: n is in the summary
+    return StudyResult(study="normality", table=table, summary=summary)
 
 
 def scatter_study(config: StudyConfig) -> StudyResult:
@@ -627,18 +599,13 @@ def scatter_study(config: StudyConfig) -> StudyResult:
     sample = draw(config.model, n, config.seed)
     path = direction_path(sample, warmup=config.resolved_warmup())
     theta = path.sir.theta_hat
-    xs, ys = sample.covariates, sample.responses
-    u_true = xs @ config.model.direction
-    u_hat = xs @ theta
-    records = tuple(
-        {
-            "k": i + 1,
-            "u_true": float(u_true[i]),
-            "u_hat": float(u_hat[i]),
-            "y": float(ys[i]),
-        }
-        for i in range(n)
-    )
+    xs = sample.covariates
+    table = {
+        "k": np.arange(1, n + 1, dtype=np.int64),
+        "u_true": xs @ config.model.direction,
+        "u_hat": xs @ theta,
+        "y": sample.responses,
+    }
     summary = {
         "study": "scatter",
         "config": _config_echo(config, config.resolved_eval_points()),
@@ -648,9 +615,4 @@ def scatter_study(config: StudyConfig) -> StudyResult:
         "theta_hat": [float(v) for v in theta],
         "direction_distance": direction_distance(theta, config.model.direction),
     }
-    return StudyResult(
-        study="scatter",
-        columns=("k", "u_true", "u_hat", "y"),
-        records=records,
-        summary=summary,
-    )
+    return StudyResult(study="scatter", table=table, summary=summary)

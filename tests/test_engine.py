@@ -357,6 +357,34 @@ def test_a_prefix_breakdown_is_refused():
             direction_path(sample)
 
 
+def _overflowing(p):
+    """A sample whose row 101 makes rho, and so the rank-one denominator, overflow to inf."""
+    sample = draw(reference_model(p=p), 200, 1)
+    sample.covariates[100, 1] = 1e200
+    return sample
+
+
+def test_an_infinite_rank_one_denominator_is_refused():
+    # An infinite denominator would turn the inverse to NaN; every form of
+    # the recursion must refuse it, as the prefix form refuses the sample.
+    sample, wide = _overflowing(4), _overflowing(engine._PREFIX_MAX_P + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericalBreakdownError, match="n = 101"):
+            direction_path(sample)
+        with pytest.raises(NumericalBreakdownError, match="n = 101 in replication 1"):
+            direction_paths([draw(reference_model(p=4), 200, 2), sample])
+        with pytest.raises(NumericalBreakdownError, match="inf is not finite and positive at n = 101"):
+            direction_path(wide)  # above _PREFIX_MAX_P: the recursion
+        state = init_stream(sample.head(30))
+        for i in range(30, 100):
+            stream_step(state, sample.covariates[i], float(sample.responses[i]))
+        before = _engine_arrays(state)
+        with pytest.raises(NumericalBreakdownError, match="n = 101"):
+            stream_step(state, sample.covariates[100], float(sample.responses[100]))
+    _assert_same_arrays(_engine_arrays(state), before)
+
+
 def test_direction_path_needs_no_kernel_and_matches_run_stream():
     sample = draw(reference_model(p=6), 400, 13)
     path = direction_path(sample, checkpoints=(100, 400))

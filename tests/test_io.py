@@ -164,8 +164,13 @@ def test_write_json_is_canonical(tmp_path):
 def test_records_csv_formats_cell_types(tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(
-        ["rep", "flag", "count", "value", "note"],
-        [{"rep": 0, "flag": True, "count": 7, "value": 0.1, "note": None}],
+        {
+            "rep": np.array([0]),
+            "flag": np.array([True]),
+            "count": np.array([7], dtype=np.int64),
+            "value": np.array([0.1]),
+            "note": np.array([np.nan]),
+        },
         path,
     )
     lines = path.read_text().splitlines()
@@ -362,3 +367,33 @@ def test_grid_csv_over_several_blocks_matches_the_one_shot_writer(tmp_path, coun
     # One read per block of at most _BLOCK_LINES points, then the one-shot read.
     assert len(calls) - 1 == -(-count // sio._BLOCK_LINES)
     assert max(calls[:-1]) <= sio._BLOCK_LINES
+
+
+def _cell_by_cell_table(columns, path):
+    """The table writer's rules applied one cell at a time, the whole file at once."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_, int, np.integer)):
+            return str(int(v))
+        return "" if math.isnan(v) else fmt(v)
+
+    rows = zip(*columns.values())
+    lines = [",".join(columns), *(",".join(cell(v) for v in row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("count", [1, sio._BLOCK_LINES, 2 * sio._BLOCK_LINES + 37])
+def test_table_csv_over_several_blocks_matches_a_cell_by_cell_writer(tmp_path, count):
+    rng = np.random.default_rng(8)
+    value = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+    gaps = rng.standard_normal(count)
+    gaps[rng.random(count) < 0.3] = np.nan
+    gaps[-1] = np.nan
+    columns = {
+        "k": rng.integers(-(2**62), 2**62, count),
+        "flag": rng.random(count) < 0.5,
+        "value": value,
+        "gaps": gaps,
+    }
+    sio._write_table(tmp_path / "blocks.csv", columns)
+    _cell_by_cell_table(columns, tmp_path / "cells.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
