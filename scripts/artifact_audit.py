@@ -4,8 +4,12 @@
 
 Every run imports `streamsir` from `<checkout>/src` (through PYTHONPATH)
 and writes into its own subdirectory of `<dir>`.  The script prints one
-`sha256  relative-path` line per artifact, sorted by path, so the lists of
-two checkouts compare with a single `diff`:
+`sha256  relative-path` line per artifact, sorted by path, then one
+`sha256  relative-path (as read)` line per CSV that a run reads (through
+--input, --log or --kernel-table): the digest of the float64 bytes the
+checkout's reader returns for it, so a reader change shows even where no
+artifact written downstream moves.  The lists of two checkouts compare
+with a single `diff`:
 
     git archive <parent> | tar -x -C /tmp/parent
     python scripts/artifact_audit.py --src /tmp/parent --out /tmp/audit-parent > parent.txt
@@ -23,7 +27,8 @@ at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
 replications); and scatter at p = 10 and 20.  That is 105 artifacts with
-the kernel table.
+the kernel table, and 9 files read: the two simulated samples, the six
+logs that predict reads, and the kernel table.
 
 With --compare, the script reads two such output directories instead and
 prints, for every artifact whose sha256 differs, the largest relative
@@ -54,6 +59,29 @@ MISSING_HEAVY = ["--sizes", "32,40,2000", "--reps", "7"]
 # A triangle on [-1.5, 1.5]: a support radius other than 1 and a kernel
 # other than the Epanechnikov one.
 TRIANGLE_TABLE = "x,k\n-1.5,0\n0,0.6666666666666666\n1.5,0\n"
+READ_FLAGS = ("--input", "--log", "--kernel-table")
+# Run with the checkout's streamsir: the sha256 of the float64 bytes its
+# reader returns for each path in argv (a log's indices, projections and
+# responses; a sample's covariates and responses; a table's x and k).
+READ_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from streamsir import BandwidthSchedule, epanechnikov
+from streamsir.io import read_kernel_table_csv, read_projection_log_csv, read_sample_csv
+
+def columns(path):
+    if path.endswith("projection_log.csv"):
+        log = read_projection_log_csv(path, epanechnikov(), BandwidthSchedule(alpha=0.35))
+        return [log.indices, log.projections, log.responses]
+    if path.endswith("kernel_table.csv"):
+        return list(read_kernel_table_csv(path))
+    sample = read_sample_csv(path)
+    return [sample.covariates, sample.responses]
+
+for path in sys.argv[1:]:
+    data = b"".join(np.ascontiguousarray(c, dtype=np.float64).tobytes() for c in columns(path))
+    print(hashlib.sha256(data).hexdigest())
+"""
 
 
 def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
@@ -223,9 +251,14 @@ def main() -> int:
     root.mkdir(parents=True, exist_ok=True)
     table = root / "kernel_table.csv"
     table.write_text(TRIANGLE_TABLE, encoding="utf-8")
+    read = set()
     for seed in SEEDS:
         for name, argv in runs(seed, table):
             run_dir = root / f"seed{seed}" / name
+            read.update(
+                (run_dir / value).resolve()
+                for flag, value in zip(argv, argv[1:]) if flag in READ_FLAGS
+            )
             run_dir.mkdir(parents=True, exist_ok=True)
             done = subprocess.run(
                 [sys.executable, "-m", "streamsir", *argv, "--out-dir", "."],
@@ -235,8 +268,18 @@ def main() -> int:
                 print(f"seed {seed} {name} exited {done.returncode}:\n{done.stderr}", file=sys.stderr)
                 return 1
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(root).as_posix()}")
+        print(f"{_digest(path)}  {path.relative_to(root).as_posix()}")
+    read_paths = sorted(path.relative_to(root).as_posix() for path in read)
+    done = subprocess.run(
+        [sys.executable, "-c", READ_DIGESTS, *read_paths],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        print(f"reading the input CSVs exited {done.returncode}:\n{done.stderr}",
+              file=sys.stderr)
+        return 1
+    for path, digest in zip(read_paths, done.stdout.split()):
+        print(f"{digest}  {path} (as read)")
     return 0
 
 

@@ -8,7 +8,9 @@ Every CSV is read through _read_csv, and every one but the fit curve is
 written from columns through _write_table, which alone decides how a cell
 is written: integers and booleans as digits, floats with %.17g, NaN as an
 empty cell.  Both work a block of lines at a time, so no file's text is
-ever held whole.  JSON documents
+ever held whole.  numpy's C text reader parses a block's cells as float()
+does; a block whose result it cannot vouch for (see _cells) is read again
+a cell at a time with float(), which reports the first error.  JSON documents
 carry a schema_version field and are written with sorted keys and a
 trailing newline so byte-identical reruns are possible.
 """
@@ -44,52 +46,69 @@ def fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _cell_error(text: str, what: str, index: bool) -> str | None:
-    """Why one cell breaks the schema, or None if it does not."""
+def _cell(text: str, what: str, index: bool) -> float:
+    """One cell read with float(); a ValueError says how it breaks the schema."""
     if index:
         # Whole numbers only, as the writer produces: float() would read
         # 2.0, 2e0 or 2.0000000000000001 as k = 2.  Past 16 significant
         # digits a number is above 2**53, so int() never gets a huge string.
         digits = text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 16
         if digits and 1 <= int(text) < _INDEX_LIMIT:
-            return None
-        return f"k must be a positive integer below 2**53, got {text!r}"
+            return float(text)
+        raise ValueError(f"k must be a positive integer below 2**53, got {text!r}")
     try:
         value = float(text)
     except ValueError:
-        return f"{what} cell {text!r} is not numeric"
-    return None if math.isfinite(value) else f"{what} cell {text!r} is not finite"
+        raise ValueError(f"{what} cell {text!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what} cell {text!r} is not finite")
+    return value
 
 
-def _cells(
-    rows: list[list[str]], names: Sequence[str], first_line: int, index: bool = False
-) -> np.ndarray:
-    """Data rows, the first on file line first_line, as a (rows, len(names)) float array.
-
-    One np.array call converts every cell; numpy parses a str cell with
-    Python's float, so the bits are those of a cell-by-cell read.  With
-    index set, the first column is a log index.  If any check fails, a scan
-    in row order raises the error a cell-by-cell read meets first.
-    """
+def _scan_cells(lines: list[str], names: Sequence[str], first_line: int, index: bool) -> np.ndarray:
+    """lines read cell by cell with float(); raises at the first row or cell off the schema."""
     width = len(names)
-    try:
-        cells = np.array(rows or np.empty((0, width)), dtype=np.float64)
-    except ValueError:
-        cells = None
-    ok = cells is not None and cells.shape[1:] == (width,) and np.isfinite(cells).all()
-    if ok and index and rows:
-        digits = "".join([row[0] for row in rows])
-        ks = cells[:, 0]
-        ok = digits.isascii() and digits.isdigit() and ks.min() >= 1 and ks.max() < _INDEX_LIMIT
-    if ok:
-        return cells
-    for line_no, row in enumerate(rows, start=first_line):
-        problem = f"expected {width} cells, got {len(row)}" if len(row) != width else None
-        for j, (text, what) in enumerate(zip(row, names)):
-            problem = problem or _cell_error(text, what, index and j == 0)
-        if problem:
-            raise CsvFormatError(f"line {line_no}: {problem}", row=line_no)
-    raise AssertionError("numpy refused cells that float() accepts")
+    cells = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        row = line.split(",")
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} cells, got {len(row)}")
+            cells[i] = [_cell(*cell, index and j == 0) for j, cell in enumerate(zip(row, names))]
+        except ValueError as exc:
+            raise CsvFormatError(f"line {first_line + i}: {exc}", row=first_line + i) from None
+    return cells
+
+
+def _cells(text: str, names: Sequence[str], first_line: int, index: bool = False) -> np.ndarray:
+    """Data lines, the first on file line first_line, as a (lines, len(names)) float array.
+
+    np.loadtxt parses the cells in C with PyOS_string_to_double, the routine
+    float() uses.  Its result is kept only for plain text, ASCII with no
+    control character but tab and newline (loadtxt skips blank lines and
+    strips 0x1c-0x1f; str.splitlines also breaks lines at form feed, vertical
+    tab, U+0085 and U+2028), and only with one row per line, finite cells
+    and, with index set, first cells of decimal digits in [1, 2**53).  Any
+    other block goes to _scan_cells, which raises the first error of a
+    cell-by-cell read or reads what float() takes and loadtxt refuses (1_0).
+    """
+    lines = text.splitlines()
+    codes = np.frombuffer(text.encode(), np.uint8)
+    # loadtxt skips empty lines, and warns if it finds no other.
+    if any(lines) and not (((codes < 32) & (codes != 9) & (codes != 10)) | (codes > 126)).any():
+        try:
+            cells = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            ok = cells.shape == (len(lines), len(names)) and np.isfinite(cells).all()
+            if ok and index:
+                ks = cells[:, 0]
+                digits = "".join([line.partition(",")[0] for line in lines])
+                ok = digits.isdigit() and ks.min() >= 1 and ks.max() < _INDEX_LIMIT
+            if ok:
+                return cells
+    return _scan_cells(lines, names, first_line, index)
 
 
 def _read_csv(
@@ -100,18 +119,20 @@ def _read_csv(
     columns checks the header's cells and returns the column names.  Lines
     split as str.splitlines splits the whole text, and blocks are checked in
     file order, so the first error reported is the first in the file.  Only
-    one block's cells are held as text at a time.
+    one block's text is held at a time; _cells converts it, in C where it
+    can vouch for the result and cell by cell where it cannot.
     """
     header, blocks, line_no = None, [], 2
     try:
         with open(path, encoding="utf-8") as f:
             while lines := list(islice(f, _BLOCK_LINES)):
-                rows = [line.split(",") for line in "".join(lines).splitlines()]
+                text = "".join(lines)
                 if header is None:
-                    header, rows = rows[0], rows[1:]
+                    first = text.splitlines(keepends=True)[0]
+                    header, text = first.splitlines()[0].split(","), text[len(first) :]
                     names = columns(header)
-                blocks.append(_cells(rows, names, line_no, index))
-                line_no += len(rows)
+                blocks.append(_cells(text, names, line_no, index))
+                line_no += len(blocks[-1])
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path!s}: {exc}") from exc
     if header is None:

@@ -195,6 +195,18 @@ class StudyResult:
     table: dict[str, np.ndarray]
     summary: dict[str, Any]
 
+    def __eq__(self, other: object) -> bool:
+        """Same kind, summary and column order, and equal columns (NaN equals NaN)."""
+        if not isinstance(other, StudyResult):
+            return NotImplemented
+        mine, theirs = self.table, other.table
+        return (
+            self.study == other.study
+            and self.summary == other.summary
+            and list(mine) == list(theirs)
+            and all(np.array_equal(mine[k], theirs[k], equal_nan=True) for k in mine)
+        )
+
     @property
     def records(self) -> tuple[dict[str, Any], ...]:
         """One dict per record row, built from table on each access; NaN reads None."""

@@ -342,6 +342,20 @@ def test_a_long_prefix_stream_stays_on_batch_sir():
     assert _max_rel(path.sir.theta_hat, batch_sir(sample, path.slicer)) <= _AIM3
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_the_recursion_stays_on_the_batch_moments_over_20000_rows(seed):
+    # direction_paths steps the Sherman-Morrison recursion on every row; its
+    # own drift after 2 * 10**4 steps at p = 10 is within aim 3's bound of one
+    # batch computation on the same rows (measured 5e-15 to 8e-15 for the
+    # inverse and 1.7e-14 to 1.9e-14 for theta_hat, relative in the 2-norm).
+    sample = draw(reference_model(p=10), 20_000, seed)
+    (path,) = direction_paths([sample])
+    whole = batch_moments(sample, path.slicer)
+    for got, want in ((path.sir.moments.inv_cov, whole.inv_cov),
+                      (path.sir.theta_hat, batch_sir(sample, path.slicer))):
+        assert np.linalg.norm(got - want) <= _AIM3 * np.linalg.norm(want)
+
+
 def test_a_prefix_breakdown_is_refused():
     # A row whose cross-product overflows leaves no finite prefix covariance
     # after it; the prefix form must refuse rather than log NaN.

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from streamsir import (
     BandwidthSchedule,
@@ -397,3 +400,200 @@ def test_table_csv_over_several_blocks_matches_a_cell_by_cell_writer(tmp_path, c
     sio._write_table(tmp_path / "blocks.csv", columns)
     _cell_by_cell_table(columns, tmp_path / "cells.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def _float_problem(cell, what, index):
+    """Why one cell breaks the schema, or None: the rules as float() and int() apply them."""
+    if index:
+        digits = cell.isascii() and cell.isdigit() and len(cell.lstrip("0")) <= 16
+        if not (digits and 1 <= int(cell) < 2**53):
+            return f"k must be a positive integer below 2**53, got {cell!r}"
+    try:
+        value = float(cell)
+    except ValueError:
+        return f"{what} cell {cell!r} is not numeric"
+    return None if math.isfinite(value) else f"{what} cell {cell!r} is not finite"
+
+
+def _float_read(path, names, index=False):
+    """The schema read the plain way: the whole text split by str.splitlines, each cell by float().
+
+    A refused file raises the CsvFormatError of its first bad row or cell.
+    """
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    for line_no, row in enumerate(rows, start=2):
+        problem = None if len(row) == len(names) else f"expected {len(names)} cells, got {len(row)}"
+        for j, (cell, what) in enumerate(zip(row, names)):
+            problem = problem or _float_problem(cell, what, index and j == 0)
+        if problem:
+            raise CsvFormatError(f"line {line_no}: {problem}", row=line_no)
+    values = [float(cell) for row in rows for cell in row]
+    return np.array(values, dtype=np.float64).reshape(len(rows), len(names))
+
+
+def _outcome(read, path):
+    """What read makes of path: its float array, or the refusal's (message, row).
+
+    A warning fails the read.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read(path)
+    except CsvFormatError as exc:
+        return str(exc), exc.row
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    # Bit patterns, so -0 and the subnormals count too.
+    if not (isinstance(got, np.ndarray) and got.shape == want.shape):
+        return False
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _read_log_columns(path):
+    log = read_projection_log_csv(path, epanechnikov(), BandwidthSchedule(alpha=0.35))
+    return np.column_stack([log.indices.astype(np.float64), log.projections, log.responses])
+
+
+def _read_sample_columns(path):
+    sample = read_sample_csv(path)
+    return np.column_stack([sample.covariates, sample.responses])
+
+
+def _parity_files(kind):
+    """(file lines without line ends, reader, the reader's column names, index)."""
+    rows = sio._BLOCK_LINES + 20
+    if kind == "sample":
+        sample = draw(reference_model(p=4), rows, 21)
+        cells = np.column_stack([sample.covariates, sample.responses])
+        names, read, index = ("x1", "x2", "x3", "x4", "y"), _read_sample_columns, False
+    else:
+        rng = np.random.default_rng(22)
+        cells = np.column_stack([np.arange(1, rows + 1), rng.standard_normal((rows, 2))])
+        names, read, index = ("k", "u", "y"), _read_log_columns, True
+    lines = [",".join(names)]
+    lines += [",".join([str(int(r[0])) if index else fmt(r[0]), *map(fmt, r[1:])]) for r in cells]
+    return lines, read, names, index
+
+
+def _joined(lines, i, line):
+    return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+
+def _cell_edit(f, cell=1):
+    """A case that rewrites one cell of the line with f."""
+    def edit(lines, i):
+        cells = lines[i].split(",")
+        cells[cell] = f(cells[cell])
+        return _joined(lines, i, ",".join(cells))
+
+    return edit
+
+
+_PARITY_CASES = {
+    "blank-line": lambda lines, i: _joined(lines, i, "\n" + lines[i]),
+    "whitespace-line": lambda lines, i: _joined(lines, i, " \t \n" + lines[i]),
+    **{
+        f"control-{name}": _cell_edit(lambda c, ch=ch: c + ch)
+        for name, ch in [("ff", "\f"), ("vt", "\v"), ("x1c", "\x1c"), ("x1f", "\x1f"),
+                         ("nul", "\x00"), ("nel", "\x85"), ("u2028", "\u2028")]
+    },
+    "hash": lambda lines, i: _joined(lines, i, "#" + lines[i]),
+    "quoted-cell": _cell_edit(lambda c: f'"{c}"'),
+    "trailing-comma": lambda lines, i: _joined(lines, i, lines[i] + ","),
+    "underscore": _cell_edit(lambda c: "1_0"),
+    "fullwidth-digit": _cell_edit(lambda c: "\uff17"),
+    "no-break-space": _cell_edit(lambda c: "\u00a0" + c),
+    "tab": _cell_edit(lambda c: "\t" + c + "\t"),
+    "crlf": lambda lines, i: "\n".join(lines[:i]) + "\n" + "\r\n".join(lines[i:]) + "\r\n",
+    "lone-cr": lambda lines, i: "\n".join(lines[:i]) + "\n" + "\r".join(lines[i:]) + "\r",
+    "no-final-newline": lambda lines, i: "\n".join(lines[: i + 1]),
+}
+_LOG_INDEX_CASES = {
+    "k-2.0": _cell_edit(lambda k: f"{k}.0", cell=0),
+    "k-plus": _cell_edit(lambda k: f"+{k}", cell=0),
+    "k-space": _cell_edit(lambda k: f" {k}", cell=0),
+    "k-zero": _cell_edit(lambda k: "0", cell=0),
+}
+# File line 3 lies in the first block, with the header; the other in the second.
+_PARITY_LINES = {"first-block": 2, "second-block": sio._BLOCK_LINES + 4}
+
+
+@pytest.mark.parametrize("where", list(_PARITY_LINES))
+@pytest.mark.parametrize(
+    "kind, case",
+    [(kind, case) for kind in ("sample", "log") for case in _PARITY_CASES]
+    + [("log", case) for case in _LOG_INDEX_CASES],
+)
+def test_the_readers_match_a_cell_by_cell_float_read(tmp_path, kind, case, where):
+    lines, read, names, index = _parity_files(kind)
+    edit = {**_PARITY_CASES, **_LOG_INDEX_CASES}[case]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(edit(lines, _PARITY_LINES[where]).encode("utf-8"))
+    want = _outcome(lambda p: _float_read(p, names, index), path)
+    assert _same_outcome(_outcome(read, path), want), want if isinstance(want, tuple) else case
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_SCRAPS = st.text(
+    alphabet=list("0123456789+-eE._ \t") + ["\f", "\v", "\x1c", "\x1f", "\x00", "\x85",
+                                           "\u2028", "\uff11", "\u0661", "\u00a0"],
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    schema=st.sampled_from(
+        [(("x1", "x2", "y"), False), (("k", "u", "y"), True), (("x", "k"), False)]
+    ),
+    lead=st.sampled_from([0, 1, sio._BLOCK_LINES - 3]),
+    cells=st.lists(st.one_of(_NUMBERS, _NUMBERS, _SCRAPS, st.integers(0, 10**17).map(str)),
+                   min_size=1, max_size=12),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+    final=st.booleans(),
+)
+def test_random_cells_read_as_a_cell_by_cell_float_read(tmp_path, schema, lead, cells, end, final):
+    # lead well-formed lines come first, so the drawn ones lie in the first
+    # block or across its edge.
+    names, index = schema
+    width = len(names)
+    firsts = [str(i + 1) if index else "0.5" for i in range(lead)]
+    plain = [",".join([first, *["-2.5"] * (width - 1)]) for first in firsts]
+    drawn = [",".join(cells[a : a + width]) for a in range(0, len(cells), width)]
+    path = tmp_path / "random.csv"
+    text = end.join([",".join(names), *plain, *drawn]) + (end if final else "")
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(lambda p: sio._read_csv(p, sio._fixed_columns(*names), index), path)
+    assert _same_outcome(got, _outcome(lambda p: _float_read(p, names, index), path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x,k\n", "x,k\n\n", "x,k\n" + "1,0\n" * (sio._BLOCK_LINES - 1) + "\n\n"],
+    ids=["header-only", "one-blank-line", "second-block-blank"],
+)
+def test_a_block_without_cells_is_read_as_float_reads_it(tmp_path, text):
+    # loadtxt warns when it finds no data line, and _outcome fails on that.
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(lambda p: np.column_stack(read_kernel_table_csv(p)), path)
+    assert _same_outcome(got, _outcome(lambda p: _float_read(p, ("x", "k")), path))
+
+
+def test_a_well_formed_sample_is_never_read_cell_by_cell(tmp_path, monkeypatch):
+    sample = draw(reference_model(p=6), 3000, 23)
+    path = tmp_path / "sample.csv"
+    write_sample_csv(sample, path)
+
+    def refuse(*args):
+        raise AssertionError("a well-formed block went to the per-cell path")
+
+    monkeypatch.setattr(sio, "_scan_cells", refuse)
+    back = read_sample_csv(path)
+    assert np.array_equal(back.covariates, sample.covariates)
+    assert np.array_equal(back.responses, sample.responses)

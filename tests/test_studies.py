@@ -276,6 +276,21 @@ def test_scatter_is_deterministic(model_m):
     assert a.summary == b.summary
 
 
+def test_study_results_compare_by_their_columns(model_m):
+    config = StudyConfig(model=model_m, sizes=(400,), n_reps=1, seed=11)
+    a, b = scatter_study(config), scatter_study(config)
+    assert a == b and not a != b
+    u_hat = b.table["u_hat"].copy()
+    u_hat[17] = np.nextafter(u_hat[17], np.inf)
+    c = studies.StudyResult(b.study, {**b.table, "u_hat": u_hat}, b.summary)
+    assert a != c and not a == c
+    # Column order is part of the result, and NaN cells compare equal.
+    assert a != studies.StudyResult(a.study, dict(reversed(a.table.items())), a.summary)
+    gaps = np.array([1.0, np.nan])
+    with_gaps = studies.StudyResult("rate", {"v": gaps}, {})
+    assert with_gaps == studies.StudyResult("rate", {"v": gaps.copy()}, {})
+
+
 def test_parallel_schedule_does_not_change_results(model_m):
     kwargs = dict(
         model=model_m,
