@@ -1,7 +1,7 @@
 """Run compact Monte Carlo studies of the estimator's convergence behavior.
 
 Replications are seeded independently (replication r uses master_seed XOR r),
-so results are bit-reproducible and independent of worker scheduling.  This
+so results are bit-reproducible and independent of how they are scheduled.  This
 script runs a small convergence table and a log-log rate fit; the full-scale
 studies behind the test suite use the same code paths with more replications.
 """

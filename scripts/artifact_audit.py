@@ -26,7 +26,9 @@ log, from the tabulated fit's log and from the --input fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
-replications); and scatter at p = 10 and 20.  That is 105 artifacts with
+replications); and scatter at p = 10 and 20.  cv and study run in one
+process whatever --workers says, so the workers 2 and 3 runs check that
+the flag changes no artifact.  That is 105 artifacts with
 the kernel table, and 9 files read: the two simulated samples, the six
 logs that predict reads, and the kernel table.
 

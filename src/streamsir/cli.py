@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes over contiguous replication blocks (results do not depend on it)",
+        help="kept for compatibility; replications run in one process",
     )
     sp.add_argument("--eval-count", type=int, default=10, help="number of evaluation points")
     return parser
@@ -289,10 +289,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
             n_reps=args.reps if args.reps is not None else default_reps[args.kind],
             alpha=cfg.alpha,
             seed=cfg.seed,
-            eval_points=None if args.eval_count == 10 else draw_eval_points(model, args.eval_count),
+            eval_points=draw_eval_points(model, args.eval_count),
             warmup=cfg.warmup,
-            workers=args.workers,
         )
+        if args.workers < 1:
+            raise ValueError("workers must be at least 1")
         runner = {
             "scatter": scatter_study,
             "convergence": convergence_study,

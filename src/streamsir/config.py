@@ -122,6 +122,11 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         )
     if cfg.kernel == "tabulated" and not cfg.kernel_table:
         raise ConfigError("kernel = tabulated requires kernel_table", key="kernel_table")
+    if cfg.kernel != "tabulated" and cfg.kernel_table:
+        raise ConfigError(
+            f"kernel_table is read only with kernel = tabulated, got kernel = {cfg.kernel}",
+            key="kernel_table",
+        )
     if cfg.grid_count < 1:
         raise ConfigError("grid_count must be at least 1", key="grid_count")
     if cfg.grid_count > _MAX_GRID:

@@ -222,12 +222,22 @@ def read_projection_log_csv(
 
     The kernel and bandwidth schedule are not stored in the CSV; the caller
     must supply the ones used when the log was produced.
+
+    Raises:
+        CsvFormatError: a bad header, row or cell, named by its line as
+            for every CSV; else, for indices not strictly increasing, the
+            first line whose k is not above the one before it.
     """
     ks, us, ys = _read_csv(path, _fixed_columns("k", "u", "y"), index=True).T
-    try:
-        return ProjectionLog.from_entries(kernel, schedule, ks.astype(np.int64), us, ys)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc)) from exc
+    down = np.flatnonzero(ks[1:] <= ks[:-1])
+    if down.size:
+        # Row i + 1 breaks the order; each data row is one line, so it is line i + 3.
+        i = int(down[0])
+        raise CsvFormatError(
+            f"line {i + 3}: k must be strictly increasing, got {ks[i + 1]:.0f} after {ks[i]:.0f}",
+            row=i + 3,
+        )
+    return ProjectionLog.from_entries(kernel, schedule, ks.astype(np.int64), us, ys)
 
 
 def write_grid_csv(
@@ -273,10 +283,9 @@ def write_json(payload: dict[str, Any], path: str | Path) -> None:
     )
 
 
-def moment_state_to_dict(state: MomentState, slicer: Slicer) -> dict[str, Any]:
-    """JSON-ready snapshot of a moment state and its slice boundary."""
-    return {
-        "schema_version": SCHEMA_VERSION,
+def write_moment_state(state: MomentState, slicer: Slicer, path: str | Path) -> None:
+    """Write a moment state and its slice boundary as a JSON snapshot."""
+    doc = {
         "n": int(state.n),
         "mean": [float(v) for v in state.mean],
         "inv_cov": [[float(v) for v in row] for row in state.inv_cov],
@@ -284,22 +293,7 @@ def moment_state_to_dict(state: MomentState, slicer: Slicer) -> dict[str, Any]:
         "slice_means": [[float(v) for v in row] for row in state.slice_means],
         "boundary": float(slicer.boundary),
     }
-
-
-def moment_state_from_dict(doc: dict[str, Any]) -> tuple[MomentState, Slicer]:
-    """Inverse of moment_state_to_dict."""
-    state = MomentState(
-        n=int(doc["n"]),
-        mean=np.asarray(doc["mean"], dtype=np.float64),
-        inv_cov=np.asarray(doc["inv_cov"], dtype=np.float64),
-        slice_counts=np.asarray(doc["slice_counts"], dtype=np.int64),
-        slice_means=np.asarray(doc["slice_means"], dtype=np.float64),
-    )
-    return state, Slicer(boundary=float(doc["boundary"]))
-
-
-def write_moment_state(state: MomentState, slicer: Slicer, path: str | Path) -> None:
-    write_json(moment_state_to_dict(state, slicer), path)
+    write_json(doc, path)
 
 
 def write_records_csv(table: dict[str, np.ndarray], path: str | Path) -> None:

@@ -17,8 +17,8 @@ s XOR r, so replications are decoupled and any single one can be rerun in
 isolation.  The checkpoint studies step their replications in contiguous
 blocks of at most _REP_BLOCK through one batched direction pass
 (engine.direction_paths), which gives each replication the same bits as
-running it alone; so the isolation holds bit for bit, and neither the
-block layout nor the worker count changes any artifact.  Evaluation points
+running it alone; so the isolation holds bit for bit, and the block layout
+changes no artifact.  Replications run in this process.  Evaluation points
 come from a dedicated seeded draw that is independent of every
 replication seed.  All randomness flows through these two rules, which
 makes every artifact byte-reproducible from (config, seed); records.csv
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -114,6 +113,9 @@ def projected_density(model: SingleIndexModel, t: float) -> float:
 class StudyConfig:
     """Shared configuration of the Monte Carlo studies.
 
+    Every study runs its replications in this process, in contiguous
+    blocks sized from n_reps alone; the block layout changes no result.
+
     Attributes:
         model: data-generating model.
         sizes: checkpoint sample sizes, strictly increasing; scatter and
@@ -125,8 +127,6 @@ class StudyConfig:
             covariate vectors or an (m,) array of projection values; None
             means a seeded default draw of 10 covariate vectors.
         warmup: warm-up length override; None means max(2 p, 30).
-        workers: process count; the replications are split into at least
-            this many contiguous blocks, and results do not depend on it.
         bootstrap: resample count for the rate study's slope interval.
     """
 
@@ -137,7 +137,6 @@ class StudyConfig:
     seed: int = 0
     eval_points: np.ndarray | None = None
     warmup: int | None = None
-    workers: int = 1
     bootstrap: int = 200
 
     def __post_init__(self) -> None:
@@ -156,8 +155,6 @@ class StudyConfig:
             raise ValueError(
                 f"smallest checkpoint {sizes[0]} must exceed the warm-up length {n0}"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.bootstrap < 1:
             raise ValueError("bootstrap must be at least 1")
         if self.eval_points is not None:
@@ -260,18 +257,20 @@ def _point_truths(
 
 
 def _checkpoint_block(
-    args: tuple[SingleIndexModel, tuple[int, ...], float, int, range, np.ndarray, int],
+    config: StudyConfig, eval_points: np.ndarray, reps: range
 ) -> tuple[np.ndarray, np.ndarray]:
     """A contiguous block of replications: one batched direction pass, then each one's estimates.
 
-    Replication rep draws its own sample with seed master_seed XOR rep.
+    Replication rep draws its own sample with seed config.seed XOR rep.
     Returns the (rep, size, point) estimates and the (rep, size) direction
-    distances of the block.  Module-level so a process pool can pickle it.
+    distances of the block.
     """
-    model, sizes, alpha, warmup, reps, eval_points, master_seed = args
-    samples = [draw(model, sizes[-1], master_seed ^ rep) for rep in reps]
-    paths = direction_paths(samples, warmup=warmup, checkpoints=sizes)
-    est, dd = zip(*(_checkpoint_rows(path, model, sizes, alpha, eval_points) for path in paths))
+    model, sizes = config.model, config.sizes
+    samples = [draw(model, sizes[-1], config.seed ^ rep) for rep in reps]
+    paths = direction_paths(samples, warmup=config.resolved_warmup(), checkpoints=sizes)
+    est, dd = zip(
+        *(_checkpoint_rows(path, model, sizes, config.alpha, eval_points) for path in paths)
+    )
     return np.stack(est), np.stack(dd)
 
 
@@ -308,13 +307,9 @@ def _checkpoint_rows(
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 
 
-def _replication_blocks(n_reps: int, workers: int) -> list[range]:
-    """Near-equal contiguous blocks of replications, each at most _REP_BLOCK long.
-
-    There are max(workers, ceil(n_reps / _REP_BLOCK)) of them, so every
-    worker gets one, but never more blocks than replications.
-    """
-    count = min(n_reps, max(workers, -(-n_reps // _REP_BLOCK)))
+def _replication_blocks(n_reps: int) -> list[range]:
+    """ceil(n_reps / _REP_BLOCK) near-equal contiguous blocks of replications."""
+    count = -(-n_reps // _REP_BLOCK)
     bounds = [n_reps * b // count for b in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -322,19 +317,9 @@ def _replication_blocks(n_reps: int, workers: int) -> list[range]:
 def _run_checkpoint_study(config: StudyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rep, size, point) estimates, (rep, size) direction distances and the evaluation points."""
     eval_points = config.resolved_eval_points()
-    warmup = config.resolved_warmup()
-    tasks = [
-        (config.model, config.sizes, config.alpha, warmup, reps, eval_points, config.seed)
-        for reps in _replication_blocks(config.n_reps, config.workers)
-    ]
-    if config.workers <= 1:
-        chunks = [_checkpoint_block(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_checkpoint_block, tasks))
-    est = np.concatenate([c[0] for c in chunks])
-    dd = np.concatenate([c[1] for c in chunks])
-    return est, dd, eval_points
+    blocks = _replication_blocks(config.n_reps)
+    est, dd = zip(*(_checkpoint_block(config, eval_points, reps) for reps in blocks))
+    return np.concatenate(est), np.concatenate(dd), eval_points
 
 
 def _checkpoint_table(

@@ -165,6 +165,29 @@ def test_fitting_a_csv_equals_streaming_its_rows(tmp_path):
     assert doc["theta_hat"] == [float(f"{v:.17g}") for v in state.theta_hat]
 
 
+def test_fit_state_json_holds_the_streamed_moments(tmp_path):
+    r = run_cli(["fit", "--n", "400", "--seed", "7"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads((tmp_path / "state.json").read_text())
+
+    state = run_stream(draw(reference_model(p=10), 400, 7), alpha=0.35)
+    moments = state.sir.moments
+    want = {
+        "schema_version": 1,
+        "n": moments.n,
+        "mean": moments.mean,
+        "inv_cov": moments.inv_cov,
+        "slice_counts": moments.slice_counts,
+        "slice_means": moments.slice_means,
+        "boundary": state.slicer.boundary,
+    }
+    assert sorted(doc) == sorted(want)
+    for key, value in want.items():
+        got, expected = np.asarray(doc[key]), np.asarray(value)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, key
+        assert got.tobytes() == expected.tobytes(), key
+
+
 def test_abbreviated_flags_are_rejected(tmp_path):
     r = run_cli(["fit", "--alph", "0.3", "--n", "100"], tmp_path)
     assert r.returncode == 2
@@ -227,6 +250,8 @@ def test_study_refuses_a_non_default_kernel(tmp_path):
         (["cv", "--n", "200", "--grid-min", "0.5", "--grid-max", "0.3"], "cv.json", "non-empty"),
         (["cv", "--n", "200", "--workers", "-3"], "cv.json", "workers must be at least 1"),
         (["study", "--kind", "rate", "--sizes", "250,abc", "--reps", "2"], "records.csv", "'abc'"),
+        (["study", "--kind", "rate", "--sizes", "250", "--reps", "2", "--workers", "0"],
+         "records.csv", "workers must be at least 1"),
     ],
 )
 def test_bad_cv_and_study_input_is_a_one_line_error(tmp_path, args, artifact, message):
@@ -260,8 +285,9 @@ def test_cv_refuses_a_non_finite_or_oversized_grid(tmp_path, flag, value, messag
         ["cv", "--n", "200", "--grid-step", "nan"],
         ["predict", "--log", "missing.csv", "--at", "0"],
         ["study", "--kind", "rate", "--sizes", "250,abc", "--reps", "2"],
+        ["fit", "--n", "200", "--kernel-table", "table.csv"],
     ],
-    ids=["cv-nan-step", "predict-missing-log", "study-bad-sizes"],
+    ids=["cv-nan-step", "predict-missing-log", "study-bad-sizes", "fit-table-without-kernel"],
 )
 def test_a_refused_run_leaves_no_output_directory(tmp_path, args):
     r = run_cli(args + ["--out-dir", "od/new"], tmp_path)

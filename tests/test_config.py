@@ -78,6 +78,13 @@ def test_kernel_choices():
     validate_config(EngineConfig(kernel="tabulated", kernel_table="k.csv"))
 
 
+def test_a_kernel_table_without_the_tabulated_kernel_is_refused():
+    # The table would be ignored and the fit would silently use Epanechnikov.
+    with pytest.raises(ConfigError, match="kernel = tabulated") as err:
+        validate_config(EngineConfig(kernel_table="k.csv"))
+    assert err.value.key == "kernel_table"
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError, match="grid_count"):
         validate_config(EngineConfig(grid_count=0))

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -12,7 +11,6 @@ from streamsir import (
     CsvFormatError,
     ProjectionLog,
     Sample,
-    Slicer,
     curve,
     draw,
     epanechnikov,
@@ -21,8 +19,6 @@ from streamsir import (
 from streamsir import io as sio
 from streamsir.io import (
     fmt,
-    moment_state_from_dict,
-    moment_state_to_dict,
     read_kernel_table_csv,
     read_projection_log_csv,
     read_sample_csv,
@@ -32,7 +28,6 @@ from streamsir.io import (
     write_records_csv,
     write_sample_csv,
 )
-from streamsir.moments import batch_moments
 
 
 def test_sample_round_trip_is_exact(tmp_path):
@@ -134,23 +129,6 @@ def test_kernel_table_round_trip(tmp_path):
     back_x, back_k = read_kernel_table_csv(path)
     assert np.array_equal(back_x, xs)
     assert np.array_equal(back_k, ks)
-
-
-def test_moment_state_json_round_trip(tmp_path):
-    sample = draw(reference_model(p=4), 30, 1)
-    slicer = Slicer(boundary=float(np.median(sample.responses)))
-    state = batch_moments(sample, slicer)
-    doc = moment_state_to_dict(state, slicer)
-    path = tmp_path / "state.json"
-    write_json(doc, path)
-    loaded = json.loads(path.read_text())
-    back, back_slicer = moment_state_from_dict(loaded)
-    assert back_slicer.boundary == slicer.boundary
-    assert back.n == state.n
-    assert np.array_equal(back.mean, state.mean)
-    assert np.array_equal(back.inv_cov, state.inv_cov)
-    assert np.array_equal(back.slice_counts, state.slice_counts)
-    assert np.array_equal(back.slice_means, state.slice_means)
 
 
 def test_write_json_is_canonical(tmp_path):
@@ -286,6 +264,26 @@ def test_a_file_with_several_errors_reports_the_first(tmp_path, reader, text, me
         reader(path)
     assert str(exc.value) == message
     assert exc.value.row == int(message.split()[1].rstrip(":"))
+
+
+@pytest.mark.parametrize(
+    "ks, line",
+    [
+        ([5, 4], 3),
+        ([1, 2, 2, 3], 4),
+        # Lines 2..1024 fill the first block with the header; 1025 opens the second.
+        ([*range(1, sio._BLOCK_LINES), 7, sio._BLOCK_LINES + 1], sio._BLOCK_LINES + 1),
+    ],
+    ids=["decrease", "repeat", "decrease-opening-the-second-block"],
+)
+def test_a_log_out_of_order_names_its_first_line_out_of_order(tmp_path, ks, line):
+    path = tmp_path / "log.csv"
+    path.write_text("k,u,y\n" + "".join(f"{k},0.5,1.0\n" for k in ks))
+    with pytest.raises(CsvFormatError) as exc:
+        read_projection_log_csv(path, epanechnikov(), BandwidthSchedule(alpha=0.35))
+    k, before = ks[line - 2], ks[line - 3]
+    assert str(exc.value) == f"line {line}: k must be strictly increasing, got {k} after {before}"
+    assert exc.value.row == line
 
 
 @pytest.mark.parametrize(

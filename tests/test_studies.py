@@ -291,41 +291,48 @@ def test_study_results_compare_by_their_columns(model_m):
     assert with_gaps == studies.StudyResult("rate", {"v": gaps.copy()}, {})
 
 
-def test_parallel_schedule_does_not_change_results(model_m):
+def test_parallel_schedule_does_not_change_results(model_m, monkeypatch):
+    # Each replication has the same bits whichever block it is stepped in:
+    # four and seven replications in blocks of one, three and 64.
     kwargs = dict(
-        model=model_m,
-        sizes=(100, 200),
-        n_reps=4,
-        seed=5,
-        eval_points=np.array([0.0, 0.5]),
-        warmup=30,
+        model=model_m, sizes=(100, 200), seed=5, eval_points=np.array([0.0, 0.5]), warmup=30
     )
-    serial = convergence_study(StudyConfig(**kwargs, workers=1))
-    parallel = convergence_study(StudyConfig(**kwargs, workers=2))
-    assert serial.records == parallel.records
-    assert serial.summary == parallel.summary
-
-    # Seven replications split into one, two and three blocks.
-    kwargs.update(n_reps=7, bootstrap=50)
-    serial = rate_study(StudyConfig(**kwargs, workers=1))
-    for workers in (2, 3):
-        parallel = rate_study(StudyConfig(**kwargs, workers=workers))
-        assert serial.records == parallel.records
-        assert serial.summary == parallel.summary
+    cases = ((convergence_study, dict(n_reps=4)), (rate_study, dict(n_reps=7, bootstrap=50)))
+    for run, extra in cases:
+        results = []
+        for block in (1, 3, 64):
+            monkeypatch.setattr(studies, "_REP_BLOCK", block)
+            results.append(run(StudyConfig(**kwargs, **extra)))
+        for other in results[1:]:
+            assert other.records == results[0].records
+            assert other.summary == results[0].summary
 
 
 @pytest.mark.parametrize("n_reps", [1, 7, _REP_BLOCK, _REP_BLOCK + 1, 3 * _REP_BLOCK - 1])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_replication_blocks_are_contiguous_bounded_and_near_equal(n_reps, workers):
-    blocks = _replication_blocks(n_reps, workers)
-    assert [rep for block in blocks for rep in block] == list(range(n_reps))
-    sizes = [len(block) for block in blocks]
-    assert max(sizes) <= _REP_BLOCK and max(sizes) - min(sizes) <= 1
-    assert len(blocks) == min(n_reps, max(workers, math.ceil(n_reps / _REP_BLOCK)))
+@pytest.mark.parametrize("block", [1, 2, 3, _REP_BLOCK])
+def test_replication_blocks_are_contiguous_bounded_and_near_equal(n_reps, block, monkeypatch):
+    monkeypatch.setattr(studies, "_REP_BLOCK", block)
+    blocks = _replication_blocks(n_reps)
+    assert [rep for b in blocks for rep in b] == list(range(n_reps))
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+    assert len(blocks) == math.ceil(n_reps / block)
 
 
 def test_ks_critical_value_equals_scipy():
     assert KS_CRIT_1PCT == float(sps.kstwobign.ppf(0.99))
+
+
+def test_importing_the_package_does_not_import_a_process_pool():
+    code = (
+        "import sys, streamsir, streamsir.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_importing_the_package_does_not_import_scipy():
