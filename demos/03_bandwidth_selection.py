@@ -15,7 +15,7 @@ def main() -> None:
     sample = draw(model, 1000, seed=3)
     grid = [round(0.10 + 0.05 * k, 10) for k in range(1, 10)]
 
-    report = select_alpha(sample, grid, workers=4)
+    report = select_alpha(sample, grid)
 
     print("One-step-ahead squared-error profile (n = 1000):")
     print(f"{'alpha':>6} {'score':>12} {'skipped':>8}")

@@ -35,7 +35,9 @@ logs that predict reads, and the kernel table.
 With --compare, the script reads two such output directories instead and
 prints, for every artifact whose sha256 differs, the largest relative
 difference |a - b| / max(|a|, |b|) over its numeric CSV or JSON cells and
-where it occurs:
+where it occurs, then one indented line per key that differs (a CSV
+column's header or a JSON leaf's last key name) with that key's largest
+relative difference:
 
     python scripts/artifact_audit.py --compare /tmp/audit-parent /tmp/audit-change
 
@@ -148,28 +150,35 @@ def _number(text: str) -> float | None:
 
 
 def _csv_cells(path: Path):
-    """(location, text) of every cell, header included."""
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    """(location, column header, text) of every cell, header included."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",") if lines else []
+    for line_no, line in enumerate(lines, start=1):
         for col, cell in enumerate(line.split(","), start=1):
-            yield f"line {line_no} cell {col}", cell
+            key = header[col - 1] if col <= len(header) else f"cell {col}"
+            yield f"line {line_no} cell {col}", key, cell
 
 
-def _json_cells(doc, where: str = ""):
-    """(location, value) of every leaf; key lists and lengths count as leaves, so layouts compare."""
+def _json_cells(doc, where: str = "", key: str = "."):
+    """(location, last key name, value) of every leaf; key lists and lengths count as
+    leaves, so layouts compare."""
     if isinstance(doc, dict):
-        yield f"{where}{{keys}}", sorted(doc)
-        for key in sorted(doc):
-            yield from _json_cells(doc[key], f"{where}.{key}")
+        yield f"{where}{{keys}}", key, sorted(doc)
+        for name in sorted(doc):
+            yield from _json_cells(doc[name], f"{where}.{name}", name)
     elif isinstance(doc, list):
-        yield f"{where}[len]", len(doc)
+        yield f"{where}[len]", key, len(doc)
         for i, item in enumerate(doc):
-            yield from _json_cells(item, f"{where}[{i}]")
+            yield from _json_cells(item, f"{where}[{i}]", key)
     else:
-        yield where or ".", doc
+        yield where or ".", key, doc
 
 
-def _largest_difference(a: Path, b: Path) -> tuple[float, str]:
-    """The largest relative difference between two artifacts' numbers, where it is, and both values.
+def _largest_differences(a: Path, b: Path) -> dict[str, tuple[float, str]]:
+    """Per key that differs, the largest relative difference between two artifacts'
+    numbers, where it is, and both values.
+
+    A key is a CSV cell's column header or a JSON leaf's last key name.
 
     Raises:
         LayoutDiffers: the files differ in anything but numeric values.
@@ -179,19 +188,19 @@ def _largest_difference(a: Path, b: Path) -> tuple[float, str]:
         cells_b = list(_json_cells(json.loads(b.read_text(encoding="utf-8"))))
     else:
         cells_a, cells_b = list(_csv_cells(a)), list(_csv_cells(b))
-    if [where for where, _ in cells_a] != [where for where, _ in cells_b]:
+    if [where for where, _, _ in cells_a] != [where for where, _, _ in cells_b]:
         raise LayoutDiffers("layout differs")
-    worst, at = 0.0, ""
-    for (where, x), (_, y) in zip(cells_a, cells_b):
+    worst: dict[str, tuple[float, str]] = {}
+    for (where, key, x), (_, _, y) in zip(cells_a, cells_b):
         if x == y:
             continue
         u, v = (_number(x), _number(y)) if isinstance(x, str) else (x, y)
         if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in (u, v)):
             raise LayoutDiffers(f"{where}: {x!r} != {y!r}")
         rel = _rel(float(u), float(v))
-        if rel > worst or not at:
-            worst, at = rel, f"{where} ({u!r} vs {v!r})"
-    return worst, at
+        if key not in worst or rel > worst[key][0]:
+            worst[key] = rel, f"{where} ({u!r} vs {v!r})"
+    return worst
 
 
 def _digest(path: Path) -> str:
@@ -214,11 +223,14 @@ def compare(root_a: Path, root_b: Path) -> int:
             continue
         differ += 1
         try:
-            worst, at = _largest_difference(a, b)
+            per_key = _largest_differences(a, b)
         except (LayoutDiffers, ValueError) as exc:
             print(f"{rel}  {exc}")
-        else:
-            print(f"{rel}  max rel {worst:.3g} at {at}")
+            continue
+        worst, at = max(per_key.values(), key=lambda w: w[0], default=(0.0, "no numeric cell"))
+        print(f"{rel}  max rel {worst:.3g} at {at}")
+        for key in sorted(per_key):
+            print(f"    {key}  max rel {per_key[key][0]:.3g}")
     print(f"{same} identical, {differ} differ")
     return 0
 

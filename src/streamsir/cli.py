@@ -28,8 +28,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
-import numpy as np
-
 from .config import EngineConfig, load_config
 from .crossval import select_alpha
 from .engine import run_stream
@@ -119,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-min", type=float, default=0.1, help="smallest exponent")
     sp.add_argument("--grid-max", type=float, default=0.6, help="largest exponent")
     sp.add_argument("--grid-step", type=float, default=0.025, help="grid spacing")
-    sp.add_argument("--workers", type=int, default=1, help="kept for compatibility; runs serially")
+    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored")
 
     sp = sub.add_parser("study", allow_abbrev=False, help="run a Monte Carlo study")
     common(sp)
@@ -136,12 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="model dimension")
     sp.add_argument("--noise-std", type=float, help="model noise level")
     sp.add_argument("--warmup", type=int, help="warm-up length")
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="kept for compatibility; replications run in one process",
-    )
+    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     sp.add_argument("--eval-count", type=int, default=10, help="number of evaluation points")
     return parser
 
@@ -261,9 +254,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     grid = [a for a in grid if a <= args.grid_max + 1e-12]
     boundary = None if cfg.boundary is None else Slicer(boundary=cfg.boundary)
     try:
-        report = select_alpha(
-            sample, grid, slicer=boundary, warmup=cfg.warmup, kernel=kernel, workers=args.workers
-        )
+        report = select_alpha(sample, grid, slicer=boundary, warmup=cfg.warmup, kernel=kernel)
     except ValueError as exc:
         raise StreamSirError(str(exc)) from exc
     out = _resolve_out_dir(args, cfg)
@@ -292,8 +283,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
             eval_points=draw_eval_points(model, args.eval_count),
             warmup=cfg.warmup,
         )
-        if args.workers < 1:
-            raise ValueError("workers must be at least 1")
         runner = {
             "scatter": scatter_study,
             "convergence": convergence_study,
@@ -321,6 +310,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         "study": _cmd_study,
     }
     try:
+        # cv and study parse --workers only so that existing command lines keep working.
+        if getattr(args, "workers", 1) < 1:
+            raise StreamSirError("workers must be at least 1")
         return handlers[args.command](args)
     except StreamSirError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

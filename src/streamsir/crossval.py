@@ -144,20 +144,17 @@ def select_alpha(
     slicer: Slicer | None = None,
     warmup: int | None = None,
     kernel: KernelSpec | None = None,
-    workers: int = 1,
 ) -> CvReport:
     """Score every candidate exponent and select the minimizer.
 
     Ties break toward the smaller alpha value, and among equal values
     toward the earlier grid position, so the selection never depends on
-    evaluation order.  workers is validated and accepted for compatibility;
-    scoring runs in this process, since the blocked replay outruns a pool.
+    evaluation order.  Scoring runs in this process: one direction pass,
+    then the blocked kernel replay of each candidate.
 
     Raises:
-        ValueError: empty grid, a candidate outside (0, 1) or workers < 1.
+        ValueError: empty grid or a candidate outside (0, 1).
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     cand = [float(a) for a in np.asarray(grid, dtype=np.float64).ravel()]
     if not cand:
         raise ValueError("exponent grid must be non-empty")

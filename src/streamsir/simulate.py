@@ -10,7 +10,7 @@ to (1, 2, -2, -1, 0, ..., 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -49,7 +49,7 @@ from .engine import DirectionPath, default_warmup, direction_path, direction_pat
 from .kernels import BandwidthSchedule, epanechnikov
 from .linkreg import curve, theoretical_std
 from .sir import direction_distance
-from .simulate import Sample, SingleIndexModel, draw
+from .simulate import SingleIndexModel, draw
 from .io import write_json, write_records_csv
 
 # Not called here: the per-layer tracer (perfbench/tracing.py) patches these
@@ -65,7 +65,7 @@ HISTOGRAM_EDGES = np.linspace(-4.0, 4.0, 25)
 
 # Asymptotic 1% critical value of sqrt(m) times the one-sample
 # Kolmogorov-Smirnov statistic: float(scipy.stats.kstwobign.ppf(0.99)),
-# written out so that importing the package does not import scipy.
+# written out because scipy is not a runtime dependency.
 KS_CRIT_1PCT = 1.6276236115189502
 
 # Most replications one direction_paths call steps together.  Its state is
@@ -101,12 +101,45 @@ def projected_density(model: SingleIndexModel, t: float) -> float:
     theta' mu and variance theta' Sigma theta, so the density is available
     in closed form for every supported covariate law.
     """
-    from scipy import stats as sps
-
     s = float(np.sqrt(model.projected_variance()))
     if s <= 0.0:
         raise ValueError("projected variance must be positive")
-    return float(sps.norm.pdf(t, loc=model.projected_mean(), scale=s))
+    x = (t - model.projected_mean()) / s
+    return float(np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / s)
+
+
+def _skewness(z: np.ndarray) -> float:
+    """Sample skewness m3 / m2**1.5, with the bits of scipy.stats.skew(z)."""
+    d = z - z.mean()
+    m2 = np.mean(d * d)
+    return float(np.mean(d * d * d) / m2**1.5)
+
+
+def _excess_kurtosis(z: np.ndarray) -> float:
+    """Sample excess kurtosis m4 / m2**2 - 3, with the bits of scipy.stats.kurtosis(z)."""
+    d = z - z.mean()
+    d2 = d * d
+    return float(np.mean(d2 * d2) / np.mean(d2) ** 2 - 3.0)
+
+
+def _ks_statistic(z: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of the sample z from N(0, 1).
+
+    The normal CDF takes the branches of scipy.special.ndtr: erf while
+    |x| < sqrt(1/2), the erfc tail beyond.  libm's erf and erfc are not
+    scipy's, so the statistic can differ from scipy.stats.kstest's in its
+    last few bits.
+    """
+    cdf = []
+    for x in (np.sort(z) * math.sqrt(0.5)).tolist():
+        if abs(x) < math.sqrt(0.5):
+            cdf.append(0.5 + 0.5 * math.erf(x))
+        else:
+            tail = 0.5 * math.erfc(abs(x))
+            cdf.append(1.0 - tail if x > 0.0 else tail)
+    c = np.array(cdf)
+    m = c.size
+    return float(max(np.max(np.arange(1.0, m + 1) / m - c), np.max(c - np.arange(0.0, m) / m)))
 
 
 @dataclass(frozen=True)
@@ -536,8 +569,6 @@ def normality_study(config: StudyConfig) -> StudyResult:
     )
     z = scale * (est - f_true) / ref_std
 
-    from scipy import stats as sps
-
     per_point = {}
     for j in range(eval_points.shape[0]):
         zs = z[:, 0, j][~np.isnan(z[:, 0, j])]
@@ -550,13 +581,13 @@ def normality_study(config: StudyConfig) -> StudyResult:
         }
         if m >= 8:
             counts, _ = np.histogram(zs, bins=HISTOGRAM_EDGES)
-            ks = float(sps.kstest(zs, "norm").statistic)
+            ks = _ks_statistic(zs)
             block.update(
                 {
                     "mean": float(np.mean(zs)),
                     "std": float(np.std(zs, ddof=1)),
-                    "skewness": float(sps.skew(zs)),
-                    "excess_kurtosis": float(sps.kurtosis(zs, fisher=True)),
+                    "skewness": _skewness(zs),
+                    "excess_kurtosis": _excess_kurtosis(zs),
                     "ks_statistic": ks,
                     "ks_scaled": float(ks * np.sqrt(m)),
                     "ks_critical_scaled_1pct": KS_CRIT_1PCT,

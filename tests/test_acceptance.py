@@ -5,15 +5,10 @@ and asserts the stated tolerance, so a red line here is a real, reproducible
 shortfall rather than a flaky threshold.
 """
 
-import filecmp
-import json
 import math
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +31,6 @@ from streamsir import (
     evaluate,
     most_central,
     normality_study,
-    reference_model,
     select_alpha,
     warm_start,
 )
@@ -228,7 +222,7 @@ def test_c5_cv_profile(model_m):
     hits = 0
     for rep in range(50):
         sample = draw(model_m, 1000, seed=0 ^ rep)
-        report = select_alpha(sample, grid, workers=4)
+        report = select_alpha(sample, grid)
         if 0.25 <= report.argmin_alpha <= 0.45:
             hits += 1
     elapsed = time.perf_counter() - start

@@ -11,7 +11,6 @@ from streamsir import (
     InsufficientDataError,
     NoSupportError,
     ProjectionLog,
-    Sample,
     SingleIndexModel,
     Slicer,
     cv_score,
@@ -106,15 +105,6 @@ def test_grid_validation():
         select_alpha(sample, [0.3, 1.2])
 
 
-def test_parallel_matches_serial():
-    sample = _sample(n=140, seed=5)
-    serial = select_alpha(sample, [0.25, 0.45], workers=1)
-    parallel = select_alpha(sample, [0.25, 0.45], workers=2)
-    assert serial.scores == parallel.scores
-    assert serial.skipped == parallel.skipped
-    assert serial.argmin_index == parallel.argmin_index
-
-
 def test_custom_slicer_changes_the_replay():
     sample = _sample(n=150, seed=6)
     default = select_alpha(sample, [0.35])
@@ -151,21 +141,20 @@ _XS = np.linspace(-1.0, 1.0, 4001)
 
 
 @pytest.mark.parametrize(
-    "kernel, workers, slicer",
+    "kernel, slicer",
     [
-        (None, 1, None),
-        (None, 2, Slicer(boundary=0.1)),
-        (tabulated_kernel(_XS, 0.75 * (1.0 - _XS * _XS)), 1, None),
-        (tabulated_kernel(_XS, 0.75 * (1.0 - _XS * _XS)), 2, None),
+        (None, None),
+        (None, Slicer(boundary=0.1)),
+        (tabulated_kernel(_XS, 0.75 * (1.0 - _XS * _XS)), None),
     ],
 )
-def test_shared_path_scores_equal_per_exponent_replays(kernel, workers, slicer):
+def test_shared_path_scores_equal_per_exponent_replays(kernel, slicer):
     # Bit for bit against evaluate-then-push over direction_path's
     # projections; within aim 3's 1e-12 of the per-arrival replay, whose
     # projections come from the recursion rather than prefix totals.
     sample = _sample(n=400, p=5, seed=8)
     grid = [0.1, 0.3, 0.55]
-    report = select_alpha(sample, grid, slicer=slicer, kernel=kernel, workers=workers)
+    report = select_alpha(sample, grid, slicer=slicer, kernel=kernel)
     boundary = None if slicer is None else slicer.boundary
     path = direction_path(sample, warmup=30, boundary=boundary)
     log_kernel = epanechnikov() if kernel is None else kernel
@@ -265,4 +254,4 @@ def test_no_process_pool_is_started(monkeypatch):
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
     sample = _sample(n=140, seed=5)
     grid = [0.25, 0.45]
-    assert select_alpha(sample, grid, workers=4) == select_alpha(sample, grid)
+    assert select_alpha(sample, grid).grid == tuple(grid)

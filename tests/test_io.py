@@ -10,7 +10,6 @@ from streamsir import (
     BandwidthSchedule,
     CsvFormatError,
     ProjectionLog,
-    Sample,
     curve,
     draw,
     epanechnikov,

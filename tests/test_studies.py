@@ -31,8 +31,11 @@ from streamsir.studies import (
     KS_CRIT_1PCT,
     _REP_BLOCK,
     _bootstrap_slopes,
+    _excess_kurtosis,
+    _ks_statistic,
     _quantile_block,
     _replication_blocks,
+    _skewness,
     projected_density,
 )
 
@@ -336,11 +339,40 @@ def test_importing_the_package_does_not_import_a_process_pool():
 
 
 def test_importing_the_package_does_not_import_scipy():
-    code = "import sys, streamsir, streamsir.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # Beyond the imports, the child runs projected_density and a normality study.
+    code = (
+        "import sys, numpy as np, streamsir.cli\n"
+        "from streamsir import StudyConfig, normality_study, reference_model\n"
+        "from streamsir.studies import projected_density\n"
+        "model = reference_model(p=10)\n"
+        "projected_density(model, 0.3)\n"
+        "config = StudyConfig(model=model, sizes=(200,), n_reps=8, alpha=0.4,\n"
+        "                     eval_points=np.array([0.0, 0.5]))\n"
+        "print('ks_statistic' in normality_study(config).summary['per_point']['0'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["True", "[]"]
+
+
+@pytest.mark.parametrize("m", [8, 9, 40, 200])
+def test_normality_statistics_match_scipy(m):
+    # Skewness and kurtosis keep scipy's bits; the KS statistic's normal CDF
+    # uses libm's erf, not scipy's, so it gets a relative bound.
+    rng = np.random.default_rng(m)
+    samples = (
+        rng.standard_normal(m),
+        1.5 + 2.0 * rng.standard_normal(m),
+        rng.exponential(size=m) - 1.0,
+        rng.standard_t(3, size=m),
+    )
+    for z in samples:
+        assert _skewness(z) == float(sps.skew(z))
+        assert _excess_kurtosis(z) == float(sps.kurtosis(z, fisher=True))
+        ks = float(sps.kstest(z, "norm").statistic)
+        assert abs(_ks_statistic(z) - ks) <= 1e-14 * ks
 
 
 def _reference_slope(log_n, medians):
