@@ -131,9 +131,10 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ConfigError("grid_count must be at least 1", key="grid_count")
     if cfg.grid_count > _MAX_GRID:
         raise ConfigError(f"grid_count must be at most {_MAX_GRID}", key="grid_count")
-    for key in ("grid_min", "grid_max"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)!r}", key=key)
+    for key in ("grid_min", "grid_max", "boundary", "noise_std"):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}", key=key)
     if cfg.grid_count > 1 and not (cfg.grid_min < cfg.grid_max):
         raise ConfigError("grid_min must be below grid_max", key="grid_min")
     if cfg.model not in _MODELS:

@@ -19,14 +19,15 @@ made for the new point depend only on data seen strictly before it.
 
 The recursive estimate after k rows equals the batch SIR estimate on those
 k rows, so stage 1 has two forms.  direction_path runs it once over a whole
-sample from prefix totals, a block of rows and one batched solve at a
-time, and returns the projections; run_stream and cross-validation build
+sample from running totals, the centred scatter k Sigma_k among them, a
+block of rows and one batched solve at a time, and returns the
+projections; run_stream, cross-validation and the scatter study build
 their logs and scores from them.  It matches the recursion within 1e-12
 (u_k scaled by |theta| |x_k|), and steps the recursion itself above
 _PREFIX_MAX_P covariates or when a prefix covariance is ill-conditioned.
 direction_paths runs the recursion over R samples of equal length at once,
 on stacked (R, ...) arrays, with the bits of init_stream then stream_step
-per sample; the Monte Carlo studies use it for their replications.
+per sample; the other Monte Carlo studies use it for their replications.
 init_stream, stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
 and returns that same object.  run_stream(sample, alpha, kernel, warmup,
@@ -68,13 +69,15 @@ DEFAULT_ALPHA = 0.35
 _PREFIX_MAX_P = 30
 # ... and only while the condition number of the covariance at every block
 # start (the first is the warm-up's) and at the end is at most this; past
-# it, the recursion reruns from the warm-up.  Measured on warm-ups of a
-# given condition number at p = 10, n = 20000, eight seeds: the largest gap
-# |u_prefix - u_recursion| / (|theta| |x|) is 2.9e-14 at condition number
-# 1e2, 8.9e-13 at 1e4, 5.5e-13 at 2e4 and 1.9e-12 at 5e4, against the 1e-12
-# bound of the recursion.  Most of the gap is the recursion's drift: on
-# sampled prefixes the prefix form's u is 2.0e-14 from batch_sir at 1e4,
-# the recursion's 3.1e-13.
+# it, the recursion reruns from the warm-up.  Measured with this hand-back
+# off, on warm-ups of a given condition number at p = 10, n = 20000, seeds
+# 70-77: the largest gap |u_prefix - u_recursion| / (|theta| |x|) is
+# 2.4e-14 at condition number 1e2, 1.6e-13 at 1e4, 3.1e-13 at 2e4 and
+# 2.4e-13 at 5e4, against the 1e-12 bound of the recursion.  Most of the
+# gap is the recursion's drift: on four sampled prefixes per seed the
+# prefix form's u is at most 1.9e-14 from batch_sir at 1e4, the
+# recursion's 3.8e-14.  The cap stays at 2e4, well below the 9.9e4 of the
+# outlier stream that tests/test_engine.py sends to the recursion.
 _PREFIX_MAX_COND = 2e4
 # Rows per block of the prefix form: block sizes from 128 to 1024 time
 # within noise of each other at p = 10, 20 and 30.
@@ -165,9 +168,9 @@ def direction_path(
     Raises:
         NonFiniteInputError: some row holds NaN or inf (checked once, up front).
         InsufficientDataError: the sample is shorter than the warm-up.
-        NumericalBreakdownError: a prefix covariance is singular or not
-            positive definite, or a rank-one denominator is not finite and
-            positive.
+        NumericalBreakdownError: a prefix covariance is not finite, singular
+            or not positive definite, or a rank-one denominator is not
+            finite and positive.
     """
     n0 = _warmup_length(sample, warmup)
     xs, ys = sample.covariates, sample.responses
@@ -218,95 +221,89 @@ def _prefix_pass(
     """Stage 1 from prefix totals, _PREFIX_BLOCK rows at a time; returns (sir, u, snapshots).
 
     Rows are centred on the warm-up mean m0, c_i = x_i - m0.  Before row
-    k + 1 the totals over the first k rows are the scatter S_k = sum c_i c_i',
-    the row sum r_k = sum c_i and, per slice h, the sum t_h and count n_h.
-    Then k Sigma_k = S_k - r_k r_k' / k and z_1 - z_2 = t_1 / n_1 - t_2 / n_2,
-    so theta_k = Sigma_k^{-1} (z_1 - z_2).  A block takes cumulative sums
-    of the totals for all its rows and one batched np.linalg.solve against
-    S_k, with columns k (z_1 - z_2) and r_k; a Sherman-Morrison step then
-    removes the rank-one mean term.  theta_k projects row k + 1 and is the
-    snapshot at k; the returned state is read off the end totals.
+    k + 1 the pass carries four totals over the first k rows: the centred
+    scatter A_k = k Sigma_k, the row sum r_k = sum c_i, and the row sum t_k
+    and count l_k of slice 1 (slice 2 sums to r_k - t_k).  Row k + 1 adds
+    (k / (k + 1)) d d' to A, with d = c_{k+1} - r_k / k (Welford's update).
+    Then z_1 - z_2 = t_k / l_k - (r_k - t_k) / (k - l_k) and
+    theta_k = Sigma_k^{-1} (z_1 - z_2) = A_k^{-1} k (z_1 - z_2).  A block
+    forms the totals for all its rows by cumulative sums, then takes theta
+    from one batched np.linalg.solve.  theta_k projects row k + 1 and is
+    the snapshot at k; the returned state is read off the end totals.
 
-    Returns None, for the recursion to run instead, as soon as the
-    covariance at a block start or at the end is worse conditioned than
-    _PREFIX_MAX_COND.
+    A only grows by positive semi-definite terms, so the check that A is
+    positive definite at a block start covers the whole block; an A_k that
+    is not finite is refused by its own check.  Returns None, for the
+    recursion to run instead, as soon as A at a block start or at the end
+    is worse conditioned than _PREFIX_MAX_COND.
 
     Raises:
-        NumericalBreakdownError: a covariance at a block start or at the end
-            is not finite or not positive definite, some S_k is singular, or
-            a Sherman-Morrison denominator is not positive.
+        NumericalBreakdownError: some A_k is not finite (the message names
+            its n), A at a block start or at the end is not positive
+            definite, or some A_k is singular.
     """
     n0, (n, p) = warm.n, xs.shape
     m0 = warm.mean
     head = xs[:n0] - m0
-    scatter = head.T @ head
-    # Row 0: all rows; rows 1 and 2: the rows of slice 1 and of slice 2.
-    sums = np.zeros((3, p))
-    sums[0] = head.sum(axis=0)
-    np.add.at(sums, 1 + slices[:n0], head)
+    # Row 0: the sum of all rows; row 1: of the rows in slice 1.
+    sums = np.stack((head.sum(axis=0), head[slices[:n0] == 0].sum(axis=0)))
+    scatter = head.T @ head - np.outer(sums[0], sums[0]) / n0
     low = int(warm.slice_counts[0])
 
     u = np.empty(n - n0, dtype=np.float64)
     snapshots: dict[int, np.ndarray] = {}
-    prefix = np.empty((min(_PREFIX_BLOCK, n - n0), p, p))
+    prefix = np.empty((min(_PREFIX_BLOCK, n - n0) + 1, p, p))
     for a in range(n0, n, _PREFIX_BLOCK):
-        if not _well_conditioned(scatter - np.outer(sums[0], sums[0]) / a, a):
+        if not _well_conditioned(scatter, a):
             return None
         b = min(a + _PREFIX_BLOCK, n)
-        c, s = xs[a:b] - m0, slices[a:b]
-        # Exclusive cumulative sums over the block, plus the totals carried
-        # in: entry j holds the totals over rows < a + j.  Summing a block
-        # apart from the carried totals keeps each running sum short.
-        scatters = prefix[: b - a]
+        c, in_low = xs[a:b] - m0, slices[a:b] == 0
+        # Entry j of each running total is the total over rows < a + j; the
+        # last entry carries into the next block.  Summing a block apart
+        # from the carried totals keeps each running sum short.
+        rows = np.zeros((b - a + 1, 2, p))
+        rows[1:, 0] = c
+        rows[1:, 1][in_low] = c[in_low]
+        totals = np.cumsum(rows, axis=0)
+        totals += sums
+        lows = low + np.concatenate(([0], np.cumsum(in_low)))
+        r, t, l = totals[:-1, 0], totals[:-1, 1], lows[:-1, None]
+        k = np.arange(a, b, dtype=np.float64)[:, None]
+        # sqrt(k / (k + 1)) d, so that A gains (k / (k + 1)) d d'.
+        d = (c - r / k) * np.sqrt(k / (k + 1.0))
+        scatters = prefix[: b - a + 1]
         scatters[0] = 0.0
-        np.multiply(c[:-1, :, None], c[:-1, None, :], out=scatters[1:])
+        np.multiply(d[:, :, None], d[:, None, :], out=scatters[1:])
         np.cumsum(scatters, axis=0, out=scatters)
         scatters += scatter
-        steps = np.zeros((b - a, 3, p))
-        steps[1:, 0] = c[:-1]
-        steps[np.arange(1, b - a), 1 + s[:-1]] = c[:-1]
-        totals = np.cumsum(steps, axis=0)
-        totals += sums
-        lows = low + np.concatenate(([0], np.cumsum(s[:-1] == 0)))
-        k = np.arange(a, b, dtype=np.float64)
-        diff = totals[:, 1] / lows[:, None] - totals[:, 2] / (k - lows)[:, None]
-        r = totals[:, 0]
+        finite = np.isfinite(scatters).all(axis=(1, 2))
+        if not finite.all():
+            raise NumericalBreakdownError(
+                f"prefix covariance is not finite at n = {a + int(np.argmin(finite))}"
+            )
+        diff = t / l - (r - t) / (k - l)
         try:
-            sol = np.linalg.solve(scatters, np.stack((diff * k[:, None], r), axis=2))
+            theta = np.linalg.solve(scatters[:-1], (k * diff)[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError(
                 f"a prefix scatter matrix between n = {a} and {b - 1} is singular: {exc}"
             ) from None
-        y, w = sol[:, :, 0], sol[:, :, 1]
-        denom = k - np.einsum("kj,kj->k", r, w)
-        if not (denom > 0.0).all():
-            j = int(np.argmin(denom > 0.0))
-            raise NumericalBreakdownError(
-                f"prefix covariance is not positive definite at n = {a + j} "
-                f"(Sherman-Morrison denominator {float(denom[j])!r} is not positive)"
-            )
-        theta = y + w * (np.einsum("kj,kj->k", r, y) / denom)[:, None]
         u[a - n0 : b - n0] = np.einsum("kj,kj->k", theta, xs[a:b])
         for m in want.intersection(range(a, b)):
             snapshots[m] = theta[m - a].copy()
+        scatter, sums, low = scatters[-1].copy(), totals[-1], int(lows[-1])
 
-        scatter += c.T @ c
-        sums[0] += c.sum(axis=0)
-        for h in (0, 1):
-            sums[1 + h] += c[s == h].sum(axis=0)
-        low += int(np.count_nonzero(s == 0))
-
-    scatter -= np.outer(sums[0], sums[0]) / n
     if not _well_conditioned(scatter, n):
         return None
     inv_cov = np.linalg.inv(scatter / n)
     counts = np.array([low, n - low], dtype=np.int64)
+    slice_sums = np.stack((sums[1], sums[0] - sums[1]))
     moments = MomentState(
         n=n,
         mean=m0 + sums[0] / n,
         inv_cov=0.5 * (inv_cov + inv_cov.T),
         slice_counts=counts,
-        slice_means=m0 + sums[1:] / counts[:, None],
+        slice_means=m0 + slice_sums / counts[:, None],
     )
     sir = SirState(moments=moments, theta_hat=direction_from_moments(moments))
     if n in want:
@@ -315,12 +312,11 @@ def _prefix_pass(
 
 
 def _well_conditioned(centred: np.ndarray, n: int) -> bool:
-    """Whether the condition number of centred = n Sigma_n is at most _PREFIX_MAX_COND.
+    """Whether the condition number of centred = A_n = n Sigma_n is at most _PREFIX_MAX_COND.
 
-    Each prefix covariance of a block is the one at the block start plus
-    positive semi-definite terms, so checking the block start (and the
-    Sherman-Morrison denominators row by row) checks that the whole block
-    is positive definite.
+    A only grows by positive semi-definite terms, so an A that is positive
+    definite at a block start stays so over the block, and the block-start
+    check covers the block.
 
     Raises:
         NumericalBreakdownError: the matrix is not finite or not positive

@@ -59,25 +59,13 @@ def epanechnikov() -> KernelSpec:
     )
 
 
-class _TableEval:
-    """Picklable linear interpolant that is zero outside the table range."""
-
-    def __init__(self, xs: np.ndarray, values: np.ndarray) -> None:
-        self.xs = xs
-        self.values = values
-
-    def __call__(self, u: np.ndarray | float) -> np.ndarray | float:
-        u = np.asarray(u, dtype=np.float64)
-        out = np.interp(u, self.xs, self.values, left=0.0, right=0.0)
-        return float(out) if out.ndim == 0 else out
-
-
 def tabulated_kernel(xs: np.ndarray, values: np.ndarray, name: str = "tabulated") -> KernelSpec:
     """Build a kernel from (abscissa, value) pairs by linear interpolation.
 
-    The table must describe a symmetric non-negative density: values at -x
-    and x agree to 1e-6, the trapezoid integral is 1 within 1e-6, and the
-    endpoints are zero so the interpolant is continuous at the support edge.
+    The table must hold finite entries and describe a symmetric
+    non-negative density: values at -x and x agree to 1e-6, the trapezoid
+    integral is 1 within 1e-6, and the endpoints are zero so the
+    interpolant is continuous at the support edge.
     nu2 and tau2 are computed by trapezoid quadrature on a dense refinement
     of the table, which is deterministic across runs.
 
@@ -88,6 +76,8 @@ def tabulated_kernel(xs: np.ndarray, values: np.ndarray, name: str = "tabulated"
     values = np.asarray(values, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != values.shape or xs.size < 3:
         raise ValueError("kernel table needs matching 1-d arrays of length >= 3")
+    if not (np.isfinite(xs).all() and np.isfinite(values).all()):
+        raise ValueError("kernel table abscissas and values must be finite")
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("kernel table abscissas must be strictly increasing")
     if np.any(values < 0.0):
@@ -95,7 +85,12 @@ def tabulated_kernel(xs: np.ndarray, values: np.ndarray, name: str = "tabulated"
     if values[0] != 0.0 or values[-1] != 0.0:
         raise ValueError("kernel table must fall to zero at both ends")
     radius = float(max(abs(xs[0]), abs(xs[-1])))
-    evaluator = _TableEval(xs, values)
+
+    def evaluator(u: np.ndarray | float) -> np.ndarray | float:
+        """Linear interpolant of the table, zero outside its range."""
+        out = np.interp(np.asarray(u, dtype=np.float64), xs, values, left=0.0, right=0.0)
+        return float(out) if out.ndim == 0 else out
+
     probe = np.linspace(0.0, radius, 513)
     asym = np.max(np.abs(np.asarray(evaluator(probe)) - np.asarray(evaluator(-probe))))
     if asym > 1e-6:

@@ -89,8 +89,8 @@ class SingleIndexModel:
         # rather than silently renormalizing what the caller provided.
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"direction must have unit norm, got {norm!r}")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
         object.__setattr__(self, "direction", theta)
         if self.covariate_mean is not None:
             m = np.asarray(self.covariate_mean, dtype=np.float64)

@@ -263,6 +263,22 @@ def test_bad_cv_and_study_input_is_a_one_line_error(tmp_path, args, artifact, me
 
 
 @pytest.mark.parametrize(
+    "args, key",
+    [
+        (["simulate", "--n", "5", "--noise-std", "nan"], "noise_std"),
+        (["simulate", "--n", "5", "--noise-std", "inf"], "noise_std"),
+        (["fit", "--n", "200", "--boundary", "nan"], "boundary"),
+    ],
+)
+def test_a_non_finite_setting_is_a_one_line_config_error(tmp_path, args, key):
+    r = run_cli(args + ["--out-dir", "od/new"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"ConfigError: {key} must be finite"), r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "od").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--grid-step", "nan", "must be finite"),

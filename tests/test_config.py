@@ -110,6 +110,14 @@ def test_model_parameters():
         validate_config(EngineConfig(noise_std=-1.0))
 
 
+@pytest.mark.parametrize("key", ["noise_std", "boundary"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_noise_level_or_boundary_is_refused(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite") as err:
+        validate_config(EngineConfig(**{key: value}))
+    assert err.value.key == key
+
+
 def test_load_config_layers_overrides(tmp_path):
     path = tmp_path / "engine.cfg"
     path.write_text("alpha = 0.4\nn = 500\n")

@@ -175,7 +175,7 @@ def _assert_same_arrays(got, want):
 
 
 def _conditioned(sample, n0, cond, seed=0):
-    """The sample with covariates mapped so that its warm-up covariance has condition number cond.
+    """The sample mapped so that the covariance of its first n0 rows has condition number cond.
 
     x -> T' x keeps a single-index model (with direction T^{-1} beta), so
     the responses stay as they are.
@@ -284,7 +284,14 @@ def _recursion_path(sample, checkpoints=()):
 def test_prefix_form_stays_within_aim3_of_the_recursion(cond):
     p, n = 10, 4000
     n0 = default_warmup(p)
-    sample = _conditioned(draw(reference_model(p=p), n, 70), n0, cond)
+    # At 1e4 the condition number is fixed on the whole sample: fixed on the
+    # warm-up alone, a later block start passes _PREFIX_MAX_COND and the
+    # recursion would run in place of the prefix form.
+    rows = n0 if cond <= 1e2 else n
+    sample = _conditioned(draw(reference_model(p=p), n, 70), rows, cond)
+    sir, slicer = engine._warm_up(sample.head(n0), None)
+    slices = slicer.slices_of(sample.responses) - 1
+    assert engine._prefix_pass(sample.covariates, slices, sir.moments, set()) is not None
     prefixes = tuple(int(k) for k in np.linspace(n0 + 1, n - 1, 4))
     fast = direction_path(sample, checkpoints=prefixes)
     slow = _recursion_path(sample, checkpoints=prefixes)

@@ -73,6 +73,21 @@ def test_tabulated_kernel_validation():
         tabulated_kernel(xs, 1.25 * vals)
 
 
+@pytest.mark.parametrize(
+    "xs, values",
+    [
+        ([-1.0, 0.0, 1.0], [0.0, np.nan, 0.0]),
+        ([-1.0, 0.0, 1.0], [0.0, np.inf, 0.0]),
+        ([-np.inf, 0.0, 1.0], [0.0, 1.0, 0.0]),
+        ([-1.0, 0.0, np.inf], [0.0, 1.0, 0.0]),
+    ],
+    ids=["nan-value", "inf-value", "-inf-abscissa", "inf-abscissa"],
+)
+def test_tabulated_kernel_refuses_non_finite_entries(xs, values):
+    with pytest.raises(ValueError, match="must be finite"):
+        tabulated_kernel(np.array(xs), np.array(values))
+
+
 def test_schedule_rejects_bad_exponents():
     for alpha in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):

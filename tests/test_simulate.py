@@ -47,6 +47,14 @@ def test_negative_noise_rejected():
         SingleIndexModel(direction=theta, noise_std=-0.5)
 
 
+@pytest.mark.parametrize("noise_std", [np.nan, np.inf])
+def test_non_finite_noise_rejected(noise_std):
+    with pytest.raises(ValueError, match="must be finite"):
+        SingleIndexModel(direction=np.array([1.0, 0.0]), noise_std=noise_std)
+    with pytest.raises(ValueError, match="must be finite"):
+        reference_model(p=4, noise_std=noise_std)
+
+
 def test_draw_deterministic():
     m = reference_model(p=10)
     a = draw(m, 5, 42)
