@@ -10,9 +10,10 @@ noticeably fewer terms than its neighbours.
 
 The logged projections u_k = theta_{k-1}' x_k do not depend on the
 exponent, so the direction path runs once and every candidate replays only
-the kernel sums over the fixed (k, u_k, y_k), a block of queries at a time
-in one process.  Each prediction's sums come from linkreg.window_sums,
-the rule evaluate uses, so a score has the bits of evaluate then push over
+the kernel sums over the fixed (k, u_k, y_k), a block of queries at a
+time, then scores every query in one vectorized pass.  The sums come from
+linkreg.window_sums, the rule evaluate uses, and the squared errors add up
+in arrival order, so a score has the bits of evaluate then push over
 direction_path's projections, and matches predict_next then stream_step
 within 1e-12 (bit for bit where direction_path steps the recursion).
 """
@@ -93,32 +94,30 @@ def _replay(
     Each streamed response is predicted from the entries before it, exactly
     as evaluate then push compute it.  A block of queries [i, b) shares one
     difference matrix against u[:b], masked to each query's supported
-    predecessors, and linkreg.window_sums takes every query's sums.
+    predecessors, and linkreg.window_sums takes every query's sums.  A zero
+    denominator is skipped, as evaluate refuses it; np.add.accumulate adds
+    the other squared errors in arrival order, with a running sum's bits.
     """
     if kernel is None:
         kernel = epanechnikov()
-    u = path.projections
+    u, y = path.projections, path.responses
     n = u.size
     first = path.warmup_n + 1
     h = BandwidthSchedule(alpha=alpha).h(np.arange(first, first + n, dtype=np.int64))
     reach = kernel.support_radius * h
-    ys = path.responses.tolist()
-    score, skipped, counted = 0.0, 0, 0
+    num = np.empty(n)
+    den = np.empty(n)
     for i in range(0, n, _QUERY_BLOCK):
         b = min(i + _QUERY_BLOCK, n)
         d = u[i:b, None] - u[None, :b]
         inside = np.abs(d) <= reach[:b]
         inside[:, i:] &= _BEFORE[: b - i, : b - i]
-        num, den, _ = window_sums(kernel, d, inside, h[:b], path.responses[:b])
-        for y, top, bottom in zip(ys[i:b], num.tolist(), den.tolist()):
-            # As in evaluate: no entry inside, or only window edges where K is 0.
-            if bottom <= 0.0:
-                skipped += 1
-            else:
-                err = y - top / bottom
-                score += err * err
-                counted += 1
-    return score, skipped, counted
+        num[i:b], den[i:b], _ = window_sums(kernel, d, inside, h[:b], y[:b])
+    ok = den > 0.0
+    err = y[ok] - num[ok] / den[ok]
+    counted = int(np.count_nonzero(ok))
+    score = float(np.add.accumulate(err * err)[-1]) if counted else 0.0
+    return score, n - counted, counted
 
 
 def cv_score(

@@ -22,7 +22,9 @@ import numpy as np
 
 def _epanechnikov_eval(u: np.ndarray | float) -> np.ndarray | float:
     u = np.asarray(u, dtype=np.float64)
-    out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    # 1 - u^2 < 0 exactly when |u| > 1 (and is -inf at +-inf), and fmax
+    # maps NaN to 0.0, so this is the clipped parabola with no mask.
+    out = np.fmax(0.75 * (1.0 - u * u), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -10,11 +10,12 @@ at any point can be formed on demand from the log, which keeps
 (k, u_k, y_k) with precomputed h_k.
 
 window_sums holds the one summation rule behind every estimate read from
-the log: the sums run over the entries whose window covers the point,
-gathered in arrival order.  evaluate reads one point through it, and curve
-reads many (the fit curve, predict, the study checkpoints), so a curve
-value equals evaluate at that point bit for bit; the cross-validation
-replay calls it on blocks of queries.
+the log: each sum is the sequential left-to-right float64 sum, from 0.0,
+of the entries whose window covers the point, in arrival order.  The rule
+does not depend on how many points one call takes.  evaluate reads one
+point through it, and curve reads many (the fit curve, predict, the study
+checkpoints), so a curve value equals evaluate at that point bit for bit;
+the cross-validation replay calls it on blocks of queries.
 """
 
 from __future__ import annotations
@@ -33,8 +34,16 @@ _INITIAL_CAPACITY = 64
 _POINT_CELLS = 1 << 18
 
 
+def _non_finite_entry(k: int, u: float, y: float) -> NonFiniteInputError:
+    return NonFiniteInputError(f"log entry k = {k} is not finite: u = {u!r}, y = {y!r}")
+
+
 class ProjectionLog:
     """Append-only record of projected observations with frozen bandwidths.
+
+    push, extend and from_entries refuse a NaN or infinite projection or
+    response with NonFiniteInputError, naming the first such entry, before
+    writing anything: one would make every estimate near it NaN or infinite.
 
     Attributes:
         kernel: weight-generating kernel, shared by every entry.
@@ -88,6 +97,8 @@ class ProjectionLog:
 
     def push(self, u: float, y: float) -> int:
         """Record one projected observation; returns its arrival index."""
+        if not (math.isfinite(u) and math.isfinite(y)):
+            raise _non_finite_entry(self.next_index, u, y)
         if self._size == self._k.size:
             self._reserve(1)
         k = self.next_index
@@ -104,6 +115,10 @@ class ProjectionLog:
         m = indices.size
         if m == 0:
             return
+        bad = ~(np.isfinite(projections) & np.isfinite(responses))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _non_finite_entry(int(indices[i]), float(projections[i]), float(responses[i]))
         self._reserve(m)
         rows = slice(self._size, self._size + m)
         self._k[rows] = indices
@@ -167,9 +182,10 @@ def window_sums(
     d[r, j] = x_r - u_j has shape (rows, width), and inside marks the
     entries each row sees; h and y hold the width entries' bandwidths and
     responses.  The marked pairs are gathered row-major, so each row's
-    entries sit contiguous and in arrival order; w = K(d / h_j) / h_j, and
-    each row's two sums are ndarray.sum over its own slice.  That rule
-    fixes the bits of every estimate taken from the log.
+    entries sit in arrival order; w = K(d / h_j) / h_j, and one bincount
+    per sum gives each row the sequential left-to-right float64 sums of its
+    entries, from 0.0.  That rule holds for any number of rows and fixes
+    the bits of every estimate taken from the log.
 
     Returns (numerator, denominator, contributing), each of shape (rows,);
     contributing counts the entries with a positive weight (kernels are
@@ -179,19 +195,14 @@ def window_sums(
     """
     rows, width = d.shape
     idx = np.flatnonzero(inside)
-    col = idx % width if rows > 1 else idx
+    # A one-row call (evaluate) skips the integer division: its row is 0.
+    row = idx // width if rows > 1 else np.zeros(idx.size, np.intp)
+    col = idx - row * width if rows > 1 else idx
     hs = h[col]
     w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
-    wy = w * y[col]
-    contributing = np.bincount(idx[w != 0.0] // width, minlength=rows) if count else None
-    if rows == 1:
-        return wy.sum(keepdims=True), w.sum(keepdims=True), contributing
-    bounds = [0, *np.searchsorted(idx, np.arange(1, rows + 1) * width).tolist()]
-    num = np.empty(rows)
-    den = np.empty(rows)
-    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        num[r] = wy[a:b].sum()
-        den[r] = w[a:b].sum()
+    num = np.bincount(row, weights=w * y[col], minlength=rows)
+    den = np.bincount(row, weights=w, minlength=rows)
+    contributing = np.bincount(row[w != 0.0], minlength=rows) if count else None
     return num, den, contributing
 
 

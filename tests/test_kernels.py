@@ -30,6 +30,26 @@ def test_eval_vectorized_and_symmetric():
     assert np.all(out >= 0.0)
 
 
+def test_eval_equals_the_masked_parabola_bit_for_bit():
+    # The masked form np.where(|u| <= 1, 0.75 (1 - u^2), 0) is the
+    # reference; eval must give its bits, signed zeros included, on uniform
+    # points, at +-1 and their neighbours, and at NaN and +-inf.
+    edges = np.array([1.0, -1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+    steps = [(e, t) for e in (1.0, -1.0) for t in (-np.inf, np.inf)]
+    near = np.array(
+        [np.nextafter(e, t) for e, t in steps]
+        + [np.nextafter(np.nextafter(e, t), t) for e, t in steps]
+    )
+    u = np.concatenate((np.random.default_rng(3).uniform(-1.5, 1.5, 10**6), edges, near))
+    want = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    got = epanechnikov().eval(u)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for x in np.concatenate((edges, near)).tolist():
+        one = epanechnikov().eval(x)
+        assert type(one) is float, x
+        assert np.float64(one).tobytes() == np.float64(_epan(x)).tobytes(), x
+
+
 def test_constants_against_quadrature():
     # Oracles first: adaptive quadrature of K^2 and x^2 K over the support.
     k = epanechnikov()

@@ -159,6 +159,40 @@ def test_from_entries_round_trip_and_validation():
         ProjectionLog.from_entries(kernel, sched, np.array([0, 1]), np.zeros(2), np.zeros(2))
 
 
+def _log_arrays(log):
+    return [a.copy() for a in (log.indices, log.projections, log.responses, log.bandwidths)]
+
+
+@pytest.mark.parametrize(
+    "u, y, first_bad",
+    [
+        ([0.0, np.nan, 0.1], [1.0, 2.0, np.inf], 1),
+        ([0.0, 0.5, 0.1], [1.0, 2.0, -np.inf], 2),
+        ([np.inf, 0.5, 0.1], [1.0, 2.0, 3.0], 0),
+    ],
+    ids=["nan-u", "-inf-y", "inf-u"],
+)
+def test_a_non_finite_entry_is_refused_before_anything_is_written(u, y, first_bad):
+    u, y = np.array(u), np.array(y)
+    with pytest.raises(NonFiniteInputError, match=f"k = {first_bad + 1} is not finite"):
+        ProjectionLog.from_entries(
+            epanechnikov(), BandwidthSchedule(alpha=0.35), np.array([1, 2, 3]), u, y
+        )
+    log = _fresh_log()
+    log.push(0.2, 1.5)
+    before = _log_arrays(log)
+    # extend numbers the entries 2, 3, 4 and names the first bad one.
+    with pytest.raises(NonFiniteInputError, match=f"k = {first_bad + 2} is not finite"):
+        log.extend(u, y)
+    with pytest.raises(NonFiniteInputError, match="k = 2 is not finite"):
+        log.push(float(u[first_bad]), float(y[first_bad]))
+    assert log.next_index == 2
+    for got, want in zip(_log_arrays(log), before):
+        assert np.array_equal(got, want)
+    # The log still works: the refused entries never reached it.
+    assert evaluate(log, 0.2) == 1.5
+
+
 def test_estimates_nan_where_nothing_arrived():
     log = _fresh_log()
     log.push(0.0, 2.0)  # h_1 = 1
@@ -267,10 +301,20 @@ def test_evaluate_matches_a_dense_exact_sum(kernel, size):
     assert supported >= min(size, 10)
 
 
+def _sequential_sum(values):
+    """The left-to-right float64 sum from 0.0 (the builtin sum is
+    compensated from Python 3.12 on, so it is not the reference)."""
+    s = 0.0
+    for v in values.tolist():
+        s += v
+    return s
+
+
 @pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
 def test_evaluate_is_the_gathered_sum_in_arrival_order(kernel):
     # The rule that fixes evaluate's bits: gather the entries with
-    # |x - u_k| <= R h_k in arrival order, then take ndarray.sum ratios.
+    # |x - u_k| <= R h_k in arrival order, then take the ratio of their
+    # sequential sums.
     rng = np.random.default_rng(17)
     log = ProjectionLog(kernel, BandwidthSchedule(alpha=0.3), first_index=31)
     log.extend(rng.standard_normal(3000), rng.standard_normal(3000))
@@ -278,7 +322,7 @@ def test_evaluate_is_the_gathered_sum_in_arrival_order(kernel):
     for x in rng.uniform(-2.0, 2.0, 25).tolist():
         idx = np.flatnonzero(np.abs(x - u) <= kernel.support_radius * h)
         w = np.asarray(kernel.eval((x - u[idx]) / h[idx])) / h[idx]
-        assert evaluate(log, x) == float((w * y[idx]).sum() / w.sum()), x
+        assert evaluate(log, x) == _sequential_sum(w * y[idx]) / _sequential_sum(w), x
 
 
 @pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
@@ -344,6 +388,36 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
         assert bare[0][0] == num[r] and bare[1][0] == den[r] and bare[2] is None, r
     bare = window_sums(kernel, d, inside, h, y)
     assert np.array_equal(bare[0], num) and np.array_equal(bare[1], den) and bare[2] is None
+
+
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+@pytest.mark.parametrize("rows, width", [(2, 1), (3, 40), (16, 700), (57, 300)])
+def test_window_sums_of_a_block_are_its_rows_one_by_one(kernel, rows, width):
+    # Each row of a many-row block gets the sequential sums of its own
+    # gathered entries, the bits of a one-row call on that row.
+    rng = np.random.default_rng(rows * width)
+    radius = kernel.support_radius
+    u = np.concatenate(([0.25], rng.standard_normal(width - 1)))
+    y = rng.standard_normal(width)
+    h = BandwidthSchedule(alpha=0.3).h(np.arange(1, width + 1))  # h_1 = 1
+    xs = rng.uniform(-2.5, 2.5, rows)
+    xs[0] = 40.0  # an empty row
+    xs[rows // 2] = 0.25 + radius  # sits on entry 0's window edge only
+    d = xs[:, None] - u
+    inside = (np.abs(d) <= radius * h) & (rng.random((rows, width)) < 0.8)
+    inside[rows // 2] = False
+    inside[rows // 2, 0] = True
+    num, den, count = window_sums(kernel, d, inside, h, y, count=True)
+    assert num.shape == den.shape == count.shape == (rows,)
+    for r in range(rows):
+        idx = np.flatnonzero(inside[r])
+        w = np.asarray(kernel.eval(d[r, idx] / h[idx])) / h[idx]
+        assert num[r] == _sequential_sum(w * y[idx]) and den[r] == _sequential_sum(w), r
+        assert count[r] == np.count_nonzero(w), r
+        one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y, count=True)
+        assert one[0][0] == num[r] and one[1][0] == den[r] and one[2][0] == count[r], r
+    for r in (0, rows // 2):
+        assert num[r] == den[r] == 0.0 and count[r] == 0, r
 
 
 def _curve_cases(kernel):
