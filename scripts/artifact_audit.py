@@ -4,12 +4,15 @@
 
 Every run imports `streamsir` from `<checkout>/src` (through PYTHONPATH)
 and writes into its own subdirectory of `<dir>`.  The script prints one
-`sha256  relative-path` line per artifact, sorted by path, then one
-`sha256  relative-path (as read)` line per CSV that a run reads (through
---input, --log or --kernel-table): the digest of the float64 bytes the
-checkout's reader returns for it, so a reader change shows even where no
-artifact written downstream moves.  The lists of two checkouts compare
-with a single `diff`:
+`sha256  relative-path` line per file under `<dir>`, sorted by path, then
+one `sha256  relative-path (as read)` line per reader input: the digest
+of the float64 bytes the checkout's reader returns for a CSV whose bytes
+the script itself fixes, so those digests move with the reader and
+nothing else.  The reader inputs are the kernel table, which the runs
+also read, and `reader/projection_log.csv` and `reader/sample.csv`: 1500
+rows each of seeded pseudo-random values written with `%.17g`, so the
+reader converts more than one block of 1024 lines.  The lists of two
+checkouts compare with a single `diff`:
 
     git archive <parent> | tar -x -C /tmp/parent
     python scripts/artifact_audit.py --src /tmp/parent --out /tmp/audit-parent > parent.txt
@@ -28,16 +31,17 @@ studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
 replications); and scatter at p = 10 and 20.  cv and study run in one
 process whatever --workers says, so the workers 2 and 3 runs check that
-the flag changes no artifact.  That is 105 artifacts with
-the kernel table, and 9 files read: the two simulated samples, the six
-logs that predict reads, and the kernel table.
+the flag changes no artifact.  That is 105 artifacts with the kernel
+table, plus the two other reader inputs.
 
 With --compare, the script reads two such output directories instead and
 prints, for every artifact whose sha256 differs, the largest relative
 difference |a - b| / max(|a|, |b|) over its numeric CSV or JSON cells and
 where it occurs, then one indented line per key that differs (a CSV
 column's header or a JSON leaf's last key name) with that key's largest
-relative difference:
+relative and largest absolute difference |a - b|.  The absolute one tells
+a last-digit move of a small difference of nearly equal numbers from a
+real drift:
 
     python scripts/artifact_audit.py --compare /tmp/audit-parent /tmp/audit-change
 
@@ -53,6 +57,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,7 +68,9 @@ MISSING_HEAVY = ["--sizes", "32,40,2000", "--reps", "7"]
 # A triangle on [-1.5, 1.5]: a support radius other than 1 and a kernel
 # other than the Epanechnikov one.
 TRIANGLE_TABLE = "x,k\n-1.5,0\n0,0.6666666666666666\n1.5,0\n"
-READ_FLAGS = ("--input", "--log", "--kernel-table")
+READER_LOG = "reader/projection_log.csv"
+READER_SAMPLE = "reader/sample.csv"
+READER_ROWS = 1500
 # Run with the checkout's streamsir: the sha256 of the float64 bytes its
 # reader returns for each path in argv (a log's indices, projections and
 # responses; a sample's covariates and responses; a table's x and k).
@@ -86,6 +93,33 @@ for path in sys.argv[1:]:
     data = b"".join(np.ascontiguousarray(c, dtype=np.float64).tobytes() for c in columns(path))
     print(hashlib.sha256(data).hexdigest())
 """
+
+
+def write_reader_inputs(root: Path) -> list[str]:
+    """Write the kernel table, log and sample the reader digests are taken on;
+    returns their paths relative to root.
+
+    The log's and sample's values come from random.Random(0).random(), whose
+    stream Python keeps the same across versions: a uniform value on (-1, 1)
+    times a power of ten from 1e-20 to 1e20, so that the text takes every
+    %.17g form (fixed, exponent, negative).
+    """
+    rng = random.Random(0)
+
+    def value() -> str:
+        return f"{(2.0 * rng.random() - 1.0) * 10.0 ** (int(41 * rng.random()) - 20):.17g}"
+
+    log = ["k,u,y"] + [f"{k},{value()},{value()}" for k in range(31, 31 + READER_ROWS)]
+    sample = ["x1,x2,x3,y"] + [",".join(value() for _ in range(4)) for _ in range(READER_ROWS)]
+    files = {
+        "kernel_table.csv": TRIANGLE_TABLE,
+        READER_LOG: "\n".join(log) + "\n",
+        READER_SAMPLE: "\n".join(sample) + "\n",
+    }
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    return list(files)
 
 
 def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
@@ -133,13 +167,19 @@ class LayoutDiffers(Exception):
     """Two artifacts differ in something other than the value of a number."""
 
 
-def _rel(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|); 0 for equal values (NaN equals NaN), inf if one is not finite."""
+def _abs(a: float, b: float) -> float:
+    """|a - b|; 0 for equal values (NaN equals NaN), inf if one is not finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b)
+
+
+def _rel(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|), with _abs's 0 and inf."""
+    gap = _abs(a, b)
+    return gap if gap in (0.0, math.inf) else gap / max(abs(a), abs(b))
 
 
 def _number(text: str) -> float | None:
@@ -174,9 +214,9 @@ def _json_cells(doc, where: str = "", key: str = "."):
         yield where or ".", key, doc
 
 
-def _largest_differences(a: Path, b: Path) -> dict[str, tuple[float, str]]:
+def _largest_differences(a: Path, b: Path) -> dict[str, tuple[float, str, float]]:
     """Per key that differs, the largest relative difference between two artifacts'
-    numbers, where it is, and both values.
+    numbers, where it is with both values, and the largest absolute difference.
 
     A key is a CSV cell's column header or a JSON leaf's last key name.
 
@@ -191,6 +231,7 @@ def _largest_differences(a: Path, b: Path) -> dict[str, tuple[float, str]]:
     if [where for where, _, _ in cells_a] != [where for where, _, _ in cells_b]:
         raise LayoutDiffers("layout differs")
     worst: dict[str, tuple[float, str]] = {}
+    gaps: dict[str, float] = {}
     for (where, key, x), (_, _, y) in zip(cells_a, cells_b):
         if x == y:
             continue
@@ -200,7 +241,8 @@ def _largest_differences(a: Path, b: Path) -> dict[str, tuple[float, str]]:
         rel = _rel(float(u), float(v))
         if key not in worst or rel > worst[key][0]:
             worst[key] = rel, f"{where} ({u!r} vs {v!r})"
-    return worst
+        gaps[key] = max(gaps.get(key, 0.0), _abs(float(u), float(v)))
+    return {key: (*worst[key], gaps[key]) for key in worst}
 
 
 def _digest(path: Path) -> str:
@@ -208,7 +250,8 @@ def _digest(path: Path) -> str:
 
 
 def compare(root_a: Path, root_b: Path) -> int:
-    """Print the largest relative difference of every artifact whose sha256 differs."""
+    """Print the largest relative and absolute differences of every artifact whose
+    sha256 differs."""
     files_a = {p.relative_to(root_a).as_posix() for p in root_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(root_b).as_posix() for p in root_b.rglob("*") if p.is_file()}
     same = differ = 0
@@ -227,10 +270,12 @@ def compare(root_a: Path, root_b: Path) -> int:
         except (LayoutDiffers, ValueError) as exc:
             print(f"{rel}  {exc}")
             continue
-        worst, at = max(per_key.values(), key=lambda w: w[0], default=(0.0, "no numeric cell"))
+        worst, at, _ = max(
+            per_key.values(), key=lambda w: w[0], default=(0.0, "no numeric cell", 0.0)
+        )
         print(f"{rel}  max rel {worst:.3g} at {at}")
         for key in sorted(per_key):
-            print(f"    {key}  max rel {per_key[key][0]:.3g}")
+            print(f"    {key}  max rel {per_key[key][0]:.3g}  max abs {per_key[key][2]:.3g}")
     print(f"{same} identical, {differ} differ")
     return 0
 
@@ -263,16 +308,11 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("STREAMSIR_OUTDIR", None)
     root.mkdir(parents=True, exist_ok=True)
+    read_paths = write_reader_inputs(root)
     table = root / "kernel_table.csv"
-    table.write_text(TRIANGLE_TABLE, encoding="utf-8")
-    read = set()
     for seed in SEEDS:
         for name, argv in runs(seed, table):
             run_dir = root / f"seed{seed}" / name
-            read.update(
-                (run_dir / value).resolve()
-                for flag, value in zip(argv, argv[1:]) if flag in READ_FLAGS
-            )
             run_dir.mkdir(parents=True, exist_ok=True)
             done = subprocess.run(
                 [sys.executable, "-m", "streamsir", *argv, "--out-dir", "."],
@@ -283,13 +323,12 @@ def main() -> int:
                 return 1
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.relative_to(root).as_posix()}")
-    read_paths = sorted(path.relative_to(root).as_posix() for path in read)
     done = subprocess.run(
         [sys.executable, "-c", READ_DIGESTS, *read_paths],
         cwd=root, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
-        print(f"reading the input CSVs exited {done.returncode}:\n{done.stderr}",
+        print(f"reading the reader inputs exited {done.returncode}:\n{done.stderr}",
               file=sys.stderr)
         return 1
     for path, digest in zip(read_paths, done.stdout.split()):

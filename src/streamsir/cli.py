@@ -34,7 +34,6 @@ from .engine import run_stream
 from .errors import ConfigError, StreamSirError
 from .kernels import KernelSpec, epanechnikov, tabulated_kernel, BandwidthSchedule
 from .linkreg import curve
-from .moments import Slicer
 from .simulate import Sample, SingleIndexModel, draw, reference_model
 from .studies import (
     StudyConfig,
@@ -252,9 +251,8 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     # Rounding keeps accumulated steps on clean decimal values.
     grid = [round(args.grid_min + i * args.grid_step, 10) for i in range(count + 1)]
     grid = [a for a in grid if a <= args.grid_max + 1e-12]
-    boundary = None if cfg.boundary is None else Slicer(boundary=cfg.boundary)
     try:
-        report = select_alpha(sample, grid, slicer=boundary, warmup=cfg.warmup, kernel=kernel)
+        report = select_alpha(sample, grid, boundary=cfg.boundary, warmup=cfg.warmup, kernel=kernel)
     except ValueError as exc:
         raise StreamSirError(str(exc)) from exc
     out = _resolve_out_dir(args, cfg)

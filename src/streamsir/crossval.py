@@ -25,11 +25,10 @@ from typing import Any
 
 import numpy as np
 
-from .engine import DirectionPath, _warmup_length, direction_path
+from .engine import DirectionPath, direction_path
 from .errors import InsufficientDataError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
 from .linkreg import window_sums
-from .moments import Slicer
 from .simulate import Sample
 
 # Not called here: the per-layer tracer (perfbench/tracing.py) patches these
@@ -75,15 +74,15 @@ class CvReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _path(sample: Sample, slicer: Slicer | None, warmup: int | None) -> DirectionPath:
+def _path(sample: Sample, boundary: float | None, warmup: int | None) -> DirectionPath:
     """The one direction pass every candidate exponent shares."""
-    n0 = _warmup_length(sample, warmup)
-    if sample.n <= n0:
+    path = direction_path(sample, warmup=warmup, boundary=boundary)
+    n0 = path.warmup_n
+    if path.projections.size == 0:
         raise InsufficientDataError(
             f"sample has {sample.n} rows but scoring needs more than the warm-up ({n0})"
         )
-    boundary = slicer.boundary if slicer is not None else None
-    return direction_path(sample, warmup=n0, boundary=boundary)
+    return path
 
 
 def _replay(
@@ -123,7 +122,7 @@ def _replay(
 def cv_score(
     sample: Sample,
     alpha: float,
-    slicer: Slicer | None = None,
+    boundary: float | None = None,
     warmup: int | None = None,
     kernel: KernelSpec | None = None,
 ) -> tuple[float, int]:
@@ -133,14 +132,14 @@ def cv_score(
     predictions, and the number of post-warm-up observations whose
     prediction had no kernel support and therefore did not enter the score.
     """
-    score, skipped, _ = _replay(_path(sample, slicer, warmup), alpha, kernel)
+    score, skipped, _ = _replay(_path(sample, boundary, warmup), alpha, kernel)
     return score, skipped
 
 
 def select_alpha(
     sample: Sample,
     grid: np.ndarray | list[float],
-    slicer: Slicer | None = None,
+    boundary: float | None = None,
     warmup: int | None = None,
     kernel: KernelSpec | None = None,
 ) -> CvReport:
@@ -149,7 +148,9 @@ def select_alpha(
     Ties break toward the smaller alpha value, and among equal values
     toward the earlier grid position, so the selection never depends on
     evaluation order.  Scoring runs in this process: one direction pass,
-    then the blocked kernel replay of each candidate.
+    then the blocked kernel replay of each candidate.  boundary and warmup
+    go to direction_path; None means the warm-up's median response and
+    max(2 p, 30) rows.
 
     Raises:
         ValueError: empty grid or a candidate outside (0, 1).
@@ -161,7 +162,7 @@ def select_alpha(
         if not (0.0 < a < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
 
-    path = _path(sample, slicer, warmup)
+    path = _path(sample, boundary, warmup)
     results = [_replay(path, a, kernel) for a in cand]
 
     scores, skipped, counted = zip(*results)

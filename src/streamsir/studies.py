@@ -14,10 +14,10 @@ Four study kinds share one harness:
 
 Replication r of a study with master seed s draws its data with seed
 s XOR r, so replications are decoupled and any single one can be rerun in
-isolation.  The checkpoint studies step their replications in contiguous
-blocks of at most _REP_BLOCK through one batched direction pass
+isolation.  The checkpoint studies step their replications in order,
+_REP_BLOCK at a time, through one batched direction pass per chunk
 (engine.direction_paths), which gives each replication the same bits as
-running it alone; so the isolation holds bit for bit, and the block layout
+running it alone; so the isolation holds bit for bit, and the chunk size
 changes no artifact.  Replications run in this process.  Evaluation points
 come from a dedicated seeded draw that is independent of every
 replication seed.  All randomness flows through these two rules, which
@@ -25,10 +25,11 @@ makes every artifact byte-reproducible from (config, seed); records.csv
 rows are emitted in (replication, checkpoint, point) order and
 summary.json is written with sorted keys.
 
-Inside the checkpoint studies the data stay in arrays: each replication
-yields its (checkpoint, point) curve estimates, taken by linkreg.curve
-over the entries up to the checkpoint (NaN where no kernel window covers
-the point), and its per-checkpoint direction
+The three checkpoint studies (convergence, rate, normality) share one
+pipeline and differ only in their summaries.  Inside it the data stay in
+arrays: each replication yields its (checkpoint, point) curve estimates,
+taken by linkreg.curve over the entries up to the checkpoint (NaN where
+no kernel window covers the point), and its per-checkpoint direction
 distances; these stack into (replication, checkpoint, point) and
 (replication, checkpoint) arrays, every summary is computed from them,
 and the records are those arrays flattened into one column per field,
@@ -41,7 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -69,8 +70,11 @@ HISTOGRAM_EDGES = np.linspace(-4.0, 4.0, 25)
 KS_CRIT_1PCT = 1.6276236115189502
 
 # Most replications one direction_paths call steps together.  Its state is
-# (block, p, p), so memory stays bounded whatever n_reps is.
+# (chunk, p, p), so memory stays bounded whatever n_reps is.
 _REP_BLOCK = 64
+
+# Bootstrap resamples behind the rate study's slope interval.
+_BOOTSTRAP = 200
 
 
 def draw_eval_points(model: SingleIndexModel, count: int = 10, seed: int = EVAL_POINT_SEED) -> np.ndarray:
@@ -142,12 +146,21 @@ def _ks_statistic(z: np.ndarray) -> float:
     return float(max(np.max(np.arange(1.0, m + 1) / m - c), np.max(c - np.arange(0.0, m) / m)))
 
 
+def _integer(value: Any, name: str) -> int:
+    """value as an int; a bool, a float or any other non-integer raises ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Shared configuration of the Monte Carlo studies.
+    """Shared configuration of the Monte Carlo studies, resolved once at construction.
 
-    Every study runs its replications in this process, in contiguous
-    blocks sized from n_reps alone; the block layout changes no result.
+    The integer fields must be integers (Python or numpy, not bool); a
+    float or any other value is refused rather than truncated.  Each study
+    runs its replications in this process, in chunks of _REP_BLOCK; the
+    chunk size changes no result.
 
     Attributes:
         model: data-generating model.
@@ -156,11 +169,10 @@ class StudyConfig:
         n_reps: number of replications.
         alpha: bandwidth exponent of the curve estimate.
         seed: master seed; replication r uses seed XOR r.
-        eval_points: explicit evaluation points, either an (m, p) array of
-            covariate vectors or an (m,) array of projection values; None
-            means a seeded default draw of 10 covariate vectors.
-        warmup: warm-up length override; None means max(2 p, 30).
-        bootstrap: resample count for the rate study's slope interval.
+        eval_points: evaluation points as float64, either an (m, p) array of
+            covariate vectors or an (m,) array of projection values.  None
+            is replaced by a seeded default draw of 10 covariate vectors.
+        warmup: warm-up length.  None is replaced by max(2 p, 30).
     """
 
     model: SingleIndexModel
@@ -170,27 +182,26 @@ class StudyConfig:
     seed: int = 0
     eval_points: np.ndarray | None = None
     warmup: int | None = None
-    bootstrap: int = 200
 
     def __post_init__(self) -> None:
-        if not self.sizes:
+        sizes = tuple(_integer(s, "sizes") for s in self.sizes)
+        if not sizes:
             raise ValueError("sizes must be non-empty")
-        sizes = tuple(int(s) for s in self.sizes)
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
-        object.__setattr__(self, "sizes", sizes)
-        if self.n_reps < 1:
+        if _integer(self.n_reps, "n_reps") < 1:
             raise ValueError("n_reps must be at least 1")
+        _integer(self.seed, "seed")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        n0 = self.warmup if self.warmup is not None else default_warmup(self.model.p)
+        n0 = default_warmup(self.model.p) if self.warmup is None else _integer(self.warmup, "warmup")
         if sizes[0] <= n0:
             raise ValueError(
                 f"smallest checkpoint {sizes[0]} must exceed the warm-up length {n0}"
             )
-        if self.bootstrap < 1:
-            raise ValueError("bootstrap must be at least 1")
-        if self.eval_points is not None:
+        if self.eval_points is None:
+            pts = draw_eval_points(self.model)
+        else:
             pts = np.asarray(self.eval_points, dtype=np.float64)
             if pts.ndim == 2 and pts.shape[1] != self.model.p:
                 raise ValueError("eval point vectors must have length p")
@@ -198,15 +209,9 @@ class StudyConfig:
                 raise ValueError("eval_points must be a non-empty 1-d or 2-d array")
             if not np.isfinite(pts).all():
                 raise ValueError("eval_points must be finite")
-            object.__setattr__(self, "eval_points", pts)
-
-    def resolved_eval_points(self) -> np.ndarray:
-        if self.eval_points is None:
-            return draw_eval_points(self.model)
-        return self.eval_points
-
-    def resolved_warmup(self) -> int:
-        return self.warmup if self.warmup is not None else default_warmup(self.model.p)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "warmup", n0)
+        object.__setattr__(self, "eval_points", pts)
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,8 @@ class StudyResult:
         return records_path, summary_path
 
 
-def _config_echo(config: StudyConfig, eval_points: np.ndarray) -> dict[str, Any]:
-    model = config.model
+def _config_echo(config: StudyConfig) -> dict[str, Any]:
+    model, pts = config.model, config.eval_points
     echo: dict[str, Any] = {
         "p": model.p,
         "noise_std": float(model.noise_std),
@@ -267,53 +272,17 @@ def _config_echo(config: StudyConfig, eval_points: np.ndarray) -> dict[str, Any]
         "seed": int(config.seed),
         "sizes": [int(s) for s in config.sizes],
         "n_reps": int(config.n_reps),
-        "warmup": config.resolved_warmup(),
+        "warmup": config.warmup,
         "kernel": "epanechnikov",
     }
-    if eval_points.ndim == 1:
-        echo["eval_projections"] = [float(v) for v in eval_points]
+    if pts.ndim == 1:
+        echo["eval_projections"] = [float(v) for v in pts]
     else:
-        echo["eval_points"] = [[float(v) for v in row] for row in eval_points]
+        echo["eval_points"] = [[float(v) for v in row] for row in pts]
     return echo
 
 
-def _point_truths(
-    model: SingleIndexModel, eval_points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """True projections and true curve values of the evaluation points."""
-    if eval_points.ndim == 1:
-        u_true = eval_points.astype(np.float64)
-    else:
-        u_true = eval_points @ model.direction
-    f_true = np.asarray(model.link(u_true), dtype=np.float64)
-    return u_true, f_true
-
-
-def _checkpoint_block(
-    config: StudyConfig, eval_points: np.ndarray, reps: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """A contiguous block of replications: one batched direction pass, then each one's estimates.
-
-    Replication rep draws its own sample with seed config.seed XOR rep.
-    Returns the (rep, size, point) estimates and the (rep, size) direction
-    distances of the block.
-    """
-    model, sizes = config.model, config.sizes
-    samples = [draw(model, sizes[-1], config.seed ^ rep) for rep in reps]
-    paths = direction_paths(samples, warmup=config.resolved_warmup(), checkpoints=sizes)
-    est, dd = zip(
-        *(_checkpoint_rows(path, model, sizes, config.alpha, eval_points) for path in paths)
-    )
-    return np.stack(est), np.stack(dd)
-
-
-def _checkpoint_rows(
-    path: DirectionPath,
-    model: SingleIndexModel,
-    sizes: tuple[int, ...],
-    alpha: float,
-    eval_points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _checkpoint_rows(path: DirectionPath, config: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
     """One replication's curve estimates from its direction path, at each checkpoint size.
 
     At checkpoint n the curve is evaluated over the entries k <= n with the
@@ -323,16 +292,17 @@ def _checkpoint_rows(
     direction distances.
     """
     kernel = epanechnikov()
+    sizes, pts = config.sizes, config.eval_points
     u, y = path.projections, path.responses
     first = path.warmup_n + 1
-    h = BandwidthSchedule(alpha=alpha).h(np.arange(first, first + u.size, dtype=np.int64))
-    est = np.empty((len(sizes), eval_points.shape[0]))
+    h = BandwidthSchedule(alpha=config.alpha).h(np.arange(first, first + u.size, dtype=np.int64))
+    est = np.empty((len(sizes), pts.shape[0]))
     dd = np.empty(len(sizes))
     for i, n in enumerate(sizes):
         m = n - path.warmup_n
         theta = path.snapshots[n]
-        dd[i] = direction_distance(theta, model.direction)
-        u_hat = eval_points @ theta if eval_points.ndim == 2 else eval_points
+        dd[i] = direction_distance(theta, config.model.direction)
+        u_hat = pts @ theta if pts.ndim == 2 else pts
         est[i] = curve(kernel, u_hat, u[:m], h[:m], y[:m])[0]
     return est, dd
 
@@ -340,39 +310,49 @@ def _checkpoint_rows(
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 
 
-def _replication_blocks(n_reps: int) -> list[range]:
-    """ceil(n_reps / _REP_BLOCK) near-equal contiguous blocks of replications."""
-    count = -(-n_reps // _REP_BLOCK)
-    bounds = [n_reps * b // count for b in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+def _run_checkpoint_study(
+    config: StudyConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, size, point) estimates, (rep, size) direction distances, and the
+    points' true projections and true curve values.
+
+    Replication rep draws its sample with seed config.seed XOR rep; the
+    replications go through direction_paths in order, _REP_BLOCK at a time.
+    """
+    model, sizes, pts = config.model, config.sizes, config.eval_points
+    rows = []
+    for lo in range(0, config.n_reps, _REP_BLOCK):
+        reps = range(lo, min(lo + _REP_BLOCK, config.n_reps))
+        samples = [draw(model, sizes[-1], config.seed ^ rep) for rep in reps]
+        paths = direction_paths(samples, warmup=config.warmup, checkpoints=sizes)
+        rows += [_checkpoint_rows(path, config) for path in paths]
+    est, dd = zip(*rows)
+    u_true = pts if pts.ndim == 1 else pts @ model.direction
+    f_true = np.asarray(model.link(u_true), dtype=np.float64)
+    return np.stack(est), np.stack(dd), u_true, f_true
 
 
-def _run_checkpoint_study(config: StudyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rep, size, point) estimates, (rep, size) direction distances and the evaluation points."""
-    eval_points = config.resolved_eval_points()
-    blocks = _replication_blocks(config.n_reps)
-    est, dd = zip(*(_checkpoint_block(config, eval_points, reps) for reps in blocks))
-    return np.concatenate(est), np.concatenate(dd), eval_points
-
-
-def _checkpoint_table(
-    sizes: Sequence[int],
+def _checkpoint_result(
+    study: str,
+    config: StudyConfig,
     u_true: np.ndarray,
     f_true: np.ndarray,
     dd: np.ndarray,
+    summary: dict[str, Any],
     **cells: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """The records as columns, flattened in (replication, checkpoint, point) order.
+) -> StudyResult:
+    """A checkpoint study's result: the shared summary keys plus summary, and the records.
 
-    cells maps column names to (rep, size, point) arrays, each NaN exactly
-    where cells["estimate"] is, that is where the estimate is missing; their
-    columns come after true_value, in the order given.
+    The records are columns flattened in (replication, checkpoint, point)
+    order.  cells maps column names to (rep, size, point) arrays, each NaN
+    exactly where cells["estimate"] is, that is where the estimate is
+    missing; their columns come after true_value, in the order given.
     """
     missing = np.isnan(cells["estimate"])
     rep, i, j = np.indices(missing.shape).reshape(3, -1)
-    return {
+    table = {
         "rep": rep,
-        "n": np.asarray(sizes, dtype=np.int64)[i],
+        "n": np.asarray(config.sizes, dtype=np.int64)[i],
         "point": j,
         "u_true": u_true[j],
         "true_value": f_true[j],
@@ -380,6 +360,13 @@ def _checkpoint_table(
         "missing": missing.ravel(),
         "direction_distance": dd[rep, i],
     }
+    head = {
+        "study": study,
+        "config": _config_echo(config),
+        "true_projections": [float(v) for v in u_true],
+        "true_values": [float(v) for v in f_true],
+    }
+    return StudyResult(study=study, table=table, summary={**head, **summary})
 
 
 def _nanmedian(a: np.ndarray, axis: int) -> np.ndarray:
@@ -412,14 +399,9 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     Record count is n_reps * len(sizes) * n_points; rows with no kernel
     support at the evaluation point are kept and flagged missing.
     """
-    est, dd, eval_points = _run_checkpoint_study(config)
-    u_true, f_true = _point_truths(config.model, eval_points)
+    est, dd, u_true, f_true = _run_checkpoint_study(config)
     errors = np.abs(est - f_true)
     summary = {
-        "study": "convergence",
-        "config": _config_echo(config, eval_points),
-        "true_projections": [float(v) for v in u_true],
-        "true_values": [float(v) for v in f_true],
         "abs_error_quantiles": {
             str(n): {str(j): _quantile_block(errors[:, i, j]) for j in range(est.shape[2])}
             for i, n in enumerate(config.sizes)
@@ -428,8 +410,9 @@ def convergence_study(config: StudyConfig) -> StudyResult:
             str(n): _quantile_block(dd[:, i]) for i, n in enumerate(config.sizes)
         },
     }
-    table = _checkpoint_table(config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors)
-    return StudyResult(study="convergence", table=table, summary=summary)
+    return _checkpoint_result(
+        "convergence", config, u_true, f_true, dd, summary, estimate=est, abs_error=errors
+    )
 
 
 def _slopes(log_n: np.ndarray, medians: np.ndarray) -> np.ndarray:
@@ -477,8 +460,7 @@ def rate_study(config: StudyConfig) -> StudyResult:
     like n**-1/2 up to slowly varying factors, so whichever is slower
     sets the observable slope.
     """
-    est, dd, eval_points = _run_checkpoint_study(config)
-    u_true, f_true = _point_truths(config.model, eval_points)
+    est, dd, u_true, f_true = _run_checkpoint_study(config)
     errors = np.abs(est - f_true)
     sizes = np.asarray(config.sizes, dtype=np.float64)
     log_n = np.log(sizes)
@@ -502,7 +484,7 @@ def rate_study(config: StudyConfig) -> StudyResult:
             )
         else:
             entry["slope"] = point_slope
-            boot = _bootstrap_slopes(errors[:, :, j], log_n, config.bootstrap, rng)
+            boot = _bootstrap_slopes(errors[:, :, j], log_n, _BOOTSTRAP, rng)
             if boot.size:
                 lo, hi = np.percentile(boot, [2.5, 97.5])
                 entry["slope_ci_low"] = float(lo)
@@ -516,17 +498,14 @@ def rate_study(config: StudyConfig) -> StudyResult:
     }
 
     summary = {
-        "study": "rate",
-        "config": _config_echo(config, eval_points),
-        "true_projections": [float(v) for v in u_true],
-        "true_values": [float(v) for v in f_true],
         "decade_spanned": bool(decade_spanned),
         "reference_slope": -min(config.alpha, 0.5),
         "slopes": slopes,
         "direction_envelope_q90": envelope,
     }
-    table = _checkpoint_table(config.sizes, u_true, f_true, dd, estimate=est, abs_error=errors)
-    return StudyResult(study="rate", table=table, summary=summary)
+    return _checkpoint_result(
+        "rate", config, u_true, f_true, dd, summary, estimate=est, abs_error=errors
+    )
 
 
 def normality_study(config: StudyConfig) -> StudyResult:
@@ -556,8 +535,7 @@ def normality_study(config: StudyConfig) -> StudyResult:
     if len(config.sizes) != 1:
         raise ValueError("normality study uses exactly one sample size")
     n = config.sizes[0]
-    est, dd, eval_points = _run_checkpoint_study(config)
-    u_true, f_true = _point_truths(model, eval_points)
+    est, dd, u_true, f_true = _run_checkpoint_study(config)
     h_n = float(n) ** (-config.alpha)
     scale = np.sqrt(n * h_n)
     kernel = epanechnikov()
@@ -570,7 +548,7 @@ def normality_study(config: StudyConfig) -> StudyResult:
     z = scale * (est - f_true) / ref_std
 
     per_point = {}
-    for j in range(eval_points.shape[0]):
+    for j in range(u_true.size):
         zs = z[:, 0, j][~np.isnan(z[:, 0, j])]
         m = int(zs.size)
         block: dict[str, Any] = {
@@ -601,18 +579,14 @@ def normality_study(config: StudyConfig) -> StudyResult:
         per_point[str(j)] = block
 
     summary = {
-        "study": "normality",
-        "config": _config_echo(config, eval_points),
         "n": int(n),
         "bandwidth_at_n": h_n,
-        "true_projections": [float(v) for v in u_true],
-        "true_values": [float(v) for v in f_true],
         "histogram_edges": [float(e) for e in HISTOGRAM_EDGES],
         "per_point": per_point,
     }
-    table = _checkpoint_table(config.sizes, u_true, f_true, dd, estimate=est, z=z)
-    del table["n"]  # one size: n is in the summary
-    return StudyResult(study="normality", table=table, summary=summary)
+    result = _checkpoint_result("normality", config, u_true, f_true, dd, summary, estimate=est, z=z)
+    del result.table["n"]  # one size: n is in the summary
+    return result
 
 
 def scatter_study(config: StudyConfig) -> StudyResult:
@@ -625,7 +599,7 @@ def scatter_study(config: StudyConfig) -> StudyResult:
     """
     n = config.sizes[-1]
     sample = draw(config.model, n, config.seed)
-    path = direction_path(sample, warmup=config.resolved_warmup())
+    path = direction_path(sample, warmup=config.warmup)
     theta = path.sir.theta_hat
     xs = sample.covariates
     table = {
@@ -636,7 +610,7 @@ def scatter_study(config: StudyConfig) -> StudyResult:
     }
     summary = {
         "study": "scatter",
-        "config": _config_echo(config, config.resolved_eval_points()),
+        "config": _config_echo(config),
         "n": int(n),
         "boundary": float(path.slicer.boundary),
         "warmup_n": int(path.warmup_n),

@@ -108,7 +108,7 @@ def test_grid_validation():
 def test_custom_slicer_changes_the_replay():
     sample = _sample(n=150, seed=6)
     default = select_alpha(sample, [0.35])
-    shifted = select_alpha(sample, [0.35], slicer=Slicer(boundary=1.0))
+    shifted = select_alpha(sample, [0.35], boundary=1.0)
     assert default.scores != shifted.scores
 
 
@@ -154,15 +154,15 @@ def test_shared_path_scores_equal_per_exponent_replays(kernel, slicer):
     # projections come from the recursion rather than prefix totals.
     sample = _sample(n=400, p=5, seed=8)
     grid = [0.1, 0.3, 0.55]
-    report = select_alpha(sample, grid, slicer=slicer, kernel=kernel)
     boundary = None if slicer is None else slicer.boundary
+    report = select_alpha(sample, grid, boundary=boundary, kernel=kernel)
     path = direction_path(sample, warmup=30, boundary=boundary)
     log_kernel = epanechnikov() if kernel is None else kernel
     exact = [_replay_by_evaluate(path, a, log_kernel) for a in grid]
     assert report.scores == tuple(w[0] for w in exact)
     assert report.skipped == tuple(w[1] for w in exact)
     assert report.counted == tuple(w[2] for w in exact)
-    assert cv_score(sample, 0.3, slicer=slicer, kernel=kernel) == exact[1][:2]
+    assert cv_score(sample, 0.3, boundary=boundary, kernel=kernel) == exact[1][:2]
 
     want = [_replay_one_exponent(sample, a, kernel, boundary, 30) for a in grid]
     for got, w in zip(report.scores, want):

@@ -34,7 +34,6 @@ from streamsir.studies import (
     _excess_kurtosis,
     _ks_statistic,
     _quantile_block,
-    _replication_blocks,
     _skewness,
     projected_density,
 )
@@ -104,6 +103,38 @@ def test_config_validation(model_m):
         StudyConfig(model=model_m, sizes=(30,), n_reps=2, warmup=30)
     with pytest.raises(ValueError, match="non-empty"):
         StudyConfig(model=model_m, sizes=(), n_reps=2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sizes", (250.7, 500)),
+        ("sizes", (np.float64(250.0), 500)),
+        ("sizes", (True, 500)),
+        ("n_reps", True),
+        ("n_reps", 2.5),
+        ("n_reps", "2"),
+        ("seed", 2.5),
+        ("seed", np.True_),
+        ("warmup", 30.0),
+    ],
+)
+def test_config_refuses_non_integers(model_m, field, value):
+    # Refused, not coerced: int() would read 250.7 as 250 and True as one
+    # replication, and a float seed fails only mid-run.
+    kwargs = dict(model=model_m, sizes=(250, 500), n_reps=2, seed=0, warmup=None)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        StudyConfig(**kwargs)
+
+
+def test_config_resolves_its_defaults_once(model_m):
+    config = StudyConfig(model=model_m, sizes=(np.int64(250), np.int32(500)), n_reps=np.int64(2))
+    assert config.sizes == (250, 500) and all(type(n) is int for n in config.sizes)
+    assert config.warmup == 30
+    assert np.array_equal(config.eval_points, draw_eval_points(model_m))
+    given = StudyConfig(model=model_m, sizes=(250,), n_reps=1, seed=np.uint8(3), warmup=np.int64(40))
+    assert given.warmup == 40 and type(given.warmup) is int
 
 
 def test_single_replication_quantiles_degenerate(model_m):
@@ -295,12 +326,14 @@ def test_study_results_compare_by_their_columns(model_m):
 
 
 def test_parallel_schedule_does_not_change_results(model_m, monkeypatch):
-    # Each replication has the same bits whichever block it is stepped in:
-    # four and seven replications in blocks of one, three and 64.
-    kwargs = dict(
-        model=model_m, sizes=(100, 200), seed=5, eval_points=np.array([0.0, 0.5]), warmup=30
+    # Each replication has the same bits whichever chunk it is stepped in:
+    # four, seven and nine replications in chunks of one, three and 64.
+    kwargs = dict(model=model_m, seed=5, eval_points=np.array([0.0, 0.5]), warmup=30)
+    cases = (
+        (convergence_study, dict(sizes=(100, 200), n_reps=4)),
+        (rate_study, dict(sizes=(100, 200), n_reps=7)),
+        (normality_study, dict(sizes=(200,), n_reps=9)),
     )
-    cases = ((convergence_study, dict(n_reps=4)), (rate_study, dict(n_reps=7, bootstrap=50)))
     for run, extra in cases:
         results = []
         for block in (1, 3, 64):
@@ -313,13 +346,30 @@ def test_parallel_schedule_does_not_change_results(model_m, monkeypatch):
 
 @pytest.mark.parametrize("n_reps", [1, 7, _REP_BLOCK, _REP_BLOCK + 1, 3 * _REP_BLOCK - 1])
 @pytest.mark.parametrize("block", [1, 2, 3, _REP_BLOCK])
-def test_replication_blocks_are_contiguous_bounded_and_near_equal(n_reps, block, monkeypatch):
+def test_replication_blocks_are_contiguous_bounded_and_near_equal(
+    model_m, n_reps, block, monkeypatch
+):
+    # direction_paths gets the replications in order, at most _REP_BLOCK per
+    # call, in ceil(n_reps / _REP_BLOCK) calls: plain chunks, the last one
+    # holding the remainder.
+    calls = []
+    real = studies.direction_paths
+
+    def recorder(samples, **kwargs):
+        calls.append([sample.covariates for sample in samples])
+        return real(samples, **kwargs)
+
     monkeypatch.setattr(studies, "_REP_BLOCK", block)
-    blocks = _replication_blocks(n_reps)
-    assert [rep for b in blocks for rep in b] == list(range(n_reps))
-    sizes = [len(b) for b in blocks]
-    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
-    assert len(blocks) == math.ceil(n_reps / block)
+    monkeypatch.setattr(studies, "direction_paths", recorder)
+    config = StudyConfig(model=model_m, sizes=(40,), n_reps=n_reps, seed=5, warmup=30)
+    est, dd, _, _ = studies._run_checkpoint_study(config)
+    assert est.shape[0] == dd.shape[0] == n_reps
+    assert len(calls) == math.ceil(n_reps / block)
+    assert [len(c) for c in calls[:-1]] == [block] * (len(calls) - 1)
+    passed = [x for c in calls for x in c]
+    assert len(passed) == n_reps
+    for rep, x in enumerate(passed):
+        assert np.array_equal(x, draw(model_m, 40, 5 ^ rep).covariates)
 
 
 def test_ks_critical_value_equals_scipy():
@@ -486,7 +536,7 @@ def test_summaries_equal_those_rebuilt_from_the_records(missing_heavy):
         assert block["median_abs_error"] == [None if np.isnan(v) else float(v) for v in med]
         assert block["slope"] == slope
         if slope is not None:
-            boot = _reference_bootstrap(errors[:, j, :], log_n, config.bootstrap, rng)
+            boot = _reference_bootstrap(errors[:, j, :], log_n, studies._BOOTSTRAP, rng)
             ci = [float(v) for v in np.percentile(boot, [2.5, 97.5])] if boot else [None, None]
             assert [block["slope_ci_low"], block["slope_ci_high"]] == ci
     loglog = np.log(np.log(np.asarray(sizes, dtype=np.float64)))
@@ -550,7 +600,10 @@ def test_checkpoint_rows_equal_evaluate_on_each_log_prefix(model_m, points):
     missing = 0
     for seed, alpha in ((3, 0.35), (4, 0.2), (5, 0.5)):
         path = direction_path(draw(model_m, sizes[-1], seed), warmup=30, checkpoints=sizes)
-        got = studies._checkpoint_rows(path, model_m, sizes, alpha, eval_points)
+        config = StudyConfig(
+            model=model_m, sizes=sizes, n_reps=1, alpha=alpha, eval_points=eval_points, warmup=30
+        )
+        got = studies._checkpoint_rows(path, config)
         want = _checkpoint_rows_by_evaluate(path, model_m, sizes, alpha, eval_points)
         assert np.array_equal(got[0], want[0], equal_nan=True)
         assert np.array_equal(got[1], want[1])
