@@ -8,6 +8,9 @@ lines, then one `total` row.  A code line is a non-blank line that holds
 some token other than a comment and is not part of a docstring (the
 string that opens a module, class or function body).  A line inside a
 multi-line string that is not a docstring is code.
+
+When DIR holds an `__init__.py` whose `__all__` is a literal list or
+tuple, one last row, `exports N`, gives its length.
 """
 
 from __future__ import annotations
@@ -54,6 +57,19 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code - _docstring_lines(ast.parse(text)))
 
 
+def exports(text: str) -> int | None:
+    """Length of a module's `__all__`, or None when it has no literal one."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                return len(ast.literal_eval(node.value))
+            except ValueError:
+                return None
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", nargs="?", default="src/streamsir", help="package directory")
@@ -65,6 +81,10 @@ def main(argv: list[str] | None = None) -> int:
         totals = [t + c for t, c in zip(totals, counts)]
         print(f"{counts[0]:>6} {counts[1]:>6}  {path.name}")
     print(f"{totals[0]:>6} {totals[1]:>6}  total")
+    init = Path(args.dir) / "__init__.py"
+    n = exports(init.read_text(encoding="utf-8")) if init.is_file() else None
+    if n is not None:
+        print(f"exports {n}")
     return 0
 
 

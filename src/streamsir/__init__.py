@@ -6,7 +6,7 @@ kernel estimate of the link function, plus the Monte Carlo studies that
 probe their convergence and distributional behavior.
 """
 
-from .crossval import CvReport, cv_score, select_alpha
+from .crossval import CvReport, select_alpha
 from .engine import (
     DEFAULT_ALPHA,
     DirectionPath,
@@ -85,7 +85,6 @@ __all__ = [
     "batch_sir",
     "convergence_study",
     "curve",
-    "cv_score",
     "default_warmup",
     "direction_distance",
     "direction_from_moments",

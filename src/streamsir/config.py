@@ -18,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from .engine import DEFAULT_ALPHA
 from .errors import ConfigError
 
 _KERNELS = ("epanechnikov", "tabulated")
@@ -33,7 +34,7 @@ class EngineConfig:
     set" for overridable settings whose defaults depend on the data.
     """
 
-    alpha: float = 0.35
+    alpha: float = DEFAULT_ALPHA
     warmup: int | None = None
     boundary: float | None = None
     kernel: str = "epanechnikov"

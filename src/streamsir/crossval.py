@@ -8,6 +8,10 @@ is empty) are skipped and counted; a grid point whose skip fraction
 exceeds 5 percent is flagged because its score then averages over
 noticeably fewer terms than its neighbours.
 
+select_alpha is the one entry point: the score and skip count of a
+single exponent are .scores[0] and .skipped[0] of select_alpha(sample,
+[alpha]).  A sample needs at least one row past the warm-up.
+
 The logged projections u_k = theta_{k-1}' x_k do not depend on the
 exponent, so the direction path runs once and every candidate replays only
 the kernel sums over the fixed (k, u_k, y_k), a block of queries at a
@@ -25,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .engine import DirectionPath, direction_path
+from .engine import DirectionPath, default_warmup, direction_path
 from .errors import InsufficientDataError
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov
 from .linkreg import window_sums
@@ -74,17 +78,6 @@ class CvReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _path(sample: Sample, boundary: float | None, warmup: int | None) -> DirectionPath:
-    """The one direction pass every candidate exponent shares."""
-    path = direction_path(sample, warmup=warmup, boundary=boundary)
-    n0 = path.warmup_n
-    if path.projections.size == 0:
-        raise InsufficientDataError(
-            f"sample has {sample.n} rows but scoring needs more than the warm-up ({n0})"
-        )
-    return path
-
-
 def _replay(
     path: DirectionPath, alpha: float, kernel: KernelSpec | None = None
 ) -> tuple[float, int, int]:
@@ -119,23 +112,6 @@ def _replay(
     return score, n - counted, counted
 
 
-def cv_score(
-    sample: Sample,
-    alpha: float,
-    boundary: float | None = None,
-    warmup: int | None = None,
-    kernel: KernelSpec | None = None,
-) -> tuple[float, int]:
-    """Predictive squared-error score of one exponent on one sample.
-
-    Returns (score, skipped): the accumulated squared error over supported
-    predictions, and the number of post-warm-up observations whose
-    prediction had no kernel support and therefore did not enter the score.
-    """
-    score, skipped, _ = _replay(_path(sample, boundary, warmup), alpha, kernel)
-    return score, skipped
-
-
 def select_alpha(
     sample: Sample,
     grid: np.ndarray | list[float],
@@ -154,6 +130,7 @@ def select_alpha(
 
     Raises:
         ValueError: empty grid or a candidate outside (0, 1).
+        InsufficientDataError: the sample has no rows past the warm-up.
     """
     cand = [float(a) for a in np.asarray(grid, dtype=np.float64).ravel()]
     if not cand:
@@ -161,8 +138,13 @@ def select_alpha(
     for a in cand:
         if not (0.0 < a < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
+    n0 = default_warmup(sample.p) if warmup is None else int(warmup)
+    if sample.n <= n0:
+        raise InsufficientDataError(
+            f"sample has {sample.n} rows but scoring needs more than the warm-up ({n0})"
+        )
 
-    path = _path(sample, boundary, warmup)
+    path = direction_path(sample, warmup=n0, boundary=boundary)
     results = [_replay(path, a, kernel) for a in cand]
 
     scores, skipped, counted = zip(*results)

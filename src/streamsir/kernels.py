@@ -61,7 +61,7 @@ def epanechnikov() -> KernelSpec:
     )
 
 
-def tabulated_kernel(xs: np.ndarray, values: np.ndarray, name: str = "tabulated") -> KernelSpec:
+def tabulated_kernel(xs: np.ndarray, values: np.ndarray) -> KernelSpec:
     """Build a kernel from (abscissa, value) pairs by linear interpolation.
 
     The table must hold finite entries and describe a symmetric
@@ -104,7 +104,7 @@ def tabulated_kernel(xs: np.ndarray, values: np.ndarray, name: str = "tabulated"
         raise ValueError(f"kernel table mass {mass!r} is not 1 within 1e-6")
     nu2 = float(np.trapezoid(k * k, dense))
     tau2 = float(0.5 * np.trapezoid(dense * dense * k, dense))
-    return KernelSpec(name=name, eval=evaluator, support_radius=radius, nu2=nu2, tau2=tau2)
+    return KernelSpec(name="tabulated", eval=evaluator, support_radius=radius, nu2=nu2, tau2=tau2)
 
 
 @dataclass(frozen=True)

@@ -81,18 +81,6 @@ class MomentState:
     slice_counts: np.ndarray
     slice_means: np.ndarray
 
-    @property
-    def p(self) -> int:
-        return self.mean.size
-
-    def centered_slice_diff(self) -> np.ndarray:
-        """(z_1 - z_2) where z_h is the centered slice mean.
-
-        The overall-mean terms cancel in the difference, so this is simply
-        slice_means[0] - slice_means[1].
-        """
-        return self.slice_means[0] - self.slice_means[1]
-
     def copy(self) -> "MomentState":
         """An independent copy: every array is copied."""
         return MomentState(

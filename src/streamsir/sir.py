@@ -47,7 +47,7 @@ class SirState:
 
 def direction_from_moments(moments: MomentState) -> np.ndarray:
     """theta_hat = inv_cov @ (z_1 - z_2) read off a moment state."""
-    return moments.inv_cov @ moments.centered_slice_diff()
+    return moments.inv_cov @ (moments.slice_means[0] - moments.slice_means[1])
 
 
 def batch_sir(sample: Sample, slicer: Slicer) -> np.ndarray:

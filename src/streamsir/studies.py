@@ -32,21 +32,22 @@ taken by linkreg.curve over the entries up to the checkpoint (NaN where
 no kernel window covers the point), and its per-checkpoint direction
 distances; these stack into (replication, checkpoint, point) and
 (replication, checkpoint) arrays, every summary is computed from them,
-and the records are those arrays flattened into one column per field,
-which io writes as records.csv.
+and the records are those arrays flattened into one column per field:
+StudyResult.table, which io writes as records.csv.  StudyResult and
+StudyConfig compare by value, arrays included.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .engine import DirectionPath, default_warmup, direction_path, direction_paths
+from .engine import DEFAULT_ALPHA, DirectionPath, default_warmup, direction_path, direction_paths
 from .kernels import BandwidthSchedule, epanechnikov
 from .linkreg import curve, theoretical_std
 from .sir import direction_distance
@@ -77,11 +78,11 @@ _REP_BLOCK = 64
 _BOOTSTRAP = 200
 
 
-def draw_eval_points(model: SingleIndexModel, count: int = 10, seed: int = EVAL_POINT_SEED) -> np.ndarray:
+def draw_eval_points(model: SingleIndexModel, count: int = 10) -> np.ndarray:
     """Fixed covariate vectors at which curve estimates are compared."""
     if count < 1:
         raise ValueError("need at least one evaluation point")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EVAL_POINT_SEED)
     pts = rng.standard_normal((count, model.p))
     if model.covariate_cov is not None:
         chol = np.linalg.cholesky(model.covariate_cov)
@@ -178,7 +179,7 @@ class StudyConfig:
     model: SingleIndexModel
     sizes: tuple[int, ...]
     n_reps: int
-    alpha: float = 0.35
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
     eval_points: np.ndarray | None = None
     warmup: int | None = None
@@ -213,6 +214,17 @@ class StudyConfig:
         object.__setattr__(self, "warmup", n0)
         object.__setattr__(self, "eval_points", pts)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal fields, with eval_points compared by value."""
+        if not isinstance(other, StudyConfig):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            if f.name == "eval_points"
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
+
 
 @dataclass(frozen=True)
 class StudyResult:
@@ -241,15 +253,6 @@ class StudyResult:
             and list(mine) == list(theirs)
             and all(np.array_equal(mine[k], theirs[k], equal_nan=True) for k in mine)
         )
-
-    @property
-    def records(self) -> tuple[dict[str, Any], ...]:
-        """One dict per record row, built from table on each access; NaN reads None."""
-        columns = [
-            [None if v != v else v for v in a.tolist()] if a.dtype.kind == "f" else a.tolist()
-            for a in self.table.values()
-        ]
-        return tuple(dict(zip(self.table, row)) for row in zip(*columns))
 
     def write(self, out_dir: str | Path) -> tuple[Path, Path]:
         """Write records.csv and summary.json into out_dir."""

@@ -189,12 +189,10 @@ def test_c4_link_consistency(model_m, acceptance_convergence):
     pts = np.asarray(result.summary["config"]["eval_points"])
     central = set(int(i) for i in central_point_indices(model_m, pts))
     medians = {}
+    t = result.table
     for n in (200, 500, 1000, 2000):
-        errs = [
-            r["abs_error"]
-            for r in result.records
-            if r["n"] == n and r["point"] in central and not r["missing"]
-        ]
+        keep = (t["n"] == n) & np.isin(t["point"], sorted(central)) & ~t["missing"]
+        errs = t["abs_error"][keep]
         medians[n] = float(np.median(errs))
     elapsed = time.perf_counter() - start
     vals = [medians[n] for n in (200, 500, 1000, 2000)]

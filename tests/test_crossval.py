@@ -13,7 +13,6 @@ from streamsir import (
     ProjectionLog,
     SingleIndexModel,
     Slicer,
-    cv_score,
     direction_path,
     draw,
     epanechnikov,
@@ -46,21 +45,34 @@ def test_constant_responses_cannot_be_sliced():
     sample = draw(model, 80, 1)
     assert np.all(sample.responses == 2.5)
     with pytest.raises(EmptySliceError):
-        cv_score(sample, 0.35)
+        select_alpha(sample, [0.35])
 
 
 def test_score_is_deterministic():
     sample = _sample()
-    a = cv_score(sample, 0.35)
-    b = cv_score(sample, 0.35)
-    assert a == b
-    assert isinstance(a[0], float) and isinstance(a[1], int)
+    a = select_alpha(sample, [0.35])
+    b = select_alpha(sample, [0.35])
+    assert (a.scores[0], a.skipped[0]) == (b.scores[0], b.skipped[0])
+    assert isinstance(a.scores[0], float) and isinstance(a.skipped[0], int)
 
 
 def test_score_requires_more_than_warmup():
     sample = _sample(n=30)
     with pytest.raises(InsufficientDataError):
-        cv_score(sample, 0.35)  # default warm-up is 30 rows
+        select_alpha(sample, [0.35])  # default warm-up is 30 rows
+
+
+@pytest.mark.parametrize("warmup", [None, 40])
+@pytest.mark.parametrize("short", [1, 0])
+def test_a_short_sample_gets_one_message(warmup, short):
+    # One row short of the warm-up, or exactly as long: both have nothing
+    # to score, and both are told the sample needs more than the warm-up.
+    n0 = 30 if warmup is None else warmup
+    sample = _sample(n=n0 - short)
+    want = f"sample has {n0 - short} rows but scoring needs more than the warm-up ({n0})"
+    with pytest.raises(InsufficientDataError) as info:
+        select_alpha(sample, [0.35], warmup=warmup)
+    assert str(info.value) == want
 
 
 def test_singleton_grid():
@@ -162,7 +174,8 @@ def test_shared_path_scores_equal_per_exponent_replays(kernel, slicer):
     assert report.scores == tuple(w[0] for w in exact)
     assert report.skipped == tuple(w[1] for w in exact)
     assert report.counted == tuple(w[2] for w in exact)
-    assert cv_score(sample, 0.3, boundary=boundary, kernel=kernel) == exact[1][:2]
+    one = select_alpha(sample, [0.3], boundary=boundary, kernel=kernel)
+    assert (one.scores[0], one.skipped[0]) == exact[1][:2]
 
     want = [_replay_one_exponent(sample, a, kernel, boundary, 30) for a in grid]
     for got, w in zip(report.scores, want):
@@ -217,7 +230,7 @@ def _replay_by_evaluate(path, alpha, kernel):
 
 
 # Parabolic kernel stretched to [-2, 2]: support_radius 2.
-_WIDE = tabulated_kernel(2.0 * _XS, 0.375 * (1.0 - _XS * _XS), name="wide")
+_WIDE = tabulated_kernel(2.0 * _XS, 0.375 * (1.0 - _XS * _XS))
 
 
 @pytest.mark.parametrize("kernel", [epanechnikov(), _WIDE], ids=["epanechnikov", "wide"])

@@ -17,7 +17,6 @@ from streamsir import (
     append,
     batch_moments,
     batch_sir,
-    cv_score,
     default_warmup,
     direction_path,
     direction_paths,
@@ -469,7 +468,6 @@ def test_batch_entry_points_reject_a_non_finite_row(row):
         lambda: run_stream(sample),
         lambda: direction_path(sample),
         lambda: select_alpha(sample, [0.3]),
-        lambda: cv_score(sample, 0.3),
     ):
         with pytest.raises(NonFiniteInputError, match=f"row {row}"):
             call()

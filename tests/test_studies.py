@@ -137,6 +137,21 @@ def test_config_resolves_its_defaults_once(model_m):
     assert given.warmup == 40 and type(given.warmup) is int
 
 
+def test_configs_compare_by_value(model_m):
+    kwargs = dict(model=model_m, sizes=(100,), n_reps=2)
+    a = StudyConfig(**kwargs)
+    assert a == StudyConfig(**kwargs) and not a != StudyConfig(**kwargs)
+    nudged = a.eval_points.copy()
+    nudged[3, 1] = np.nextafter(nudged[3, 1], np.inf)
+    for other in (
+        StudyConfig(**kwargs, eval_points=nudged),
+        StudyConfig(**kwargs, eval_points=np.array([0.0, 0.5])),
+        StudyConfig(**{**kwargs, "n_reps": 3}),
+    ):
+        assert a != other and not a == other
+    assert a.__eq__(kwargs) is NotImplemented
+
+
 def test_single_replication_quantiles_degenerate(model_m):
     config = StudyConfig(
         model=model_m,
@@ -177,12 +192,9 @@ def test_estimate_iqr_brackets_truth_at_central_points(
     pts = np.asarray(result.summary["config"]["eval_points"])
     central = central_point_indices(model_m, pts)
     truths = result.summary["true_values"]
+    t = result.table
     for i in central:
-        ests = [
-            r["estimate"]
-            for r in result.records
-            if r["n"] == 2000 and r["point"] == int(i) and not r["missing"]
-        ]
+        ests = t["estimate"][(t["n"] == 2000) & (t["point"] == int(i)) & ~t["missing"]]
         q25, q75 = np.quantile(ests, [0.25, 0.75])
         assert q25 <= truths[int(i)] <= q75
 
@@ -197,7 +209,8 @@ def test_records_are_ordered_by_rep_then_size_then_point(model_m):
         warmup=30,
     )
     result = convergence_study(config)
-    keys = [(r["rep"], r["n"], r["point"]) for r in result.records]
+    t = result.table
+    keys = list(zip(t["rep"].tolist(), t["n"].tolist(), t["point"].tolist()))
     assert keys == sorted(keys)
     assert len(keys) == 3 * 2 * 2
 
@@ -221,9 +234,8 @@ def test_normality_small_run_structure(model_m):
             block["count"]
         )
         assert block["theoretical_std"] > 0.0
-    for row in result.records:
-        if not row["missing"]:
-            assert math.isfinite(row["z"])
+    t = result.table
+    assert np.isfinite(t["z"][~t["missing"]]).all()
 
 
 def test_normality_rejects_degenerate_configs(model_m):
@@ -280,8 +292,7 @@ def test_scatter_noiseless_points_lie_on_the_curve():
     model = reference_model(p=10, noise_std=0.0)
     config = StudyConfig(model=model, sizes=(1000,), n_reps=1, seed=3)
     result = scatter_study(config)
-    u = np.array([r["u_true"] for r in result.records])
-    y = np.array([r["y"] for r in result.records])
+    u, y = result.table["u_true"], result.table["y"]
     # Vertical residual against the curve is identically zero: the noise
     # is off, so every response sits exactly on the link evaluated at the
     # true projection.
@@ -293,9 +304,8 @@ def test_scatter_direction_is_well_estimated(model_m):
     config = StudyConfig(model=model_m, sizes=(1000,), n_reps=1, seed=0)
     result = scatter_study(config)
     assert result.summary["direction_distance"] <= 0.05
-    assert len(result.records) == 1000
-    u_hat = np.array([r["u_hat"] for r in result.records])
-    u_true = np.array([r["u_true"] for r in result.records])
+    assert [a.size for a in result.table.values()] == [1000] * 4
+    u_hat, u_true = result.table["u_hat"], result.table["u_true"]
     # Estimated projections track the true ones up to sign and the
     # direction error the gate above allows (cos^2 >= 0.95).
     corr = np.corrcoef(u_hat, u_true)[0, 1]
@@ -306,8 +316,7 @@ def test_scatter_is_deterministic(model_m):
     config = StudyConfig(model=model_m, sizes=(400,), n_reps=1, seed=11)
     a = scatter_study(config)
     b = scatter_study(config)
-    assert a.records == b.records
-    assert a.summary == b.summary
+    assert a == b
 
 
 def test_study_results_compare_by_their_columns(model_m):
@@ -340,8 +349,7 @@ def test_parallel_schedule_does_not_change_results(model_m, monkeypatch):
             monkeypatch.setattr(studies, "_REP_BLOCK", block)
             results.append(run(StudyConfig(**kwargs, **extra)))
         for other in results[1:]:
-            assert other.records == results[0].records
-            assert other.summary == results[0].summary
+            assert other == results[0]
 
 
 @pytest.mark.parametrize("n_reps", [1, 7, _REP_BLOCK, _REP_BLOCK + 1, 3 * _REP_BLOCK - 1])
@@ -494,18 +502,18 @@ def test_rate_study_warns_nothing_on_all_missing_cells(missing_heavy):
     assert any(v is None for b in result.summary["slopes"].values() for v in b["median_abs_error"])
 
 
-def _tables_from_records(records, sizes, n_points, n_reps):
+def _tables_from_records(table, sizes, n_points, n_reps):
     """(size, point, rep) absolute errors, NaN where missing, and (size, rep)
-    direction distances, read back from the record dicts."""
+    direction distances, read back from the record columns."""
     errors = np.full((len(sizes), n_points, n_reps), np.nan)
     dds = np.full((len(sizes), n_reps), np.nan)
     size_index = {int(s): i for i, s in enumerate(sizes)}
-    for row in records:
-        i = size_index[row["n"]]
-        if not row["missing"]:
-            errors[i, row["point"], row["rep"]] = row["abs_error"]
-        if row["point"] == 0:
-            dds[i, row["rep"]] = row["direction_distance"]
+    i = np.array([size_index[n] for n in table["n"].tolist()])
+    rep, point = table["rep"], table["point"]
+    ok = ~table["missing"]
+    errors[i[ok], point[ok], rep[ok]] = table["abs_error"][ok]
+    first = point == 0
+    dds[i[first], rep[first]] = table["direction_distance"][first]
     return errors, dds
 
 
@@ -515,7 +523,7 @@ def test_summaries_equal_those_rebuilt_from_the_records(missing_heavy):
     log_n = np.log(np.asarray(sizes, dtype=np.float64))
 
     conv = convergence_study(config)
-    errors, dds = _tables_from_records(conv.records, sizes, 10, n_reps)
+    errors, dds = _tables_from_records(conv.table, sizes, 10, n_reps)
     assert conv.summary["abs_error_quantiles"] == {
         str(n): {str(j): _quantile_block(errors[i, j]) for j in range(10)}
         for i, n in enumerate(sizes)
@@ -525,7 +533,8 @@ def test_summaries_equal_those_rebuilt_from_the_records(missing_heavy):
     }
 
     rate = rate_study(config)
-    assert rate.records == conv.records
+    # Same records: only the study kind and the summary differ.
+    assert rate == studies.StudyResult(rate.study, conv.table, rate.summary)
     rng = np.random.default_rng([config.seed, 0xB007])
     for j in range(10):
         with warnings.catch_warnings():
@@ -545,13 +554,13 @@ def test_summaries_equal_those_rebuilt_from_the_records(missing_heavy):
         for i, n in enumerate(sizes)
     }
 
-    missing = [r for r in conv.records if r["missing"]]
-    assert 0 < len(missing) < len(conv.records)
-    assert all(r["estimate"] is None and r["abs_error"] is None for r in missing)
-    assert all(
-        isinstance(r["estimate"], float) and r["abs_error"] == abs(r["estimate"] - r["true_value"])
-        for r in conv.records
-        if not r["missing"]
+    t = conv.table
+    missing, est = t["missing"], t["estimate"]
+    assert missing.dtype == bool and 0 < np.count_nonzero(missing) < missing.size
+    assert np.isnan(est[missing]).all() and np.isnan(t["abs_error"][missing]).all()
+    assert est.dtype == np.float64 and not np.isnan(est[~missing]).any()
+    assert np.array_equal(
+        t["abs_error"][~missing], np.abs(est[~missing] - t["true_value"][~missing])
     )
 
 
@@ -567,7 +576,7 @@ def test_checkpoint_rows_runs_once_per_replication(model_m, monkeypatch):
     monkeypatch.setattr(studies, "_checkpoint_rows", counted)
     config = StudyConfig(model=model_m, sizes=(100, 200), n_reps=5, seed=2, warmup=30)
     result = convergence_study(config)
-    assert len(calls) == 5 and len(result.records) == 5 * 2 * 10
+    assert len(calls) == 5 and result.table["rep"].size == 5 * 2 * 10
 
 
 def _checkpoint_rows_by_evaluate(path, model, sizes, alpha, eval_points):
