@@ -32,7 +32,7 @@ from .errors import (
 )
 from .kernels import BandwidthSchedule, KernelSpec, epanechnikov, tabulated_kernel
 from .linkreg import ProjectionLog, append, curve, evaluate, theoretical_std
-from .moments import MomentState, Slicer, batch_moments, observe
+from .moments import MomentState, Slicer, batch_moments
 from .sir import (
     SirState,
     batch_sir,
@@ -47,7 +47,6 @@ from .studies import (
     StudyResult,
     convergence_study,
     draw_eval_points,
-    most_central,
     normality_study,
     projected_density,
     rate_study,
@@ -95,9 +94,7 @@ __all__ = [
     "epanechnikov",
     "evaluate",
     "init_stream",
-    "most_central",
     "normality_study",
-    "observe",
     "predict_next",
     "projected_density",
     "rate_study",

@@ -136,8 +136,7 @@ def select_alpha(
     if not cand:
         raise ValueError("exponent grid must be non-empty")
     for a in cand:
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {a!r}")
+        BandwidthSchedule(alpha=a)
     n0 = default_warmup(sample.p) if warmup is None else int(warmup)
     if sample.n <= n0:
         raise InsufficientDataError(

@@ -52,7 +52,7 @@ from .moments import (
     finite_response,
     require_finite_rows,
 )
-from .sir import SirState, advance, direction_from_moments, step_terms, warm_start
+from .sir import SirState, advance, direction_from_moments, rank_one_terms, step_terms, warm_start
 from .simulate import Sample
 
 # Not called here: the per-layer tracer (perfbench/tracing.py) patches this
@@ -209,7 +209,7 @@ def _recursion_pass(
         u[j] = theta @ x
         # The warm-up leaves both slices non-empty, so only the rank-one
         # check of step_terms can fail here.
-        advance(sir, x, i, moments.rank_one_terms(x))
+        advance(sir, x, i, rank_one_terms(moments, x))
         if moments.n in want:
             snapshots[moments.n] = theta.copy()
     return u, snapshots
@@ -343,10 +343,10 @@ def direction_paths(
     it steps the recursion, and otherwise matches it within 1e-12.  The R
     states are held as stacked arrays: theta and the mean (R, p), the
     inverse (R, p, p), the slice means (R, 2, p) and the slice counts
-    (R, 2).  Each step runs the operations of rank_one_terms, sir.advance,
-    absorb_covariate and absorb_slice one for one: matrix-vector and dot
-    products go through stacked matmuls (one BLAS call per replication, the
-    same call the per-arrival step makes), the receiving slice is gathered
+    (R, 2).  Each step runs the operations of sir.rank_one_terms and
+    sir.advance one for one: matrix-vector and dot products go through
+    stacked matmuls (one BLAS call per replication, the same call the
+    per-arrival step makes), the receiving slice is gathered
     per replication, and the scalars become (R,) arrays combined in the
     same order.  All samples share the count n, so the n-only
     factors stay scalars.
@@ -398,7 +398,7 @@ def direction_paths(
         x, i = xs[j], slices[j]
         u[j] = (theta[:, None, :] @ x[:, :, None])[:, 0, 0]
         n_new = n + 1
-        # rank_one_terms
+        # sir.rank_one_terms
         phi = x - mean
         w = (inv @ phi[:, :, None])[:, :, 0]
         denom = n_new + (phi[:, None, :] @ w[:, :, None])[:, 0, 0]
@@ -409,7 +409,7 @@ def direction_paths(
                 f"rank-one update denominator {float(denom[r])!r} is not finite and positive "
                 f"at n = {n_new} in replication {r}"
             )
-        # sir.advance
+        # sir.advance: theta, then the moments
         c_new = counts[reps, i] + 1
         phi_h = x - means[reps, i]
         v = (inv @ phi_h[:, :, None])[:, :, 0]
@@ -419,7 +419,6 @@ def direction_paths(
         v -= (cross / denom)[:, None] * w
         v *= (signs[j] * n_new / (c_new * (n_new - 1.0)))[:, None]
         theta -= v
-        # absorb_covariate, absorb_slice
         inv -= w[:, :, None] * w[:, None, :] / denom[:, None, None]
         inv *= n_new / (n_new - 1.0)
         mean += phi / n_new

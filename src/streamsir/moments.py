@@ -1,10 +1,12 @@
 """Streaming first and second moments with a rank-one inverse update.
 
-This module maintains, one observation at a time, everything the direction
-estimator needs: the running covariate mean, the inverse of the biased
+MomentState holds everything the direction estimator needs after n
+observations: the running covariate mean, the inverse of the biased
 (1/n-normalized) sample covariance, and per-slice response-conditional
-covariate means.  The inverse covariance is never recomputed from scratch
-after warm-up; it advances by a Sherman-Morrison style rank-one correction,
+covariate means.  It is plain data.  batch_moments computes it directly
+from a batch, which is the warm-up and the ground truth; the recursion in
+sir.advance moves it one observation at a time, in place, with a
+Sherman-Morrison style rank-one correction of the inverse,
 
     inv_new = (n / (n - 1)) * (inv - (w w') / (n + rho)),
 
@@ -14,11 +16,6 @@ arithmetic, so any drift between the maintained inverse and the true inverse
 is pure floating-point accumulation.  The maintained inverse stays exactly
 symmetric: the warm-up inverse is symmetrized, and each update subtracts the
 bit-symmetric matrix w w' / (n + rho) and rescales.
-
-MomentState is mutable: the recursion advances it in place
-(rank_one_terms, absorb_covariate, absorb_slice).  observe is the
-functional API over the same steps; it works on a copy and never modifies
-the state it is given.
 
 Slices partition responses into "low" (slice 1, y <= boundary) and "high"
 (slice 2, y > boundary).  The boundary is chosen once, before streaming
@@ -37,7 +34,6 @@ from .errors import (
     EmptySliceError,
     InsufficientDataError,
     NonFiniteInputError,
-    NumericalBreakdownError,
     SingularMatrixError,
 )
 from .simulate import Sample
@@ -90,44 +86,6 @@ class MomentState:
             slice_counts=self.slice_counts.copy(),
             slice_means=self.slice_means.copy(),
         )
-
-    def rank_one_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """phi = x - mean, w = inv @ phi and the update denominator n + rho.
-
-        Changes nothing, so a breakdown leaves the moments as they were.
-
-        Raises:
-            NumericalBreakdownError: the denominator is not finite and
-                positive.  It is positive in exact arithmetic once the
-                covariance is positive definite; an infinite one, from a row
-                whose rho overflows, would turn the inverse to NaN.
-        """
-        n_new = self.n + 1
-        phi = x - self.mean
-        w = self.inv_cov @ phi
-        denom = n_new + float(phi @ w)
-        if not 0.0 < denom < math.inf:
-            raise NumericalBreakdownError(
-                f"rank-one update denominator {denom!r} is not finite and positive at n = {n_new}"
-            )
-        return phi, w, denom
-
-    def absorb_covariate(self, phi: np.ndarray, w: np.ndarray, denom: float) -> None:
-        """Rank-one step of the mean and inverse covariance, from rank_one_terms."""
-        n_new = self.n + 1
-        self.inv_cov -= w[:, None] * w / denom
-        self.inv_cov *= n_new / (n_new - 1.0)
-        self.mean += phi / n_new
-        self.n = n_new
-
-    def absorb_slice(self, i: int, step: np.ndarray) -> None:
-        """Count one more row in slice i (0-based); step = x - slice_means[i].
-
-        The overall count n is not advanced here; absorb_covariate owns it.
-        """
-        c_old = int(self.slice_counts[i])
-        self.slice_means[i] += step / (c_old + 1)
-        self.slice_counts[i] = c_old + 1
 
 
 def batch_moments(sample: Sample, slicer: Slicer) -> MomentState:
@@ -209,20 +167,3 @@ def require_finite_rows(xs: np.ndarray, ys: np.ndarray) -> None:
     if bad.any():
         row = int(np.argmax(bad))
         raise NonFiniteInputError(f"row {row} holds a NaN or infinite value")
-
-
-def observe(state: MomentState, x: np.ndarray, y: float, slicer: Slicer) -> MomentState:
-    """Absorb one full observation: rank-one moment update plus slice update.
-
-    Raises:
-        NonFiniteInputError: x or y holds NaN or inf; nothing is absorbed.
-        NumericalBreakdownError: the update denominator n + rho is not
-            finite and positive (see MomentState.rank_one_terms).
-    """
-    x, y = finite_covariates(x), finite_response(y)
-    m = state.copy()
-    i = slicer.slice_of(y) - 1
-    step = x - m.slice_means[i]
-    m.absorb_covariate(*m.rank_one_terms(x))
-    m.absorb_slice(i, step)
-    return m

@@ -62,9 +62,13 @@ class Sample:
         return Sample(self.covariates[:n], self.responses[:n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleIndexModel:
     """Population description of a single-index regression.
+
+    Models compare by value: the arrays with np.array_equal (a None field
+    equals only None), link by identity and noise_std with ==.  The arrays
+    are mutable, so a model is unhashable.
 
     Attributes:
         direction: unit vector theta of length p.
@@ -103,6 +107,18 @@ class SingleIndexModel:
                 raise ValueError("covariate_cov must be p x p")
             object.__setattr__(self, "covariate_cov", c)
 
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SingleIndexModel):
+            return NotImplemented
+        arrays = ("direction", "covariate_mean", "covariate_cov")
+        return (
+            self.link is other.link
+            and self.noise_std == other.noise_std
+            and all(_same_array(getattr(self, a), getattr(other, a)) for a in arrays)
+        )
+
     @property
     def p(self) -> int:
         return self.direction.size
@@ -118,6 +134,11 @@ class SingleIndexModel:
         if self.covariate_mean is None:
             return 0.0
         return float(self.direction @ self.covariate_mean)
+
+
+def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """np.array_equal, where None equals only None."""
+    return a is b if a is None or b is None else bool(np.array_equal(a, b))
 
 
 def reference_model(p: int = 10, noise_std: float = 1.0) -> SingleIndexModel:

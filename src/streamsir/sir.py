@@ -8,17 +8,24 @@ inverse-covariance correction with the single slice-mean move caused by the
 arriving observation; the recursion reproduces the batch estimate exactly
 in real arithmetic, which the test suite checks to floating-point accuracy.
 
+This module owns the whole step.  rank_one_terms forms the terms of the
+rank-one correction and step_terms adds the slice check; both change
+nothing, so a step that would fail raises before anything moves.  advance
+then moves theta and every field of the MomentState in place, and
+recursive_step is its copying form.
+
 Proximity between directions is measured scale- and sign-invariantly by
 1 - cos^2(angle), which is zero iff the two vectors are collinear.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySliceError
+from .errors import EmptySliceError, NumericalBreakdownError
 from .moments import (
     MomentState,
     Slicer,
@@ -65,6 +72,28 @@ def warm_start(sample: Sample, slicer: Slicer) -> SirState:
     return SirState(moments=moments, theta_hat=direction_from_moments(moments))
 
 
+def rank_one_terms(moments: MomentState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """phi = x - mean, w = inv @ phi and the update denominator n + rho.
+
+    Changes nothing, so a breakdown leaves the moments as they were.
+
+    Raises:
+        NumericalBreakdownError: the denominator is not finite and
+            positive.  It is positive in exact arithmetic once the
+            covariance is positive definite; an infinite one, from a row
+            whose rho overflows, would turn the inverse to NaN.
+    """
+    n_new = moments.n + 1
+    phi = x - moments.mean
+    w = moments.inv_cov @ phi
+    denom = n_new + float(phi @ w)
+    if not 0.0 < denom < math.inf:
+        raise NumericalBreakdownError(
+            f"rank-one update denominator {denom!r} is not finite and positive at n = {n_new}"
+        )
+    return phi, w, denom
+
+
 def step_terms(state: SirState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Run every check of a step on x and return the rank-one terms for advance.
 
@@ -82,7 +111,7 @@ def step_terms(state: SirState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         raise EmptySliceError(
             f"cannot step the recursion while slice {h_empty} is empty", h_empty
         )
-    return state.moments.rank_one_terms(x)
+    return rank_one_terms(state.moments, x)
 
 
 def advance(
@@ -105,7 +134,12 @@ def advance(
     with sign(1) = -1 and sign(2) = +1: mass entering the low slice pushes
     the slice-mean difference up, mass entering the high slice pulls it down.
     The w and phi_h also drive the moment update, so inv @ phi is formed
-    once per step.
+    once per step: the inverse takes the rank-one correction
+
+        inv_new = (n / (n - 1)) * (inv - w w' / (n + rho)),
+
+    then mean_new = mean + phi / n, and the receiving slice's mean moves by
+    phi_h / (c + 1) as its count becomes c + 1.
     """
     phi, w, denom = terms
     m, theta = state.moments, state.theta_hat
@@ -123,8 +157,12 @@ def advance(
     v *= sign * n_new / ((c_old + 1) * (n_new - 1.0))
     theta -= v
 
-    m.absorb_covariate(phi, w, denom)
-    m.absorb_slice(i, phi_h)
+    m.inv_cov -= w[:, None] * w / denom
+    m.inv_cov *= n_new / (n_new - 1.0)
+    m.mean += phi / n_new
+    m.n = n_new
+    m.slice_means[i] += phi_h / (c_old + 1)
+    m.slice_counts[i] = c_old + 1
 
 
 def recursive_step(state: SirState, x: np.ndarray, y: float, slicer: Slicer) -> SirState:

@@ -92,13 +92,6 @@ def draw_eval_points(model: SingleIndexModel, count: int = 10) -> np.ndarray:
     return pts
 
 
-def most_central(model: SingleIndexModel, points: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the points whose true projections sit nearest the design center."""
-    u = points @ model.direction
-    order = np.argsort(np.abs(u - model.projected_mean()), kind="stable")
-    return order[:count]
-
-
 def projected_density(model: SingleIndexModel, t: float) -> float:
     """Design density of the true projection theta' X at t.
 
@@ -154,7 +147,7 @@ def _integer(value: Any, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyConfig:
     """Shared configuration of the Monte Carlo studies, resolved once at construction.
 
@@ -193,8 +186,7 @@ class StudyConfig:
         if _integer(self.n_reps, "n_reps") < 1:
             raise ValueError("n_reps must be at least 1")
         _integer(self.seed, "seed")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        BandwidthSchedule(alpha=self.alpha)
         n0 = default_warmup(self.model.p) if self.warmup is None else _integer(self.warmup, "warmup")
         if sizes[0] <= n0:
             raise ValueError(
@@ -214,8 +206,10 @@ class StudyConfig:
         object.__setattr__(self, "warmup", n0)
         object.__setattr__(self, "eval_points", pts)
 
+    __hash__ = None
+
     def __eq__(self, other: object) -> bool:
-        """Equal fields, with eval_points compared by value."""
+        """Equal fields, with eval_points compared by value; unhashable, as the model is."""
         if not isinstance(other, StudyConfig):
             return NotImplemented
         return all(

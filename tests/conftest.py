@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from streamsir import StudyConfig, convergence_study, reference_model
+from streamsir import (
+    SirState,
+    StudyConfig,
+    convergence_study,
+    direction_from_moments,
+    recursive_step,
+    reference_model,
+)
 
 import _acceptance_report
 
@@ -41,3 +48,16 @@ def central_point_indices(model, eval_points):
     """Indices of evaluation points with a true projection in [-1, 1]."""
     u = eval_points @ model.direction
     return np.flatnonzero(np.abs(u) <= 1.0)
+
+
+def most_central(model, points, count):
+    """Indices of the points whose true projections sit nearest the design center."""
+    u = points @ model.direction
+    order = np.argsort(np.abs(u - model.projected_mean()), kind="stable")
+    return order[:count]
+
+
+def stepped_moments(moments, x, y, slicer):
+    """The moments after one recursion step on (x, y); the given state is not modified."""
+    sir = SirState(moments, direction_from_moments(moments))
+    return recursive_step(sir, x, y, slicer).moments

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import _acceptance_report
 from _cli import run_cli
-from conftest import central_point_indices
+from conftest import central_point_indices, most_central, stepped_moments
 from streamsir import (
     BandwidthSchedule,
     NoSupportError,
@@ -29,12 +29,11 @@ from streamsir import (
     draw_eval_points,
     epanechnikov,
     evaluate,
-    most_central,
     normality_study,
     select_alpha,
     warm_start,
 )
-from streamsir.moments import batch_moments, observe
+from streamsir.moments import batch_moments
 from streamsir.sir import recursive_step
 from streamsir.io import read_sample_csv, write_sample_csv
 
@@ -68,7 +67,6 @@ def test_c1_recursions_match_batch_on_every_prefix():
         x, y = sample.covariates, sample.responses
         slicer = Slicer(boundary=float(np.median(y[:warmup])))
         state = warm_start(sample.head(warmup), slicer)
-        moments = state.moments
 
         labels = slicer.slices_of(y)
         s1 = np.cumsum(x, axis=0)
@@ -78,8 +76,8 @@ def test_c1_recursions_match_batch_on_every_prefix():
         g1 = np.cumsum(x * in_slice1[:, None], axis=0)
 
         for k in range(warmup, 500):
-            moments = observe(moments, x[k], y[k], slicer)
             state = recursive_step(state, x[k], y[k], slicer)
+            moments = state.moments
             n = k + 1
             mean = s1[k] / n
             cov = s2[k] / n - np.outer(mean, mean)
@@ -327,7 +325,7 @@ def test_c7_property_invariants(tmp_path_factory):
         )
         for k in range(n0, n0 + n_extra):
             before = moments.slice_counts.copy()
-            moments = observe(moments, x[k], y[k], slicer)
+            moments = stepped_moments(moments, x[k], y[k], slicer)
             assert int(moments.slice_counts.sum()) == k + 1
             assert np.all(moments.slice_counts >= before)
 
@@ -348,7 +346,7 @@ def test_c7_property_invariants(tmp_path_factory):
             phi = x[k] - moments.mean
             rho = float(phi @ (moments.inv_cov @ phi))
             assert rho >= -1e-9
-            moments = observe(moments, x[k], y[k], slicer)
+            moments = stepped_moments(moments, x[k], y[k], slicer)
 
     @prop_settings
     @given(

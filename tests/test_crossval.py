@@ -113,7 +113,7 @@ def test_grid_validation():
     sample = _sample()
     with pytest.raises(ValueError, match="non-empty"):
         select_alpha(sample, [])
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.2$"):
         select_alpha(sample, [0.3, 1.2])
 
 

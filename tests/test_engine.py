@@ -24,7 +24,6 @@ from streamsir import (
     epanechnikov,
     evaluate,
     init_stream,
-    observe,
     predict_next,
     recursive_step,
     reference_model,
@@ -447,8 +446,6 @@ def test_non_finite_arrival_is_refused_without_touching_state(arrival, target, b
         stream_step(state, x, y)
     with pytest.raises(NonFiniteInputError):
         recursive_step(state.sir, x, y, state.slicer)
-    with pytest.raises(NonFiniteInputError):
-        observe(state.sir.moments, x, y, state.slicer)
     if target >= 0:
         with pytest.raises(NonFiniteInputError):
             predict_next(state, x)
@@ -501,8 +498,6 @@ def test_breakdown_in_stream_step_leaves_everything_unchanged():
         stream_step(state, x, 0.5)
     with pytest.raises(NumericalBreakdownError):
         recursive_step(state.sir, x, 0.5, state.slicer)
-    with pytest.raises(NumericalBreakdownError):
-        observe(state.sir.moments, x, 0.5, state.slicer)
     _assert_same_arrays(_engine_arrays(state), before)
 
 
@@ -514,15 +509,10 @@ def test_functional_steps_never_modify_their_input():
     for i in range(30, 40):
         x, y = sample.covariates[i], float(sample.responses[i])
         stepped = recursive_step(sir, x, y, slicer)
-        outputs = (
-            stepped.moments,
-            observe(sir.moments, x, y, slicer),
-        )
         _assert_same_arrays(_engine_arrays(state), before)
         assert not np.shares_memory(stepped.theta_hat, sir.theta_hat)
-        for out in outputs:
-            for name in ("mean", "inv_cov", "slice_counts", "slice_means"):
-                assert not np.shares_memory(getattr(out, name), getattr(sir.moments, name))
+        for name in ("mean", "inv_cov", "slice_counts", "slice_means"):
+            assert not np.shares_memory(getattr(stepped.moments, name), getattr(sir.moments, name))
 
 
 @pytest.mark.parametrize("p", [10, 50])

@@ -8,10 +8,13 @@ from streamsir import (
     NumericalBreakdownError,
     Sample,
     SingularMatrixError,
+    SirState,
     Slicer,
     batch_moments,
-    observe,
+    direction_from_moments,
+    recursive_step,
 )
+from conftest import stepped_moments
 
 
 def _random_sample(n, p, seed, spread=2.0):
@@ -65,7 +68,7 @@ def test_one_riccati_step_equals_direct_inverse():
     sample = _random_sample(6, 2, 7)
     slicer = Slicer(boundary=0.0)
     state = batch_moments(sample.head(5), slicer)
-    stepped = observe(state, sample.covariates[5], float(sample.responses[5]), slicer)
+    stepped = stepped_moments(state, sample.covariates[5], float(sample.responses[5]), slicer)
 
     xs = sample.covariates
     mean = xs.mean(axis=0)
@@ -79,7 +82,7 @@ def test_update_at_the_mean_is_pure_rescaling():
     sample = _random_sample(12, 3, 3)
     slicer = Slicer(boundary=0.0)
     state = batch_moments(sample, slicer)
-    stepped = observe(state, state.mean.copy(), 1.0, slicer)
+    stepped = stepped_moments(state, state.mean.copy(), 1.0, slicer)
     n_new = state.n + 1
     # phi = 0 kills the rank-one term, so the inverse scales exactly.
     assert np.array_equal(stepped.inv_cov, (n_new / (n_new - 1.0)) * state.inv_cov)
@@ -96,7 +99,7 @@ def test_chain_of_updates_tracks_direct_inversion():
     xs = sample.covariates
     worst = 0.0
     for i in range(n0, n):
-        state = observe(state, xs[i], float(sample.responses[i]), slicer)
+        state = stepped_moments(state, xs[i], float(sample.responses[i]), slicer)
         prefix = xs[: i + 1]
         centered = prefix - prefix.mean(axis=0)
         cov = centered.T @ centered / (i + 1)
@@ -108,21 +111,23 @@ def test_chain_of_updates_tracks_direct_inversion():
 def test_single_slice_stream_keeps_exact_mean():
     # Values 1, 2, 3 make every intermediate division exact in binary
     # floating point, so the recursive slice mean equals the batch mean
-    # bit for bit; the untouched slice keeps count zero.
+    # bit for bit; the untouched slice keeps its one row.
     p = 2
+    rows = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     state = MomentState(
-        n=0,
+        n=2,
         mean=np.zeros(p),
         inv_cov=np.eye(p),
-        slice_counts=np.zeros(2, dtype=np.int64),
+        slice_counts=np.array([1, 1], dtype=np.int64),
         slice_means=np.zeros((2, p)),
     )
-    rows = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    for row in rows:
-        state.absorb_slice(0, row - state.slice_means[0])
-    assert np.array_equal(state.slice_means[0], rows.mean(axis=0))
-    assert state.slice_counts[0] == 3
-    assert state.slice_counts[1] == 0
+    state.slice_means[0] = rows[0]
+    sir = SirState(state, direction_from_moments(state))
+    for row in rows[1:]:
+        sir = recursive_step(sir, row, -1.0, Slicer(boundary=0.0))
+    assert np.array_equal(sir.moments.slice_means[0], rows.mean(axis=0))
+    assert sir.moments.slice_counts[0] == 3
+    assert sir.moments.slice_counts[1] == 1
 
 
 def test_mixed_stream_slice_means_match_batch():
@@ -131,7 +136,7 @@ def test_mixed_stream_slice_means_match_batch():
     slicer = Slicer(boundary=float(np.median(sample.responses[:n0])))
     state = batch_moments(sample.head(n0), slicer)
     for i in range(n0, n):
-        state = observe(state, sample.covariates[i], float(sample.responses[i]), slicer)
+        state = stepped_moments(state, sample.covariates[i], float(sample.responses[i]), slicer)
     batch = batch_moments(sample, slicer)
     assert np.array_equal(state.slice_counts, batch.slice_counts)
     rel = np.max(
@@ -148,7 +153,7 @@ def test_centered_slice_means_balance():
     slicer = Slicer(boundary=0.3)
     state = batch_moments(sample.head(n0), slicer)
     for i in range(n0, n):
-        state = observe(state, sample.covariates[i], float(sample.responses[i]), slicer)
+        state = stepped_moments(state, sample.covariates[i], float(sample.responses[i]), slicer)
         n1, n2 = (int(c) for c in state.slice_counts)
         balance = n1 * (state.slice_means[0] - state.mean) + n2 * (
             state.slice_means[1] - state.mean
@@ -165,8 +170,8 @@ def test_denominator_breakdown_is_loud():
         n=1,
         mean=np.zeros(p),
         inv_cov=-np.eye(p),
-        slice_counts=np.array([1, 0], dtype=np.int64),
+        slice_counts=np.array([1, 1], dtype=np.int64),
         slice_means=np.zeros((2, p)),
     )
     with pytest.raises(NumericalBreakdownError):
-        observe(state, np.array([4.0, 0.0]), -1.0, Slicer(boundary=0.0))
+        stepped_moments(state, np.array([4.0, 0.0]), -1.0, Slicer(boundary=0.0))

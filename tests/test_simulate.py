@@ -55,6 +55,29 @@ def test_non_finite_noise_rejected(noise_std):
         reference_model(p=4, noise_std=noise_std)
 
 
+def test_models_compare_by_value():
+    a = reference_model(p=10)
+    assert a == reference_model(p=10) and not a != reference_model(p=10)
+    theta = a.direction.copy()
+    for other in (
+        reference_model(p=11),
+        reference_model(p=10, noise_std=2.0),
+        SingleIndexModel(direction=theta[::-1]),
+        SingleIndexModel(direction=theta, link=lambda v: reference_link(v)),
+        SingleIndexModel(direction=theta, covariate_mean=np.zeros(10)),
+        SingleIndexModel(direction=theta, covariate_cov=np.eye(10)),
+    ):
+        assert a != other and other != a and not a == other
+    # Arrays compare by value; None equals only None.
+    with_moments = dict(direction=theta, covariate_mean=np.ones(10), covariate_cov=2.0 * np.eye(10))
+    assert SingleIndexModel(**with_moments) == SingleIndexModel(
+        **{k: v.copy() for k, v in with_moments.items()}
+    )
+    assert a.__eq__(theta) is NotImplemented
+    with pytest.raises(TypeError, match="SingleIndexModel"):
+        hash(a)
+
+
 def test_draw_deterministic():
     m = reference_model(p=10)
     a = draw(m, 5, 42)

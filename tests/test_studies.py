@@ -20,7 +20,6 @@ from streamsir import (
     draw_eval_points,
     epanechnikov,
     evaluate,
-    most_central,
     normality_study,
     rate_study,
     reference_model,
@@ -39,7 +38,7 @@ from streamsir.studies import (
 )
 
 from _cli import child_env
-from conftest import central_point_indices
+from conftest import central_point_indices, most_central
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +102,10 @@ def test_config_validation(model_m):
         StudyConfig(model=model_m, sizes=(30,), n_reps=2, warmup=30)
     with pytest.raises(ValueError, match="non-empty"):
         StudyConfig(model=model_m, sizes=(), n_reps=2)
+    # The exponent is checked by BandwidthSchedule, before the warm-up.
+    for alpha in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got "):
+            StudyConfig(model=model_m, sizes=(30,), n_reps=2, warmup=30, alpha=alpha)
 
 
 @pytest.mark.parametrize(
@@ -150,6 +153,11 @@ def test_configs_compare_by_value(model_m):
     ):
         assert a != other and not a == other
     assert a.__eq__(kwargs) is NotImplemented
+    # Models compare by value too, so separately built ones match.
+    assert a == StudyConfig(**{**kwargs, "model": reference_model(p=10)})
+    assert a != StudyConfig(**{**kwargs, "model": reference_model(p=10, noise_std=0.5)})
+    with pytest.raises(TypeError, match="StudyConfig"):
+        hash(a)
 
 
 def test_single_replication_quantiles_degenerate(model_m):
