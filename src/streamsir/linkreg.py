@@ -9,13 +9,15 @@ old terms never change, appending is O(1) per observation and the estimate
 at any point can be formed on demand from the log, which keeps
 (k, u_k, y_k) with precomputed h_k.
 
-window_sums holds the one summation rule behind every estimate read from
+_pair_sums holds the one summation rule behind every estimate read from
 the log: each sum is the sequential left-to-right float64 sum, from 0.0,
 of the entries whose window covers the point, in arrival order.  The rule
-does not depend on how many points one call takes.  evaluate reads one
-point through it, and curve reads many (the fit curve, predict, the study
-checkpoints), so a curve value equals evaluate at that point bit for bit;
-the cross-validation replay calls it on blocks of queries.
+does not depend on how many points one call takes or how their pairs were
+found.  window_sums gathers the pairs of a dense difference block for it:
+evaluate reads one point that way, and curve reads many (the fit curve,
+predict, the study checkpoints), so a curve value equals evaluate at that
+point bit for bit.  The cross-validation replay finds its pairs by a sorted
+search and calls _pair_sums directly.
 """
 
 from __future__ import annotations
@@ -173,6 +175,32 @@ def append(log: ProjectionLog, x_new: np.ndarray, y_new: float, theta_prev: np.n
     log.push(float(theta_prev @ x_new), float(y_new))
 
 
+def _pair_sums(
+    kernel: KernelSpec, row: np.ndarray, d: np.ndarray, h: np.ndarray, y: np.ndarray,
+    rows: int, count: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-row kernel sums over gathered (row, d, h, y) pairs: the one summation rule.
+
+    Each pair is one entry a row sees, with its difference d = x_r - u_j,
+    bandwidth h_j and response y_j; a row's pairs must come in arrival
+    order, while pairs of different rows may interleave.  w = K(d / h) / h,
+    and one bincount per sum gives each row the sequential left-to-right
+    float64 sums of its pairs, from 0.0.  That rule fixes the bits of every
+    estimate taken from the log, however the pairs were found.
+
+    Returns (numerator, denominator, contributing), each of shape (rows,);
+    contributing counts the pairs with a positive weight (kernels are
+    non-negative, so those are the non-zero ones), and is None unless count
+    is set.  A row's denominator is 0 when it has no pair, or when its
+    pairs sit only on window edges where K vanishes.
+    """
+    w = np.asarray(kernel.eval(d / h)) / h
+    num = np.bincount(row, weights=w * y, minlength=rows)
+    den = np.bincount(row, weights=w, minlength=rows)
+    contributing = np.bincount(row[w != 0.0], minlength=rows) if count else None
+    return num, den, contributing
+
+
 def window_sums(
     kernel: KernelSpec, d: np.ndarray, inside: np.ndarray, h: np.ndarray, y: np.ndarray,
     count: bool = False,
@@ -182,28 +210,16 @@ def window_sums(
     d[r, j] = x_r - u_j has shape (rows, width), and inside marks the
     entries each row sees; h and y hold the width entries' bandwidths and
     responses.  The marked pairs are gathered row-major, so each row's
-    entries sit in arrival order; w = K(d / h_j) / h_j, and one bincount
-    per sum gives each row the sequential left-to-right float64 sums of its
-    entries, from 0.0.  That rule holds for any number of rows and fixes
-    the bits of every estimate taken from the log.
-
-    Returns (numerator, denominator, contributing), each of shape (rows,);
-    contributing counts the entries with a positive weight (kernels are
-    non-negative, so those are the non-zero ones), and is None unless count
-    is set, since only curve reports it.  A row's denominator is 0 when no
-    entry is marked, or when it sits only on window edges where K vanishes.
+    entries sit in arrival order, and _pair_sums takes the sums.  Returns
+    _pair_sums' (numerator, denominator, contributing); only curve asks for
+    the count.
     """
     rows, width = d.shape
     idx = np.flatnonzero(inside)
     # A one-row call (evaluate) skips the integer division: its row is 0.
     row = idx // width if rows > 1 else np.zeros(idx.size, np.intp)
     col = idx - row * width if rows > 1 else idx
-    hs = h[col]
-    w = np.asarray(kernel.eval(d.ravel()[idx] / hs)) / hs
-    num = np.bincount(row, weights=w * y[col], minlength=rows)
-    den = np.bincount(row, weights=w, minlength=rows)
-    contributing = np.bincount(row[w != 0.0], minlength=rows) if count else None
-    return num, den, contributing
+    return _pair_sums(kernel, row, d.ravel()[idx], h[col], y[col], rows, count)
 
 
 def curve(

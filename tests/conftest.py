@@ -1,3 +1,12 @@
+import sys
+from pathlib import Path
+
+# This checkout's src goes last on sys.path, before the package is first
+# imported: a plain `pytest` finds it, while a PYTHONPATH the caller sets
+# (another checkout's src, say) is searched first and so decides which code
+# the tests check.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
 import numpy as np
 import pytest
 

@@ -432,3 +432,22 @@ def test_fit_peak_memory_does_not_grow_with_the_grid(tmp_path):
         assert len((out / "grid_estimates.csv").read_text().splitlines()) == int(count) + 1
         peaks.append(int(r.stdout.splitlines()[-1]) / 1024)  # ru_maxrss is in KiB
     assert peaks[1] - peaks[0] < 5.0, peaks
+
+
+def test_cv_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # One replay scores the whole grid in chunks of queries whose temporaries
+    # all exponents share; 41 exponents add only their per-exponent rows of
+    # bandwidths and sums (about 1.5 MB at n = 2000), not a chunk each.
+    peaks = []
+    for step, count in (("0.05", 9), ("0.01", 41)):
+        out = tmp_path / step
+        r = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "cv", "--n", "2000", "--seed", "11",
+             "--grid-min", "0.1", "--grid-max", "0.5", "--grid-step", step,
+             "--out-dir", str(out)],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert len(json.loads((out / "cv.json").read_text())["grid"]) == count
+        peaks.append(int(r.stdout.splitlines()[-1]) / 1024)  # ru_maxrss is in KiB
+    assert peaks[1] - peaks[0] < 3.0, peaks

@@ -24,6 +24,7 @@ from streamsir import (
     stream_step,
     tabulated_kernel,
 )
+from streamsir import crossval
 from streamsir.crossval import _replay
 
 
@@ -237,10 +238,10 @@ _WIDE = tabulated_kernel(2.0 * _XS, 0.375 * (1.0 - _XS * _XS))
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 @pytest.mark.parametrize("streamed", [1, 15, 16, 17, 33])
 def test_blocked_replay_equals_evaluate_then_push(kernel, alpha, streamed):
-    # Lengths around the 16-query block cross its edges.
+    # Short streams, down to one query: each is a single chunk.
     path = direction_path(_sample(n=30 + streamed, p=4, seed=streamed), warmup=30)
     assert path.projections.size == streamed
-    assert _replay(path, alpha, kernel) == _replay_by_evaluate(path, alpha, kernel)
+    assert _replay(path, [alpha], kernel)[0] == _replay_by_evaluate(path, alpha, kernel)
 
 
 @pytest.mark.parametrize("kernel", [epanechnikov(), _WIDE], ids=["epanechnikov", "wide"])
@@ -254,9 +255,100 @@ def test_replay_skips_a_query_on_a_window_edge(kernel):
     t = edge / h0
     assert t == kernel.support_radius and kernel.eval(np.array([t]))[0] == 0.0
     path = replace(path, projections=u, responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    got = _replay(path, 0.35, kernel)
+    got = _replay(path, [0.35], kernel)[0]
     assert got == _replay_by_evaluate(path, 0.35, kernel)
     assert got[1:] == (2, 3)  # skipped: the empty log and the edge query
+
+
+_KERNELS = pytest.mark.parametrize(
+    "kernel", [epanechnikov(), _WIDE], ids=["epanechnikov", "wide"]
+)
+
+
+def _assert_grid_replay_is_exact(path, grid, kernel):
+    """One whole-grid _replay equals an evaluate-then-push replay per exponent."""
+    got = _replay(path, grid, kernel)
+    assert got == [_replay_by_evaluate(path, a, kernel) for a in grid]
+    return got
+
+
+@_KERNELS
+def test_an_unsorted_grid_with_a_duplicate_replays_exactly(kernel):
+    path = direction_path(_sample(n=330, p=4, seed=4), warmup=30)
+    got = _assert_grid_replay_is_exact(path, [0.5, 0.1, 0.35, 0.1], kernel)
+    assert got[1] == got[3]
+
+
+@_KERNELS
+def test_projections_with_many_exact_ties_replay_exactly(kernel):
+    path = direction_path(_sample(n=330, p=4, seed=5), warmup=30)
+    # Quarter steps: under 40 distinct values over 300 queries.
+    path = replace(path, projections=np.round(4.0 * path.projections) / 4.0)
+    assert np.unique(path.projections).size < 40
+    _assert_grid_replay_is_exact(path, [0.1, 0.3, 0.6], kernel)
+
+
+@_KERNELS
+def test_a_narrow_window_edge_inside_the_widest_window_replays_exactly(kernel):
+    path = direction_path(_sample(n=60, p=4, seed=2), warmup=30)
+    edge = kernel.support_radius * BandwidthSchedule(alpha=0.35).h(31)
+    # The second query sits exactly on the first entry's alpha = 0.35 edge,
+    # where K vanishes, but well inside its alpha = 0.1 window.
+    u = np.array([0.0, edge, 0.25 * edge, -0.5 * edge, 0.5 * edge])
+    path = replace(path, projections=u, responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    wide, narrow = _assert_grid_replay_is_exact(path, [0.1, 0.35], kernel)
+    assert narrow[1:] == (2, 3)  # skipped: the empty log and the edge query
+    assert wide[1:] == (1, 4)
+
+
+@_KERNELS
+@pytest.mark.parametrize("streamed", [31, 32, 33, 65])
+def test_replay_across_chunk_edges_is_exact(monkeypatch, kernel, streamed):
+    # 32 cells per streamed query make every chunk exactly 32 queries.
+    monkeypatch.setattr(crossval, "_REPLAY_CELLS", 32 * streamed)
+    path = direction_path(_sample(n=30 + streamed, p=4, seed=streamed), warmup=30)
+    _assert_grid_replay_is_exact(path, [0.05, 0.35, 0.95], kernel)
+
+
+@_KERNELS
+def test_projections_far_from_zero_replay_exactly(kernel):
+    path = direction_path(_sample(n=330, p=4, seed=6), warmup=30)
+    path = replace(path, projections=path.projections + 1e6)
+    _assert_grid_replay_is_exact(path, [0.1, 0.35, 0.6], kernel)
+
+
+def test_a_window_edge_that_rounding_moves_is_still_searched():
+    # With R = 1.5 and h = 6 ** -0.5, R h / h rounds to just below 1.5.  The
+    # two projections have opposite signs, so u_q - u_j rounds down onto
+    # R h exactly while u_j + R h rounds below u_q: only the search's slack
+    # finds this pair, and its weight is positive, so the query counts.
+    kernel = tabulated_kernel(1.5 * _XS, 0.5 * (1.0 - _XS * _XS))
+    path = direction_path(_sample(n=40, p=4, seed=2), warmup=30)
+    u = np.array([-0.313425454959475, 0.29894698073631953])
+    path = replace(path, warmup_n=5, projections=u, responses=np.array([1.0, 2.0]))
+    h = BandwidthSchedule(alpha=0.5).h(6)
+    reach = kernel.support_radius * h
+    assert u[1] - u[0] == reach and u[1] > u[0] + reach
+    assert kernel.eval(np.array([reach / h]))[0] > 0.0
+    got = _assert_grid_replay_is_exact(path, [0.5], kernel)
+    assert got[0][1:] == (1, 1)
+
+
+@_KERNELS
+def test_windows_that_are_not_nested_still_replay_exactly(monkeypatch, kernel):
+    # Widen every third alpha = 0.3 window past the alpha = 0.2 one, as a
+    # rounding slip in the power could in principle do, for the log and the
+    # replay alike: the larger exponent must search its own candidates.
+    plain = BandwidthSchedule.h
+
+    def skewed(self, k):
+        out = plain(self, k)
+        return out * np.where(np.asarray(k) % 3 == 0, 3.0, 1.0) if self.alpha == 0.3 else out
+
+    monkeypatch.setattr(BandwidthSchedule, "h", skewed)
+    path = direction_path(_sample(n=330, p=4, seed=7), warmup=30)
+    got = _assert_grid_replay_is_exact(path, [0.2, 0.3], kernel)
+    assert got[0] != got[1]
 
 
 def test_no_process_pool_is_started(monkeypatch):
