@@ -9,8 +9,12 @@ the parent first in even pairs and the change first in odd ones, each run
 from the root of its checkout.  The last line a run prints is its JSON
 result.  FILE gets, per workload, every pair's `setup_s`, `wall_s` and
 `peak_rss_mb` with each run's `correct`, `attempted` and `failed`, and a
-summary: each side's median, the parent's interquartile range and the
-number of pairs the change won (a lower value; ties count for neither).
+summary: each side's median, the parent's interquartile range, the
+number of pairs the change won (a lower value; ties count for neither),
+and the change median's relative move against the parent median next to
+the metric's `bound` from the repository's BENCHMARK.json (read only).
+`past_bound` flags a move past the bound in the worse direction, the
+move that gets a change refused; the flagged metrics are also printed.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 FIRST_SEED = 11
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def last_json_line(stdout: str) -> dict:
@@ -66,6 +71,27 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
+def end_to_end_rules(path: Path = BENCHMARK) -> dict:
+    """Each end-to-end metric's bound and better direction, as BENCHMARK.json declares them."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: {"bound": float(m["bound"]), "better": m["better"]} for m in doc["end_to_end"]}
+
+
+def against_bounds(summary: dict, rules: dict) -> dict:
+    """Per metric, the change median's relative move against the parent median and its bound.
+
+    past_bound is true when the move is worse than the bound allows: a rise
+    past it for a metric where lower is better, a fall past it otherwise.
+    """
+    out = {}
+    for name in METRICS:
+        medians, rule = summary[name], rules[name]
+        move = (medians["change_median"] - medians["parent_median"]) / medians["parent_median"]
+        worse = move if rule["better"] == "lower" else -move
+        out[name] = {"relative_move": move, "bound": rule["bound"], "past_bound": worse > rule["bound"]}
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
@@ -90,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    rules = end_to_end_rules()
     sides = {"parent": args.parent, "change": args.change}
     doc = {"seconds": args.seconds, "first_seed": FIRST_SEED, "workloads": {}}
     for workload in args.workload:
@@ -104,7 +131,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
                 for name in METRICS
             ), file=sys.stderr)
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        summary = summarize(pairs)
+        for name, verdict in against_bounds(summary, rules).items():
+            summary[name].update(verdict)
+            if verdict["past_bound"]:
+                print(f"{workload} {name}: PAST BOUND, median moved {verdict['relative_move']:+.1%}"
+                      f" against a bound of {verdict['bound']:.0%}", file=sys.stderr)
+        doc["workloads"][workload] = {"pairs": pairs, "summary": summary}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -28,6 +28,9 @@ _PREFIX_MAX_P covariates or when a prefix covariance is ill-conditioned.
 direction_paths runs the recursion over R samples of equal length at once,
 on stacked (R, ...) arrays, with the bits of init_stream then stream_step
 per sample; the other Monte Carlo studies use it for their replications.
+Its slice counts depend only on the slice labels, so they and the factors
+built from them are computed for every step before the loop, and each
+step writes its stacked products into buffers allocated once.
 init_stream, stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
 and returns that same object.  run_stream(sample, alpha, kernel, warmup,
@@ -342,14 +345,25 @@ def direction_paths(
     stream_step per row, bit for bit; direction_path gives that too where
     it steps the recursion, and otherwise matches it within 1e-12.  The R
     states are held as stacked arrays: theta and the mean (R, p), the
-    inverse (R, p, p), the slice means (R, 2, p) and the slice counts
-    (R, 2).  Each step runs the operations of sir.rank_one_terms and
-    sir.advance one for one: matrix-vector and dot products go through
-    stacked matmuls (one BLAS call per replication, the same call the
-    per-arrival step makes), the receiving slice is gathered
-    per replication, and the scalars become (R,) arrays combined in the
-    same order.  All samples share the count n, so the n-only
-    factors stay scalars.
+    inverse (R, p, p) and the slice means (R, 2, p).
+
+    The slice counts follow from the slice labels alone, so _step_factors
+    forms them before the loop as cumulative sums on the warm-up counts,
+    and with them each step's count factors: the receiving slice's
+    post-step count c + 1, the (R,) scale sign * n / ((c + 1) (n - 1)) and
+    n / (n - 1) (all samples share n).  The final counts are read off the
+    same sums, and the loop never touches a count.
+
+    Each step runs the operations of sir.rank_one_terms and sir.advance
+    one for one, in the same order, writing every intermediate into a
+    buffer allocated once ((R, p) vectors, (R, 1, 1) scalars, the (R, p, p)
+    w w' / (n + rho), multiplied first and then divided).  Matrix-vector
+    and dot products are stacked matmuls of the per-arrival shapes, so each
+    replication makes the same BLAS call as sir.advance: (p, p) @ (p, 1)
+    is a gemv and (1, p) @ (p, 1) a dot; merging the two gemvs into one
+    (p, p) @ (p, 2) product would be a gemm, whose bits can differ.  The
+    receiving slice's mean is gathered once per step as a row of the slice
+    means viewed as (2 R, p), and m_old + phi_h / (c + 1) is written back.
 
     Raises:
         ValueError: no samples, or samples of different shapes.
@@ -373,60 +387,85 @@ def direction_paths(
             raise NonFiniteInputError(f"sample {r}: {exc}") from None
     n0 = _warmup_length(samples[0], warmup)
     sirs, slicers = zip(*(_warm_up(sample.head(n0), None) for sample in samples))
+    reps, p = len(samples), shape[1]
 
     theta = np.stack([sir.theta_hat for sir in sirs])
     mean = np.stack([sir.moments.mean for sir in sirs])
     inv = np.stack([sir.moments.inv_cov for sir in sirs])
     means = np.stack([sir.moments.slice_means for sir in sirs])
-    counts = np.stack([sir.moments.slice_counts for sir in sirs])
-    # Step-major copies, so each step reads contiguous (R, p) and (R,) rows.
+    # Step-major copies, so each step reads contiguous (R, p) and (R,) rows;
+    # the slices as int32, since they are held through the loop.
     xs = np.stack([sample.covariates[n0:] for sample in samples], axis=1)
     slices = np.stack(
         [slicer.slices_of(sample.responses[n0:]) - 1 for sample, slicer in zip(samples, slicers)],
         axis=1,
+        dtype=np.int32,
     )
-    signs = np.where(slices == 0, -1.0, 1.0)
-    reps = np.arange(len(samples))
+    counts, c_new, scale, grow = _step_factors(
+        slices, np.stack([sir.moments.slice_counts for sir in sirs]), n0
+    )
+    # Each row's receiving slice as a row of the slice means viewed as (2 R, p).
+    rows = np.add(slices, 2 * np.arange(reps), out=slices)
+    steps = xs.shape[0]
+
+    # One buffer per intermediate, with fixed row (R, 1, p) and column
+    # (R, p, 1) views for the stacked products.
+    flat_means = means.reshape(2 * reps, p)
+    phi, phi_h, w, v, m_old, tmp = np.empty((6, reps, p))
+    phi_row, phi_col, phi_h_col = phi[:, None, :], phi[:, :, None], phi_h[:, :, None]
+    w_row, w_col, v_col = w[:, None, :], w[:, :, None], v[:, :, None]
+    theta_row, theta_col = theta[:, None, :], theta[:, :, None]
+    denom, along, cross = np.empty((3, reps, 1, 1))
+    denom_flat, along_r, cross_r = denom.reshape(reps), along[:, :, 0], cross[:, :, 0]
+    outer = np.empty((reps, p, p))
+    x_col = xs[:, :, :, None]
+    u = np.empty((reps, steps), dtype=np.float64)
+    u_out = u.T[:, :, None, None]
 
     want = {int(c) for c in checkpoints}
     snapshots: dict[int, np.ndarray] = {}
     if n0 in want:
         snapshots[n0] = theta.copy()
-    u = np.empty((xs.shape[0], len(samples)), dtype=np.float64)
     n = n0
-    for j in range(xs.shape[0]):
-        x, i = xs[j], slices[j]
-        u[j] = (theta[:, None, :] @ x[:, :, None])[:, 0, 0]
-        n_new = n + 1
+    for j in range(steps):
+        np.matmul(theta_row, x_col[j], out=u_out[j])
+        n += 1
         # sir.rank_one_terms
-        phi = x - mean
-        w = (inv @ phi[:, :, None])[:, :, 0]
-        denom = n_new + (phi[:, None, :] @ w[:, :, None])[:, 0, 0]
-        ok = (denom > 0.0) & (denom < np.inf)
-        if not ok.all():
-            r = int(np.argmin(ok))
+        np.subtract(xs[j], mean, out=phi)
+        np.matmul(inv, phi_col, out=w_col)
+        np.matmul(phi_row, w_col, out=denom)
+        denom += n
+        if not (np.minimum.reduce(denom_flat) > 0.0 and np.maximum.reduce(denom_flat) < np.inf):
+            r = int(np.argmin((denom_flat > 0.0) & (denom_flat < np.inf)))
             raise NumericalBreakdownError(
-                f"rank-one update denominator {float(denom[r])!r} is not finite and positive "
-                f"at n = {n_new} in replication {r}"
+                f"rank-one update denominator {float(denom_flat[r])!r} is not finite and "
+                f"positive at n = {n} in replication {r}"
             )
         # sir.advance: theta, then the moments
-        c_new = counts[reps, i] + 1
-        phi_h = x - means[reps, i]
-        v = (inv @ phi_h[:, :, None])[:, :, 0]
-        cross = (w[:, None, :] @ phi_h[:, :, None])[:, 0, 0]
-        theta -= ((phi[:, None, :] @ theta[:, :, None])[:, 0, 0] / denom)[:, None] * w
-        theta *= n_new / (n_new - 1.0)
-        v -= (cross / denom)[:, None] * w
-        v *= (signs[j] * n_new / (c_new * (n_new - 1.0)))[:, None]
+        flat_means.take(rows[j], axis=0, out=m_old)
+        np.subtract(xs[j], m_old, out=phi_h)
+        np.matmul(inv, phi_h_col, out=v_col)
+        np.matmul(w_row, phi_h_col, out=cross)
+        np.matmul(phi_row, theta_col, out=along)
+        along /= denom
+        theta -= np.multiply(along_r, w, out=tmp)
+        theta *= grow[j]
+        cross /= denom
+        v -= np.multiply(cross_r, w, out=tmp)
+        v *= scale[j]
         theta -= v
-        inv -= w[:, :, None] * w[:, None, :] / denom[:, None, None]
-        inv *= n_new / (n_new - 1.0)
-        mean += phi / n_new
-        means[reps, i] += phi_h / c_new[:, None]
-        counts[reps, i] = c_new
-        n = n_new
+        np.multiply(w_col, w_row, out=outer)
+        outer /= denom
+        inv -= outer
+        inv *= grow[j]
+        mean += np.divide(phi, n, out=tmp)
+        np.divide(phi_h, c_new[j], out=tmp)
+        flat_means[rows[j]] = np.add(m_old, tmp, out=m_old)
         if n in want:
             snapshots[n] = theta.copy()
+    # Free the step inputs before the per-path copies, so that the peak
+    # memory is the loop's.
+    del xs, x_col, slices, rows, c_new, scale
 
     return [
         DirectionPath(
@@ -442,12 +481,44 @@ def direction_paths(
             ),
             slicer=slicers[r],
             warmup_n=n0,
-            projections=u[:, r].copy(),
+            projections=u[r].copy(),
             responses=sample.responses[n0:],
             snapshots={k: snap[r].copy() for k, snap in snapshots.items()},
         )
         for r, sample in enumerate(samples)
     ]
+
+
+def _step_factors(
+    slices: np.ndarray, warm_counts: np.ndarray, n0: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The count-only factors of every step of direction_paths, read off the slice labels.
+
+    slices holds the (T, R) 0-based slices of the streamed rows and
+    warm_counts the (R, 2) warm-up slice counts.  Writing n for a step's
+    post-step count and c + 1 for the post-step count of its receiving
+    slice, returns the final (R, 2) counts, c + 1 as a (T, R, 1) float
+    array, the (T, R, 1) scale sign * n / ((c + 1) (n - 1)) of sir.advance
+    and the (T,) factors n / (n - 1), each formed by the operations
+    sir.advance applies, so with the same bits.
+    """
+    steps, reps = slices.shape
+    n = np.arange(n0, n0 + steps + 1)[:, None]
+    low = slices == 0
+    # Slice 1's count after each step, the warm-up's in row 0; slice 2 holds
+    # the rest of the n rows.  With no streamed row, row 0 is all there is.
+    lows = np.zeros((steps + 1, reps))
+    np.cumsum(low, axis=0, out=lows[1:])
+    lows += warm_counts[:, 0]
+    counts = np.stack((lows[-1], n[-1] - lows[-1]), axis=1).astype(np.int64)
+    # Each row's receiving slice count, in place of slice 1's where it went
+    # to slice 2.
+    c_new, n = lows[1:], n[1:]
+    np.subtract(n, c_new, out=c_new, where=~low)
+    scale = np.where(low, -1.0, 1.0)
+    scale *= n
+    scale /= c_new * (n - 1.0)
+    return counts, c_new[:, :, None], scale[:, :, None], n[:, 0] / (n[:, 0] - 1.0)
 
 
 def _warm_up(head: Sample, boundary: float | None) -> tuple[SirState, Slicer]:

@@ -62,3 +62,37 @@ def test_summary_over_pairs_and_a_failed_run():
 def test_a_run_that_printed_nothing_is_an_error():
     with pytest.raises(ValueError, match="printed nothing"):
         bench_pairs.last_json_line("\n\n")
+
+
+def test_the_rules_are_the_benchmark_files_end_to_end_bounds():
+    rules = bench_pairs.end_to_end_rules()
+    assert rules == {
+        "setup_s": {"bound": 0.25, "better": "lower"},
+        "wall_s": {"bound": 0.25, "better": "lower"},
+        "peak_rss_mb": {"bound": 0.1, "better": "lower"},
+    }
+
+
+def test_a_move_past_its_bound_in_the_worse_direction_is_flagged():
+    # A fit set-up of 0.293 s against 0.387 s moved +32%, past its 0.25
+    # bound; the wall time fell by a third, which no bound forbids; the
+    # memory rose 9%, inside its 0.1 bound.
+    parent = bench_pairs.run_values(json.loads(_result_line(0.293, 0.30, 50.0)))
+    change = bench_pairs.run_values(json.loads(_result_line(0.387, 0.20, 54.5)))
+    summary = bench_pairs.summarize([{"parent": parent, "change": change}])
+    rules = bench_pairs.end_to_end_rules()
+    verdict = bench_pairs.against_bounds(summary, rules)
+    assert verdict["setup_s"] == {
+        "relative_move": (0.387 - 0.293) / 0.293, "bound": 0.25, "past_bound": True,
+    }
+    assert verdict["wall_s"] == {
+        "relative_move": (0.20 - 0.30) / 0.30, "bound": 0.25, "past_bound": False,
+    }
+    assert verdict["peak_rss_mb"] == {
+        "relative_move": (54.5 - 50.0) / 50.0, "bound": 0.1, "past_bound": False,
+    }
+    # Where higher is better, the fall is the worse direction.
+    higher = {name: dict(rule, better="higher") for name, rule in rules.items()}
+    flipped = bench_pairs.against_bounds(summary, higher)
+    assert flipped["wall_s"]["past_bound"] is True
+    assert flipped["setup_s"]["past_bound"] is False

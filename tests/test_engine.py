@@ -617,3 +617,71 @@ def test_direction_paths_refuse_a_non_finite_sample_before_stepping(monkeypatch)
     with pytest.raises(NonFiniteInputError, match="sample 3: row 59"):
         direction_paths(samples)
     assert warm_ups == []
+
+
+def _assert_each_path_equals_the_loop(samples, checkpoints):
+    """direction_paths equals the init_stream / stream_step loop on every sample, bit for bit."""
+    paths = direction_paths(samples, checkpoints=checkpoints)
+    assert len(paths) == len(samples)
+    for sample, path in zip(samples, paths):
+        alone = _recursion_path(sample, checkpoints=checkpoints)
+        _assert_same_arrays(_path_arrays(path), _path_arrays(alone))
+    return paths
+
+
+def test_direction_paths_over_samples_no_longer_than_the_warm_up():
+    # No streamed row: the cumulative slice counts are empty, so the counts,
+    # the moments and the checkpoint at n0 are the warm-up's.
+    n0 = default_warmup(4)
+    samples = [draw(reference_model(p=4), n0, 90 + r) for r in range(3)]
+    for path in _assert_each_path_equals_the_loop(samples, (n0,)):
+        assert path.projections.shape == (0,) and sorted(path.snapshots) == [n0]
+
+
+def test_direction_paths_where_every_streamed_row_lands_in_one_slice():
+    # Replication 0 streams only into slice 1 and replication 1 only into
+    # slice 2 (responses beyond every warm-up response, so past the median
+    # boundary); replication 2 streams into both.
+    n0, n = default_warmup(4), default_warmup(4) + 300
+    samples = [draw(reference_model(p=4), n, 95 + r) for r in range(3)]
+    for sample, h in zip(samples, (0, 1)):
+        head = sample.responses[:n0]
+        sample.responses[n0:] = head.min() - 1.0 if h == 0 else head.max() + 1.0
+    paths = _assert_each_path_equals_the_loop(samples, (n0, n0 + 1, 200, n))
+    for sample, path, h in zip(samples, paths, (0, 1)):
+        warm = init_stream(sample.head(n0)).sir.moments.slice_counts
+        assert path.sir.moments.slice_counts[h] == warm[h] + (n - n0)
+        assert path.sir.moments.slice_counts[1 - h] == warm[1 - h]
+
+
+def test_direction_paths_at_the_rate_study_shape():
+    # The study workload's call: 40 replications of 2000 rows at p = 10,
+    # with snapshots at the four checkpoint sizes.
+    sizes = (250, 500, 1000, 2000)
+    samples = [draw(reference_model(p=10), sizes[-1], 11 ^ r) for r in range(40)]
+    _assert_each_path_equals_the_loop(samples, sizes)
+
+
+def test_a_later_breakdown_names_its_replication_and_n_without_a_warning(monkeypatch):
+    # Replication 2 warms up with a small negative definite inverse.  Its
+    # denominators n + rho stay positive over ordinary rows, past the
+    # checkpoint at 100; a far-out row 150 then drives n + rho below zero.
+    # Nothing overflows, so no step before the refusal warns.
+    samples = [draw(reference_model(p=4), 200, 80 + r) for r in range(4)]
+    samples[2].covariates[150] = 1e4
+    warm_up = engine._warm_up
+
+    def broken_warm_up(head, boundary):
+        sir, slicer = warm_up(head, boundary)
+        if head.covariates.base is samples[2].covariates:
+            sir.moments.inv_cov[...] = -1e-6 * np.eye(4)
+        return sir, slicer
+
+    monkeypatch.setattr(engine, "_warm_up", broken_warm_up)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBreakdownError, match=r"at n = 151 in replication 2$"):
+            direction_paths(samples, checkpoints=(100, 200))
+        # The per-arrival loop refuses the same row of that sample.
+        with pytest.raises(NumericalBreakdownError, match=r"at n = 151$"):
+            _recursion_path(samples[2], checkpoints=(100, 200))

@@ -342,7 +342,7 @@ def test_study_results_compare_by_their_columns(model_m):
     assert with_gaps == studies.StudyResult("rate", {"v": gaps.copy()}, {})
 
 
-def test_parallel_schedule_does_not_change_results(model_m, monkeypatch):
+def test_replication_chunk_size_does_not_change_results(model_m, monkeypatch):
     # Each replication has the same bits whichever chunk it is stepped in:
     # four, seven and nine replications in chunks of one, three and 64.
     kwargs = dict(model=model_m, seed=5, eval_points=np.array([0.0, 0.5]), warmup=30)
@@ -495,6 +495,36 @@ def test_bootstrap_equals_the_per_resample_loop(case, n_reps):
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
     if case == "fewer than two sizes":
         assert expected == []
+
+
+def test_sort_median_of_a_small_table():
+    # Three valid entries, none, two, and four equal ones.
+    a = np.array([[1.0, np.nan, 3.0, 2.0], [np.nan] * 4, [4.0, 1.0, np.nan, np.nan], [5.0] * 4])
+    got = studies._nanmedian(a, axis=1)
+    assert np.array_equal(got, [2.0, np.nan, 2.5, 5.0], equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    ("shape", "axis"),
+    [((7, 6), 0), ((7, 6), 1), ((8, 9), 0), ((8, 9), 1), ((40, 4, 10), 0), ((200, 40, 4), 1)],
+)
+@pytest.mark.parametrize("valid_share", [1.0, 0.7, 0.2, 0.0])
+def test_sort_median_equals_nanmedian_bit_for_bit(shape, axis, valid_share):
+    # Odd and even axis lengths (so odd and even valid counts), NaN
+    # scattered at random, and (at low shares) cells with no valid entry;
+    # the (40, 4, 10) and (200, 40, 4) shapes are the rate study's
+    # per-point and bootstrap medians.
+    rng = np.random.default_rng([len(shape), axis, int(10 * valid_share)])
+    a = rng.gamma(2.0, 0.1, size=shape)
+    a[rng.random(shape) >= valid_share] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # np.nanmedian's all-NaN warning
+        expected = np.nanmedian(a, axis=axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = studies._nanmedian(a, axis=axis)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 @pytest.fixture(scope="module")
