@@ -14,7 +14,11 @@ number of pairs the change won (a lower value; ties count for neither),
 and the change median's relative move against the parent median next to
 the metric's `bound` from the repository's BENCHMARK.json (read only).
 `past_bound` flags a move past the bound in the worse direction, the
-move that gets a change refused; the flagged metrics are also printed.
+move that gets a change refused.  `unresolved` flags a metric whose
+parent runs spread wider than its bound (IQR / median, `parent_spread`),
+so that no median move can be read as a pass or a fail, unless every
+change run reads better than every parent run.  Both kinds of flagged
+metric are also printed.
 """
 
 from __future__ import annotations
@@ -92,6 +96,27 @@ def against_bounds(summary: dict, rules: dict) -> dict:
     return out
 
 
+def spread_verdicts(summary: dict, pairs: list[dict], rules: dict) -> dict:
+    """Per metric, the parent's spread IQR / median and whether the metric is unresolved.
+
+    A metric is unresolved when that spread is wider than its bound, unless
+    every change run reads better than every parent run (lower or higher,
+    as the rule says).
+    """
+    out = {}
+    for name in METRICS:
+        parent = np.array([p["parent"][name] for p in pairs])
+        change = np.array([p["change"][name] for p in pairs])
+        spread = summary[name]["parent_iqr"] / summary[name]["parent_median"]
+        if rules[name]["better"] == "lower":
+            separated = change.max() < parent.min()
+        else:
+            separated = change.min() > parent.max()
+        unresolved = spread > rules[name]["bound"] and not separated
+        out[name] = {"parent_spread": spread, "unresolved": bool(unresolved)}
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
@@ -132,11 +157,17 @@ def main(argv: list[str] | None = None) -> int:
                 for name in METRICS
             ), file=sys.stderr)
         summary = summarize(pairs)
-        for name, verdict in against_bounds(summary, rules).items():
+        bounds, spreads = against_bounds(summary, rules), spread_verdicts(summary, pairs, rules)
+        for name in METRICS:
+            verdict = {**bounds[name], **spreads[name]}
             summary[name].update(verdict)
             if verdict["past_bound"]:
                 print(f"{workload} {name}: PAST BOUND, median moved {verdict['relative_move']:+.1%}"
                       f" against a bound of {verdict['bound']:.0%}", file=sys.stderr)
+            if verdict["unresolved"]:
+                print(f"{workload} {name}: UNRESOLVED, parent IQR / median is"
+                      f" {verdict['parent_spread']:.1%} against a bound of {verdict['bound']:.0%}",
+                      file=sys.stderr)
         doc["workloads"][workload] = {"pairs": pairs, "summary": summary}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -24,7 +24,10 @@ block of rows and one batched solve at a time, and returns the
 projections; run_stream, cross-validation and the scatter study build
 their logs and scores from them.  It matches the recursion within 1e-12
 (u_k scaled by |theta| |x_k|), and steps the recursion itself above
-_PREFIX_MAX_P covariates or when a prefix covariance is ill-conditioned.
+_PREFIX_MAX_P covariates.  The prefix form never refuses a stream: where
+it fails (a prefix covariance that is ill-conditioned, not positive
+definite, not finite or singular) it hands back, and the recursion reruns
+from the warm-up, so only the recursion's own checks refuse a stream.
 direction_paths runs the recursion over R samples of equal length at once,
 on stacked (R, ...) arrays, with the bits of init_stream then stream_step
 per sample; the other Monte Carlo studies use it for their replications.
@@ -163,17 +166,18 @@ def direction_path(
     The recursive estimate after k rows is the batch SIR estimate on those
     k rows, so the projections come from prefix totals (_prefix_pass),
     within 1e-12 of the recursion once scaled by |theta| |x_k|.  Above
-    _PREFIX_MAX_P covariates, or when a prefix covariance (checked every
-    _PREFIX_BLOCK rows) is worse conditioned than _PREFIX_MAX_COND, the
-    recursion runs instead and gives the same bits as init_stream followed
-    by one stream_step per row.
+    _PREFIX_MAX_P covariates, or wherever the prefix form hands back (see
+    _prefix_pass), the recursion runs instead and gives the same bits as
+    init_stream followed by one stream_step per row.  So direction_path
+    accepts exactly the samples that the per-arrival loop accepts, and
+    refuses the others with the loop's error.
 
     Raises:
         NonFiniteInputError: some row holds NaN or inf (checked once, up front).
         InsufficientDataError: the sample is shorter than the warm-up.
-        NumericalBreakdownError: a prefix covariance is not finite, singular
-            or not positive definite, or a rank-one denominator is not
-            finite and positive.
+        SingularMatrixError, EmptySliceError: the warm-up's, from batch_moments.
+        NumericalBreakdownError: a rank-one denominator of the recursion is
+            not finite and positive.
     """
     n0 = _warmup_length(sample, warmup)
     xs, ys = sample.covariates, sample.responses
@@ -234,16 +238,13 @@ def _prefix_pass(
     from one batched np.linalg.solve.  theta_k projects row k + 1 and is
     the snapshot at k; the returned state is read off the end totals.
 
-    A only grows by positive semi-definite terms, so the check that A is
-    positive definite at a block start covers the whole block; an A_k that
-    is not finite is refused by its own check.  Returns None, for the
-    recursion to run instead, as soon as A at a block start or at the end
-    is worse conditioned than _PREFIX_MAX_COND.
-
-    Raises:
-        NumericalBreakdownError: some A_k is not finite (the message names
-            its n), A at a block start or at the end is not positive
-            definite, or some A_k is singular.
+    Never raises: it returns None, for the recursion to rerun from the
+    warm-up and decide, as soon as A at a block start or at the end fails
+    _well_conditioned, some A_k in a block is not finite, or the batched
+    solve finds some A_k singular.  A only grows by positive semi-definite
+    terms, so in exact arithmetic the block-start check covers the block;
+    in floating point a far-out row can still overflow A or leave it
+    singular, which the last two checks catch.
     """
     n0, (n, p) = warm.n, xs.shape
     m0 = warm.mean
@@ -257,7 +258,7 @@ def _prefix_pass(
     snapshots: dict[int, np.ndarray] = {}
     prefix = np.empty((min(_PREFIX_BLOCK, n - n0) + 1, p, p))
     for a in range(n0, n, _PREFIX_BLOCK):
-        if not _well_conditioned(scatter, a):
+        if not _well_conditioned(scatter):
             return None
         b = min(a + _PREFIX_BLOCK, n)
         c, in_low = xs[a:b] - m0, slices[a:b] == 0
@@ -279,24 +280,19 @@ def _prefix_pass(
         np.multiply(d[:, :, None], d[:, None, :], out=scatters[1:])
         np.cumsum(scatters, axis=0, out=scatters)
         scatters += scatter
-        finite = np.isfinite(scatters).all(axis=(1, 2))
-        if not finite.all():
-            raise NumericalBreakdownError(
-                f"prefix covariance is not finite at n = {a + int(np.argmin(finite))}"
-            )
+        if not np.isfinite(scatters).all():
+            return None
         diff = t / l - (r - t) / (k - l)
         try:
             theta = np.linalg.solve(scatters[:-1], (k * diff)[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError(
-                f"a prefix scatter matrix between n = {a} and {b - 1} is singular: {exc}"
-            ) from None
+        except np.linalg.LinAlgError:
+            return None
         u[a - n0 : b - n0] = np.einsum("kj,kj->k", theta, xs[a:b])
         for m in want.intersection(range(a, b)):
             snapshots[m] = theta[m - a].copy()
         scatter, sums, low = scatters[-1].copy(), totals[-1], int(lows[-1])
 
-    if not _well_conditioned(scatter, n):
+    if not _well_conditioned(scatter):
         return None
     inv_cov = np.linalg.inv(scatter / n)
     counts = np.array([low, n - low], dtype=np.int64)
@@ -314,24 +310,19 @@ def _prefix_pass(
     return sir, u, snapshots
 
 
-def _well_conditioned(centred: np.ndarray, n: int) -> bool:
-    """Whether the condition number of centred = A_n = n Sigma_n is at most _PREFIX_MAX_COND.
+def _well_conditioned(centred: np.ndarray) -> bool:
+    """Whether centred = A_n = n Sigma_n is positive definite, within _PREFIX_MAX_COND.
 
-    A only grows by positive semi-definite terms, so an A that is positive
-    definite at a block start stays so over the block, and the block-start
-    check covers the block.
-
-    Raises:
-        NumericalBreakdownError: the matrix is not finite or not positive
-            definite.
+    True when the smallest eigenvalue is positive and the condition number
+    is at most _PREFIX_MAX_COND.  False, never an error, for a matrix that
+    is not finite or whose eigenvalues do not converge: the prefix form
+    then hands back to the recursion.
     """
     try:
         eig = np.linalg.eigvalsh(centred) if np.isfinite(centred).all() else None
     except np.linalg.LinAlgError:
-        eig = None
-    if eig is None or not eig[0] > 0.0:
-        raise NumericalBreakdownError(f"prefix covariance is not positive definite at n = {n}")
-    return bool(eig[-1] <= _PREFIX_MAX_COND * eig[0])
+        return False
+    return eig is not None and bool(0.0 < eig[0] and eig[-1] <= _PREFIX_MAX_COND * eig[0])
 
 
 def direction_paths(
@@ -629,6 +620,8 @@ def run_stream(
     Raises:
         NonFiniteInputError: some row holds NaN or inf.
         InsufficientDataError: the sample is shorter than the warm-up.
+        SingularMatrixError, EmptySliceError, NumericalBreakdownError: as
+            direction_path, so exactly where the per-arrival loop raises.
     """
     path = direction_path(sample, warmup=warmup, boundary=boundary)
     state = _stream_state(path.sir, path.slicer, path.warmup_n, alpha, kernel)

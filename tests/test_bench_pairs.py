@@ -96,3 +96,46 @@ def test_a_move_past_its_bound_in_the_worse_direction_is_flagged():
     flipped = bench_pairs.against_bounds(summary, higher)
     assert flipped["wall_s"]["past_bound"] is True
     assert flipped["setup_s"]["past_bound"] is False
+
+
+def _pairs(metric, parent, change):
+    """Pairs of run_values that differ only in metric; the other metrics read 1.0."""
+    def run(value):
+        values = dict.fromkeys(bench_pairs.METRICS, 1.0) | {metric: value}
+        return {**values, "correct": True, "attempted": 40, "failed": 0}
+    return [{"parent": run(a), "change": run(b)} for a, b in zip(parent, change)]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # Parent setup_s 0.30, 0.40, 0.50, 0.60: quartiles 0.375 and 0.525,
+    # so IQR / median = 0.15 / 0.45 = 1/3, wider than the 0.25 bound.
+    rules = bench_pairs.end_to_end_rules()
+    parent = (0.30, 0.40, 0.50, 0.60)
+
+    def verdict(change, rules=rules):
+        pairs = _pairs("setup_s", parent, change)
+        summary = bench_pairs.summarize(pairs)
+        return bench_pairs.spread_verdicts(summary, pairs, rules)
+
+    # A median move inside the bound (and one past it) tells nothing.
+    inside = verdict((0.31, 0.41, 0.49, 0.62))
+    assert inside["setup_s"] == {"parent_spread": pytest.approx(1 / 3), "unresolved": True}
+    assert verdict((0.45, 0.55, 0.65, 0.75))["setup_s"]["unresolved"] is True
+    # Every change run below every parent run: resolved, though as spread.
+    assert verdict((0.10, 0.12, 0.20, 0.29))["setup_s"]["unresolved"] is False
+    # A tie with the best parent run is not below it.
+    assert verdict((0.10, 0.12, 0.20, 0.30))["setup_s"]["unresolved"] is True
+    # Where higher is better, every change run must be above every parent run.
+    higher = {name: dict(rule, better="higher") for name, rule in rules.items()}
+    assert verdict((0.61, 0.70, 0.80, 0.90), higher)["setup_s"]["unresolved"] is False
+    assert verdict((0.10, 0.12, 0.20, 0.29), higher)["setup_s"]["unresolved"] is True
+    # The metrics whose runs did not spread are resolved.
+    assert inside["wall_s"] == {"parent_spread": 0.0, "unresolved": False}
+
+
+def test_a_spread_inside_the_bound_is_resolved():
+    # Parent wall_s 0.20, 0.21, 0.22, 0.23: IQR / median 0.015 / 0.215.
+    pairs = _pairs("wall_s", (0.20, 0.21, 0.22, 0.23), (0.30, 0.31, 0.32, 0.33))
+    summary = bench_pairs.summarize(pairs)
+    verdict = bench_pairs.spread_verdicts(summary, pairs, bench_pairs.end_to_end_rules())
+    assert verdict["wall_s"] == {"parent_spread": pytest.approx(0.015 / 0.215), "unresolved": False}

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from _cli import child_env, run_cli
-from streamsir import draw, reference_model, run_stream, select_alpha, tabulated_kernel
-from streamsir.io import read_sample_csv
+from streamsir import (
+    draw,
+    init_stream,
+    reference_model,
+    run_stream,
+    select_alpha,
+    stream_step,
+    tabulated_kernel,
+)
+from streamsir.io import read_sample_csv, write_projection_log_csv, write_sample_csv
 
 
 def test_simulate_fit_predict_pipeline(tmp_path):
@@ -163,6 +171,26 @@ def test_fitting_a_csv_equals_streaming_its_rows(tmp_path):
     sample = read_sample_csv(tmp_path / "sample.csv")
     state = run_stream(sample, alpha=0.35)
     assert doc["theta_hat"] == [float(f"{v:.17g}") for v in state.theta_hat]
+
+
+def test_fit_and_cv_take_an_outlier_stream_that_the_per_arrival_loop_takes(tmp_path):
+    # Row 1500 at 10^9 times its size leaves a later prefix covariance that
+    # is not positive definite.  The prefix form hands back, so fit and cv
+    # step the recursion and accept the stream, as stream_step does.
+    sample = draw(reference_model(p=10), 3000, 3)
+    sample.covariates[1500] *= 1e9
+    write_sample_csv(sample, tmp_path / "outlier.csv")
+    for command in ("fit", "cv"):
+        r = run_cli([command, "--input", "outlier.csv"], tmp_path)
+        assert r.returncode == 0, r.stderr
+
+    sample = read_sample_csv(tmp_path / "outlier.csv")
+    state = init_stream(sample.head(30), alpha=0.35)
+    for i in range(30, sample.n):
+        stream_step(state, sample.covariates[i], float(sample.responses[i]))
+    write_projection_log_csv(state.log, tmp_path / "loop_log.csv")
+    fitted = (tmp_path / "projection_log.csv").read_bytes()
+    assert fitted == (tmp_path / "loop_log.csv").read_bytes()
 
 
 def test_fit_state_json_holds_the_streamed_moments(tmp_path):

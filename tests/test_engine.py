@@ -14,6 +14,7 @@ from streamsir import (
     ProjectionLog,
     Sample,
     Slicer,
+    StreamSirError,
     append,
     batch_moments,
     batch_sir,
@@ -364,19 +365,39 @@ def test_the_recursion_stays_on_the_batch_moments_over_20000_rows(seed):
         assert np.linalg.norm(got - want) <= _AIM3 * np.linalg.norm(want)
 
 
-def test_a_prefix_breakdown_is_refused():
+def _per_arrival_loop(sample):
+    """init_stream on the default warm-up, then one stream_step per row."""
+    n0 = default_warmup(sample.p)
+    state = init_stream(sample.head(n0))
+    for i in range(n0, sample.n):
+        stream_step(state, sample.covariates[i], float(sample.responses[i]))
+    return state
+
+
+def _outcome(call):
+    """(state, None) if call returns, else (None, (class, message)) of its StreamSirError."""
+    try:
+        return call(), None
+    except StreamSirError as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_an_overflowing_row_is_refused_by_the_recursion():
     # A row whose cross-product overflows leaves no finite prefix covariance
-    # after it; the prefix form must refuse rather than log NaN.
+    # after it, so the prefix form hands back; the recursion then refuses
+    # that row, with the per-arrival loop's message, rather than log NaN.
     sample = draw(reference_model(p=4), 200, 73)
     sample.covariates[100, 1] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(NumericalBreakdownError, match="n = 101"):
+        with pytest.raises(NumericalBreakdownError, match="n = 101") as refused:
             direction_path(sample)
+        assert _outcome(lambda: _per_arrival_loop(sample))[1] == (refused.type, str(refused.value))
         sample.covariates[100, 1] = 0.0
         sample.covariates[199, 1] = 1e200  # the last row: only the end totals see it
-        with pytest.raises(NumericalBreakdownError, match="n = 200"):
+        with pytest.raises(NumericalBreakdownError, match="n = 200") as refused:
             direction_path(sample)
+        assert _outcome(lambda: _per_arrival_loop(sample))[1] == (refused.type, str(refused.value))
 
 
 def _overflowing(p):
@@ -388,12 +409,14 @@ def _overflowing(p):
 
 def test_an_infinite_rank_one_denominator_is_refused():
     # An infinite denominator would turn the inverse to NaN; every form of
-    # the recursion must refuse it, as the prefix form refuses the sample.
+    # the recursion must refuse it, and direction_path, whose prefix form
+    # hands the sample back, refuses it with the per-arrival loop's message.
     sample, wide = _overflowing(4), _overflowing(engine._PREFIX_MAX_P + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(NumericalBreakdownError, match="n = 101"):
+        with pytest.raises(NumericalBreakdownError, match="n = 101") as refused:
             direction_path(sample)
+        assert _outcome(lambda: _per_arrival_loop(sample))[1] == (refused.type, str(refused.value))
         with pytest.raises(NumericalBreakdownError, match="n = 101 in replication 1"):
             direction_paths([draw(reference_model(p=4), 200, 2), sample])
         with pytest.raises(NumericalBreakdownError, match="inf is not finite and positive at n = 101"):
@@ -405,6 +428,86 @@ def test_an_infinite_rank_one_denominator_is_refused():
         with pytest.raises(NumericalBreakdownError, match="n = 101"):
             stream_step(state, sample.covariates[100], float(sample.responses[100]))
     _assert_same_arrays(_engine_arrays(state), before)
+
+
+_HARD_N = 1100  # past two prefix block starts, 542 and 1054, at p = 4 and 10
+
+
+def _transformed(sample, kind, arg):
+    """The sample under one of the transforms that _HARD_STREAMS draws."""
+    xs, ys = sample.covariates.copy(), sample.responses.copy()
+    if kind == "outlier":
+        row, log_m = arg
+        xs[row] *= 10.0**log_m
+    elif kind == "scale":
+        xs *= arg
+    elif kind == "shift":
+        xs += 1e8
+    elif kind == "equal columns":
+        xs[200:, 1] = xs[200:, 0]
+    elif kind == "constant column":
+        xs[:, 0] = 1.0
+    else:  # all-equal responses
+        ys[:] = 0.5
+    return Sample(covariates=xs, responses=ys)
+
+
+_HARD_STREAMS = st.one_of(
+    # One outlier row, anywhere, multiplied by a log-uniform 1e4 .. 1e12.
+    st.tuples(st.just("outlier"), st.tuples(st.integers(0, _HARD_N - 1), st.floats(4.0, 12.0))),
+    st.tuples(st.just("scale"), st.sampled_from([1e-150, 1e-8, 3.0, 1e8, 1e150])),
+    st.sampled_from(["shift", "equal columns", "constant column", "equal responses"]).map(
+        lambda kind: (kind, None)
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([4, 10]), seed=st.integers(0, 2**16), stream=_HARD_STREAMS)
+def test_run_stream_refuses_exactly_what_the_per_arrival_loop_refuses(p, seed, stream):
+    # The prefix form never refuses: it hands back to the recursion, whose
+    # own checks refuse a stream, so run_stream and the loop draw one line.
+    kind, arg = stream
+    base = draw(reference_model(p=p), _HARD_N, seed)
+    sample = _transformed(base, kind, arg)
+    fast, fast_error = _outcome(lambda: run_stream(sample))
+    slow, slow_error = _outcome(lambda: _per_arrival_loop(sample))
+    assert fast_error == slow_error
+    if slow_error is not None:
+        return
+    sir, slicer = engine._warm_up(sample.head(default_warmup(p)), None)
+    slices = slicer.slices_of(sample.responses) - 1
+    if engine._prefix_pass(sample.covariates, slices, sir.moments, set()) is None:
+        _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
+    elif kind != "shift":
+        # Shifted by 1e8, the two forms sit about 1e-7 apart (and as far
+        # from batch_sir), past aim 3's bound; no other stream here does.
+        _assert_within_aim3(fast, slow, sample.covariates[sir.moments.n :])
+    if kind == "scale":
+        # theta for c x is theta / c, in both forms.
+        for run in (run_stream, _per_arrival_loop):
+            theta, scaled = run(base).theta_hat, run(sample).theta_hat
+            assert _max_rel(scaled * arg, theta) <= _AIM3
+
+
+@pytest.mark.parametrize("m", [1e4, 1e8, 1e9, 1e10, 1e11, 1e12])
+def test_one_outlier_row_is_taken_or_refused_as_the_per_arrival_loop_does(m):
+    # Row 1500 times m: the loop takes the stream up to 1e10 and refuses it
+    # at 1e11 and 1e12 (a negative rank-one denominator).  run_stream and
+    # select_alpha, whose prefix form hands such a stream back, do the same.
+    sample = draw(reference_model(p=10), 3000, 3)
+    sample.covariates[1500] *= m
+    fast, fast_error = _outcome(lambda: run_stream(sample))
+    slow, slow_error = _outcome(lambda: _per_arrival_loop(sample))
+    assert fast_error == slow_error
+    assert (slow_error is None) == (m <= 1e10)
+    if slow_error is None:
+        _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
+        select_alpha(sample, [0.35])
+    else:
+        with pytest.raises(slow_error[0]) as refused:
+            select_alpha(sample, [0.35])
+        assert str(refused.value) == slow_error[1]
 
 
 def test_direction_path_needs_no_kernel_and_matches_run_stream():

@@ -10,6 +10,7 @@ from streamsir import (
     Slicer,
     batch_sir,
     direction_distance,
+    direction_paths,
     draw,
     recursive_step,
     reference_model,
@@ -156,18 +157,12 @@ def test_coordinatewise_root_n_normality_shape():
     # Across replications each coordinate of sqrt(n) (theta_hat - c theta),
     # with c the Monte Carlo mean scale, should look Gaussian: skewness
     # and excess kurtosis inside loose gates at n = 1000, N = 200.
+    # direction_paths steps the recursion from a warm-up sliced at the
+    # median of its responses, with the bits of recursive_step per row.
     model = reference_model(p=10)
     n, n0, reps = 1000, 30, 200
-    thetas = np.empty((reps, model.p))
-    for rep in range(reps):
-        sample = draw(model, n, rep)
-        slicer = _median_slicer(sample, n0)
-        state = warm_start(sample.head(n0), slicer)
-        for i in range(n0, n):
-            state = recursive_step(
-                state, sample.covariates[i], float(sample.responses[i]), slicer
-            )
-        thetas[rep] = state.theta_hat
+    paths = direction_paths([draw(model, n, rep) for rep in range(reps)], warmup=n0)
+    thetas = np.stack([path.sir.theta_hat for path in paths])
     c = float(np.mean(thetas @ model.direction))
     centered = np.sqrt(n) * (thetas - c * model.direction)
     skew = sps.skew(centered, axis=0)
