@@ -31,9 +31,12 @@ from the warm-up, so only the recursion's own checks refuse a stream.
 direction_paths runs the recursion over R samples of equal length at once,
 on stacked (R, ...) arrays, with the bits of init_stream then stream_step
 per sample; the other Monte Carlo studies use it for their replications.
-Its slice counts depend only on the slice labels, so they and the factors
-built from them are computed for every step before the loop, and each
-step writes its stacked products into buffers allocated once.
+It reads the samples _STEP_CHUNK rows at a time into one step-major
+buffer, so beyond the projections it returns its memory does not grow
+with n.  Its slice counts depend only on the slice labels, so they and
+the factors built from them are computed for a whole chunk before its
+steps, and each step writes its stacked products into buffers allocated
+once.
 init_stream, stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
 and returns that same object.  run_stream(sample, alpha, kernel, warmup,
@@ -88,6 +91,11 @@ _PREFIX_MAX_COND = 2e4
 # Rows per block of the prefix form: block sizes from 128 to 1024 time
 # within noise of each other at p = 10, 20 and 30.
 _PREFIX_BLOCK = 512
+# Rows per chunk of direction_paths, which stacks the R samples' rows into
+# one (chunk, R, p) buffer at a time.  At R = 40, n = 2000, p = 10 (one
+# pinned core, one BLAS thread, best of 7) chunks of 32 and 512 rows were
+# no faster: 0.124-0.141 s and 0.127-0.152 s against 0.113-0.121 s.
+_STEP_CHUNK = 128
 
 
 def default_warmup(p: int) -> int:
@@ -338,12 +346,18 @@ def direction_paths(
     states are held as stacked arrays: theta and the mean (R, p), the
     inverse (R, p, p) and the slice means (R, 2, p).
 
-    The slice counts follow from the slice labels alone, so _step_factors
-    forms them before the loop as cumulative sums on the warm-up counts,
-    and with them each step's count factors: the receiving slice's
-    post-step count c + 1, the (R,) scale sign * n / ((c + 1) (n - 1)) and
-    n / (n - 1) (all samples share n).  The final counts are read off the
-    same sums, and the loop never touches a count.
+    The rows are read _STEP_CHUNK at a time: a chunk of every sample is
+    stacked into one (chunk, R, p) buffer, so each step reads a contiguous
+    (R, p) row and the memory held does not grow with n, apart from the
+    (R, n - n0) projections; path r's projections are row r of that
+    array, not a copy.  The slice counts follow from the slice labels
+    alone, so _step_factors forms a chunk's before its steps, as
+    cumulative sums on slice 1's count carried over from the chunk before
+    (the warm-up's for the first), and with them each step's count
+    factors: the receiving slice's post-step count c + 1, the (R,) scale
+    sign * n / ((c + 1) (n - 1)) and n / (n - 1) (all samples share n).
+    The final counts are read off the carried count, and the steps never
+    touch a count.
 
     Each step runs the operations of sir.rank_one_terms and sir.advance
     one for one, in the same order, writing every intermediate into a
@@ -384,20 +398,9 @@ def direction_paths(
     mean = np.stack([sir.moments.mean for sir in sirs])
     inv = np.stack([sir.moments.inv_cov for sir in sirs])
     means = np.stack([sir.moments.slice_means for sir in sirs])
-    # Step-major copies, so each step reads contiguous (R, p) and (R,) rows;
-    # the slices as int32, since they are held through the loop.
-    xs = np.stack([sample.covariates[n0:] for sample in samples], axis=1)
-    slices = np.stack(
-        [slicer.slices_of(sample.responses[n0:]) - 1 for sample, slicer in zip(samples, slicers)],
-        axis=1,
-        dtype=np.int32,
-    )
-    counts, c_new, scale, grow = _step_factors(
-        slices, np.stack([sir.moments.slice_counts for sir in sirs]), n0
-    )
-    # Each row's receiving slice as a row of the slice means viewed as (2 R, p).
-    rows = np.add(slices, 2 * np.arange(reps), out=slices)
-    steps = xs.shape[0]
+    # Slice 1's running count, carried from chunk to chunk.
+    low = np.array([sir.moments.slice_counts[0] for sir in sirs], dtype=np.float64)
+    steps = shape[0] - n0
 
     # One buffer per intermediate, with fixed row (R, 1, p) and column
     # (R, p, 1) views for the stacked products.
@@ -409,54 +412,62 @@ def direction_paths(
     denom, along, cross = np.empty((3, reps, 1, 1))
     denom_flat, along_r, cross_r = denom.reshape(reps), along[:, :, 0], cross[:, :, 0]
     outer = np.empty((reps, p, p))
-    x_col = xs[:, :, :, None]
+    # A chunk of rows, step-major, so each step reads a contiguous (R, p) row.
+    chunk = np.empty((min(_STEP_CHUNK, steps), reps, p))
     u = np.empty((reps, steps), dtype=np.float64)
-    u_out = u.T[:, :, None, None]
 
     want = {int(c) for c in checkpoints}
     snapshots: dict[int, np.ndarray] = {}
     if n0 in want:
         snapshots[n0] = theta.copy()
     n = n0
-    for j in range(steps):
-        np.matmul(theta_row, x_col[j], out=u_out[j])
-        n += 1
-        # sir.rank_one_terms
-        np.subtract(xs[j], mean, out=phi)
-        np.matmul(inv, phi_col, out=w_col)
-        np.matmul(phi_row, w_col, out=denom)
-        denom += n
-        if not (np.minimum.reduce(denom_flat) > 0.0 and np.maximum.reduce(denom_flat) < np.inf):
-            r = int(np.argmin((denom_flat > 0.0) & (denom_flat < np.inf)))
-            raise NumericalBreakdownError(
-                f"rank-one update denominator {float(denom_flat[r])!r} is not finite and "
-                f"positive at n = {n} in replication {r}"
-            )
-        # sir.advance: theta, then the moments
-        flat_means.take(rows[j], axis=0, out=m_old)
-        np.subtract(xs[j], m_old, out=phi_h)
-        np.matmul(inv, phi_h_col, out=v_col)
-        np.matmul(w_row, phi_h_col, out=cross)
-        np.matmul(phi_row, theta_col, out=along)
-        along /= denom
-        theta -= np.multiply(along_r, w, out=tmp)
-        theta *= grow[j]
-        cross /= denom
-        v -= np.multiply(cross_r, w, out=tmp)
-        v *= scale[j]
-        theta -= v
-        np.multiply(w_col, w_row, out=outer)
-        outer /= denom
-        inv -= outer
-        inv *= grow[j]
-        mean += np.divide(phi, n, out=tmp)
-        np.divide(phi_h, c_new[j], out=tmp)
-        flat_means[rows[j]] = np.add(m_old, tmp, out=m_old)
-        if n in want:
-            snapshots[n] = theta.copy()
-    # Free the step inputs before the per-path copies, so that the peak
-    # memory is the loop's.
-    del xs, x_col, slices, rows, c_new, scale
+    for a in range(n0, shape[0], _STEP_CHUNK):
+        b = min(a + _STEP_CHUNK, shape[0])
+        xs = np.stack([sample.covariates[a:b] for sample in samples], axis=1, out=chunk[: b - a])
+        ys = [sample.responses[a:b] for sample in samples]
+        slices = np.stack([slicer.slices_of(y) - 1 for slicer, y in zip(slicers, ys)], axis=1)
+        c_new, scale, grow, low = _step_factors(slices, low, a)
+        # Each row's receiving slice as a row of the slice means viewed as (2 R, p).
+        rows = np.add(slices, 2 * np.arange(reps), out=slices)
+        x_col = xs[:, :, :, None]
+        u_out = u.T[a - n0 : b - n0, :, None, None]
+        for j in range(b - a):
+            np.matmul(theta_row, x_col[j], out=u_out[j])
+            n += 1
+            # sir.rank_one_terms
+            np.subtract(xs[j], mean, out=phi)
+            np.matmul(inv, phi_col, out=w_col)
+            np.matmul(phi_row, w_col, out=denom)
+            denom += n
+            if not (np.minimum.reduce(denom_flat) > 0.0 and np.maximum.reduce(denom_flat) < np.inf):
+                r = int(np.argmin((denom_flat > 0.0) & (denom_flat < np.inf)))
+                raise NumericalBreakdownError(
+                    f"rank-one update denominator {float(denom_flat[r])!r} is not finite and "
+                    f"positive at n = {n} in replication {r}"
+                )
+            # sir.advance: theta, then the moments
+            flat_means.take(rows[j], axis=0, out=m_old)
+            np.subtract(xs[j], m_old, out=phi_h)
+            np.matmul(inv, phi_h_col, out=v_col)
+            np.matmul(w_row, phi_h_col, out=cross)
+            np.matmul(phi_row, theta_col, out=along)
+            along /= denom
+            theta -= np.multiply(along_r, w, out=tmp)
+            theta *= grow[j]
+            cross /= denom
+            v -= np.multiply(cross_r, w, out=tmp)
+            v *= scale[j]
+            theta -= v
+            np.multiply(w_col, w_row, out=outer)
+            outer /= denom
+            inv -= outer
+            inv *= grow[j]
+            mean += np.divide(phi, n, out=tmp)
+            np.divide(phi_h, c_new[j], out=tmp)
+            flat_means[rows[j]] = np.add(m_old, tmp, out=m_old)
+            if n in want:
+                snapshots[n] = theta.copy()
+    counts = np.stack((low, n - low), axis=1).astype(np.int64)
 
     return [
         DirectionPath(
@@ -472,7 +483,7 @@ def direction_paths(
             ),
             slicer=slicers[r],
             warmup_n=n0,
-            projections=u[r].copy(),
+            projections=u[r],
             responses=sample.responses[n0:],
             snapshots={k: snap[r].copy() for k, snap in snapshots.items()},
         )
@@ -481,35 +492,33 @@ def direction_paths(
 
 
 def _step_factors(
-    slices: np.ndarray, warm_counts: np.ndarray, n0: int
+    slices: np.ndarray, low: np.ndarray, start: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The count-only factors of every step of direction_paths, read off the slice labels.
+    """The count-only factors of a chunk of steps of direction_paths, read off the slice labels.
 
-    slices holds the (T, R) 0-based slices of the streamed rows and
-    warm_counts the (R, 2) warm-up slice counts.  Writing n for a step's
-    post-step count and c + 1 for the post-step count of its receiving
-    slice, returns the final (R, 2) counts, c + 1 as a (T, R, 1) float
-    array, the (T, R, 1) scale sign * n / ((c + 1) (n - 1)) of sir.advance
-    and the (T,) factors n / (n - 1), each formed by the operations
-    sir.advance applies, so with the same bits.
+    slices holds the (T, R) 0-based slices of T streamed rows, the first of
+    which arrives after start rows, and low the (R,) count of slice 1
+    before it.  Writing n for a step's post-step count and c + 1 for the post-step
+    count of its receiving slice, returns c + 1 as a (T, R, 1) float array,
+    the (T, R, 1) scale sign * n / ((c + 1) (n - 1)) of sir.advance, the
+    (T,) factors n / (n - 1) and slice 1's count after the chunk, each
+    formed by the operations sir.advance applies, so with the same bits.
+    The counts are whole numbers held exactly as floats, so chunking the
+    steps changes no bit.
     """
-    steps, reps = slices.shape
-    n = np.arange(n0, n0 + steps + 1)[:, None]
-    low = slices == 0
-    # Slice 1's count after each step, the warm-up's in row 0; slice 2 holds
-    # the rest of the n rows.  With no streamed row, row 0 is all there is.
-    lows = np.zeros((steps + 1, reps))
-    np.cumsum(low, axis=0, out=lows[1:])
-    lows += warm_counts[:, 0]
-    counts = np.stack((lows[-1], n[-1] - lows[-1]), axis=1).astype(np.int64)
-    # Each row's receiving slice count, in place of slice 1's where it went
-    # to slice 2.
-    c_new, n = lows[1:], n[1:]
-    np.subtract(n, c_new, out=c_new, where=~low)
-    scale = np.where(low, -1.0, 1.0)
+    in_low = slices == 0
+    n = np.arange(start + 1, start + slices.shape[0] + 1)[:, None]
+    # Slice 1's count after each step; slice 2 holds the rest of the n rows.
+    # Each row's receiving slice count goes in place of slice 1's where the
+    # row went to slice 2.
+    c_new = np.cumsum(in_low, axis=0, dtype=np.float64)
+    c_new += low
+    low = c_new[-1].copy()
+    np.subtract(n, c_new, out=c_new, where=~in_low)
+    scale = np.where(in_low, -1.0, 1.0)
     scale *= n
     scale /= c_new * (n - 1.0)
-    return counts, c_new[:, :, None], scale[:, :, None], n[:, 0] / (n[:, 0] - 1.0)
+    return c_new[:, :, None], scale[:, :, None], n[:, 0] / (n[:, 0] - 1.0), low
 
 
 def _warm_up(head: Sample, boundary: float | None) -> tuple[SirState, Slicer]:

@@ -69,8 +69,9 @@ HISTOGRAM_EDGES = np.linspace(-4.0, 4.0, 25)
 # written out because scipy is not a runtime dependency.
 KS_CRIT_1PCT = 1.6276236115189502
 
-# Most replications one direction_paths call steps together.  Its state is
-# (chunk, p, p), so memory stays bounded whatever n_reps is.
+# Most replications one direction_paths call steps together.  A block's
+# samples and paths are released before the next block is drawn, so the
+# study holds one block of samples at a time, whatever n_reps is.
 _REP_BLOCK = 64
 
 # Bootstrap resamples behind the rate study's slope interval.
@@ -313,7 +314,8 @@ def _run_checkpoint_study(
     points' true projections and true curve values.
 
     Replication rep draws its sample with seed config.seed XOR rep; the
-    replications go through direction_paths in order, _REP_BLOCK at a time.
+    replications go through direction_paths in order, _REP_BLOCK at a time,
+    and each block is released before the next is drawn.
     """
     model, sizes, pts = config.model, config.sizes, config.eval_points
     rows = []
@@ -322,6 +324,7 @@ def _run_checkpoint_study(
         samples = [draw(model, sizes[-1], config.seed ^ rep) for rep in reps]
         paths = direction_paths(samples, warmup=config.warmup, checkpoints=sizes)
         rows += [_checkpoint_rows(path, config) for path in paths]
+        del samples, paths
     est, dd = zip(*rows)
     u_true = pts if pts.ndim == 1 else pts @ model.direction
     f_true = np.asarray(model.link(u_true), dtype=np.float64)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -763,6 +764,45 @@ def test_direction_paths_at_the_rate_study_shape():
     sizes = (250, 500, 1000, 2000)
     samples = [draw(reference_model(p=10), sizes[-1], 11 ^ r) for r in range(40)]
     _assert_each_path_equals_the_loop(samples, sizes)
+
+
+_CHUNK = engine._STEP_CHUNK
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("steps", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_direction_paths_across_chunk_edges(reps, steps):
+    # The rows are stepped _STEP_CHUNK at a time, with slice 1's count
+    # carried from chunk to chunk; checkpoints sit at n0, on the chunk
+    # boundaries and at n.
+    n0 = default_warmup(4)
+    n = n0 + steps
+    samples = [draw(reference_model(p=4), n, 70 + r) for r in range(reps)]
+    checkpoints = (n0, n0 + _CHUNK - 1, n0 + _CHUNK, n0 + 2 * _CHUNK, n)
+    for sample, path in zip(samples, _assert_each_path_equals_the_loop(samples, checkpoints)):
+        assert path.projections.shape == (steps,)
+        assert sorted(path.snapshots) == sorted(c for c in set(checkpoints) if c <= n)
+        labels = path.slicer.slices_of(sample.responses) - 1
+        assert np.array_equal(path.sir.moments.slice_counts, np.bincount(labels, minlength=2))
+
+
+def test_direction_paths_memory_does_not_grow_with_the_stream():
+    # Beyond the (R, n - n0) projections it returns, the pass holds one
+    # chunk of rows and the stacked states: at the rate-study shape its own
+    # traced peak stays small, and flat from n = 2000 to n = 8000.
+    def own_peak_mib(n):
+        samples = [draw(reference_model(p=10), n, 11 ^ r) for r in range(40)]
+        tracemalloc.start()
+        try:
+            paths = direction_paths(samples, checkpoints=(250, 500, 1000, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - sum(path.projections.nbytes for path in paths)) / 2**20
+
+    short, long = own_peak_mib(2000), own_peak_mib(8000)
+    assert short < 3.0
+    assert long - short < 1.0
 
 
 def test_a_later_breakdown_names_its_replication_and_n_without_a_warning(monkeypatch):

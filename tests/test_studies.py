@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,6 +387,24 @@ def test_replication_blocks_are_contiguous_bounded_and_near_equal(
     assert len(passed) == n_reps
     for rep, x in enumerate(passed):
         assert np.array_equal(x, draw(model_m, 40, 5 ^ rep).covariates)
+
+
+def test_a_two_block_study_holds_one_block_at_a_time(model_m, monkeypatch):
+    # Each block's samples and paths are released before the next block is
+    # drawn, so a study of two blocks peaks where a study of one does.
+    monkeypatch.setattr(studies, "_REP_BLOCK", 16)
+
+    def peak(n_reps):
+        config = StudyConfig(model=model_m, sizes=(250, 1000), n_reps=n_reps, seed=11)
+        tracemalloc.start()
+        try:
+            studies._run_checkpoint_study(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # leaves first-call allocations out of the comparison
+    assert peak(32) <= 1.1 * peak(16)
 
 
 def test_ks_critical_value_equals_scipy():
