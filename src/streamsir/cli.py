@@ -188,17 +188,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
-    sample = _obtain_sample(cfg)
-    kernel = _load_kernel(cfg)
-    state = run_stream(
-        sample, alpha=cfg.alpha, kernel=kernel, warmup=cfg.warmup, boundary=cfg.boundary
-    )
+    # A file is folded into stage 1 a block at a time, and a draw is held
+    # only by run_stream, so no sample outlives the call.
+    blocks = io.SampleBlocks(cfg.input) if cfg.input is not None else None
+    try:
+        kernel = _load_kernel(cfg)
+        state = run_stream(
+            blocks or draw(_model_from_config(cfg), cfg.n, cfg.seed),
+            alpha=cfg.alpha, kernel=kernel, warmup=cfg.warmup, boundary=cfg.boundary,
+        )
+    except StreamSirError:
+        # File errors win, as when the file was read before anything else:
+        # parse the whole file, so that a malformed one raises its own error.
+        for _ in blocks or ():
+            pass
+        raise
     log = state.log
     out = _resolve_out_dir(args, cfg)
     io.write_json(
         {
             "n": int(state.n),
-            "p": int(sample.p),
+            "p": int(state.theta_hat.size),
             "alpha": float(cfg.alpha),
             "kernel": kernel.name,
             "theta_hat": [float(v) for v in state.theta_hat],

@@ -18,16 +18,21 @@ The ordering is the whole point: the logged projection and any prediction
 made for the new point depend only on data seen strictly before it.
 
 The recursive estimate after k rows equals the batch SIR estimate on those
-k rows, so stage 1 has two forms.  direction_path runs it once over a whole
+k rows, so stage 1 has two forms.  direction_path runs it once over a
 sample from running totals, the centred scatter k Sigma_k among them, a
-block of rows and one batched solve at a time, and returns the
+chunk of rows and one batched solve at a time, and returns the
 projections; run_stream, cross-validation and the scatter study build
 their logs and scores from them.  It matches the recursion within 1e-12
 (u_k scaled by |theta| |x_k|), and steps the recursion itself above
-_PREFIX_MAX_P covariates.  The prefix form never refuses a stream: where
-it fails (a prefix covariance that is ill-conditioned, not positive
-definite, not finite or singular) it hands back, and the recursion reruns
-from the warm-up, so only the recursion's own checks refuse a stream.
+_PREFIX_MAX_P covariates.  It is a fold over row blocks: a Sample is one
+block, and a re-iterable source of blocks, such as a CSV file read by
+io.SampleBlocks, is re-cut into the same chunks, so `fit` never holds its
+input whole and a source gives the bits of the Sample of its rows.  The
+prefix form never refuses a stream: where it fails (a prefix covariance
+that is ill-conditioned, not positive definite, not finite or singular)
+it hands back, the source is read again from the top, and the recursion
+reruns from the kept warm-up state, so only the recursion's own checks
+refuse a stream.
 direction_paths runs the recursion over R samples of equal length at once,
 on stacked (R, ...) arrays, with the bits of init_stream then stream_step
 per sample; the other Monte Carlo studies use it for their replications.
@@ -39,7 +44,7 @@ steps, and each step writes its stacked products into buffers allocated
 once.
 init_stream, stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
-and returns that same object.  run_stream(sample, alpha, kernel, warmup,
+and returns that same object.  run_stream(source, alpha, kernel, warmup,
 boundary) always returns a StreamState; use direction_path(...,
 checkpoints=) for direction snapshots.
 """
@@ -47,7 +52,7 @@ checkpoints=) for direction snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,13 +75,17 @@ from .sir import recursive_step  # noqa: F401
 
 DEFAULT_ALPHA = 0.35
 
+# A re-iterable source of (covariates, responses) row blocks, such as
+# io.SampleBlocks: each iteration yields the rows again from the first.
+Blocks = Iterable[tuple[np.ndarray, np.ndarray]]
+
 # direction_path takes the prefix form only up to this many covariates.
 # Measured at n = 20000 and 30000 (one BLAS thread, pinned core, best of 3):
 # the prefix form takes 0.54 s against 1.12 s for the recursion at p = 25,
 # 0.71-0.88 s against 0.81-1.28 s at p = 30, and ties at p = 35
 # (1.12 s against 1.12 s), because its batched solves grow as p^3.
 _PREFIX_MAX_P = 30
-# ... and only while the condition number of the covariance at every block
+# ... and only while the condition number of the covariance at every chunk
 # start (the first is the warm-up's) and at the end is at most this; past
 # it, the recursion reruns from the warm-up.  Measured with this hand-back
 # off, on warm-ups of a given condition number at p = 10, n = 20000, seeds
@@ -88,7 +97,8 @@ _PREFIX_MAX_P = 30
 # recursion's 3.8e-14.  The cap stays at 2e4, well below the 9.9e4 of the
 # outlier stream that tests/test_engine.py sends to the recursion.
 _PREFIX_MAX_COND = 2e4
-# Rows per block of the prefix form: block sizes from 128 to 1024 time
+# Rows per chunk of direction_path, whatever blocks its source yields; the
+# chunk is the prefix form's block.  Block sizes from 128 to 1024 time
 # within noise of each other at p = 10, 20 and 30.
 _PREFIX_BLOCK = 512
 # Rows per chunk of direction_paths, which stacks the R samples' rows into
@@ -164,76 +174,147 @@ class DirectionPath:
 
 
 def direction_path(
-    sample: Sample,
+    source: Sample | Blocks,
     warmup: int | None = None,
     boundary: float | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> DirectionPath:
-    """Run stage 1 once over a sample, in arrival order.
+    """Run stage 1 once over a sample, or a source of row blocks, in arrival order.
+
+    source is a Sample, which is one block, or a re-iterable source of
+    (covariates, responses) row blocks, such as io.SampleBlocks.  The rows
+    are folded in as they come (_rows): the first warmup rows seed the
+    batch warm-up, and the rest arrive in _PREFIX_BLOCK-row chunks however
+    the source cuts its blocks, so a source is never held whole.
 
     The recursive estimate after k rows is the batch SIR estimate on those
     k rows, so the projections come from prefix totals (_prefix_pass),
     within 1e-12 of the recursion once scaled by |theta| |x_k|.  Above
-    _PREFIX_MAX_P covariates, or wherever the prefix form hands back (see
-    _prefix_pass), the recursion runs instead and gives the same bits as
-    init_stream followed by one stream_step per row.  So direction_path
-    accepts exactly the samples that the per-arrival loop accepts, and
-    refuses the others with the loop's error.
+    _PREFIX_MAX_P covariates the recursion steps the chunks instead, and
+    gives the same bits as init_stream followed by one stream_step per row.
+    Where the prefix form hands back (see _prefix_pass), the source is read
+    again from the top, and the recursion steps from the kept warm-up state
+    over the rows after the warm-up.  So direction_path accepts exactly the
+    samples that the per-arrival loop accepts, refuses the others with the
+    loop's error, and gives a source the bits of the Sample of its rows.
 
     Raises:
-        NonFiniteInputError: some row holds NaN or inf (checked once, up front).
+        NonFiniteInputError: some row holds NaN or inf.  A Sample is checked
+            once, up front; a source a block at a time, as it is read.
         InsufficientDataError: the sample is shorter than the warm-up.
         SingularMatrixError, EmptySliceError: the warm-up's, from batch_moments.
         NumericalBreakdownError: a rank-one denominator of the recursion is
             not finite and positive.
+        TypeError: source is an iterator, which cannot be read again.
+        Whatever a source raises while it is read, such as CsvFormatError.
     """
-    n0 = _warmup_length(sample, warmup)
-    xs, ys = sample.covariates, sample.responses
-    require_finite_rows(xs, ys)
-    sir, slicer = _warm_up(sample.head(n0), boundary)
-    slices = slicer.slices_of(ys) - 1
+    if isinstance(source, Sample):
+        # A short sample is refused before its rows are checked.
+        _warmup_length(source, warmup)
+        source = ((source.covariates, source.responses),)
+    elif iter(source) is source:
+        raise TypeError("direction_path reads its source again to hand back: pass a re-iterable")
+    rows = _rows(source, warmup)
+    head = Sample(*next(rows))
+    sir, slicer = _warm_up(head, boundary)
     want = {int(c) for c in checkpoints}
-    prefix = None
-    if n0 < sample.n and sample.p <= _PREFIX_MAX_P:
-        prefix = _prefix_pass(xs, slices, sir.moments, want)
-    if prefix is None:
-        u, snapshots = _recursion_pass(xs, slices, sir, want)
-    else:
-        sir, u, snapshots = prefix
+    path = None
+    if head.p <= _PREFIX_MAX_P:
+        path = _prefix_pass(head, rows, sir.moments, slicer, want)
+        if path is None:
+            # The hand-back: read the source again, past the warm-up rows.
+            rows = _rows(source, head.n)
+            next(rows)
+    if path is None:
+        path = _recursion_pass(rows, sir, slicer, want)
+    sir, us, ys, snapshots = path
     return DirectionPath(
         sir=sir,
         slicer=slicer,
-        warmup_n=n0,
-        projections=u,
-        responses=ys[n0:],
+        warmup_n=head.n,
+        projections=_joined(us),
+        responses=_joined(ys),
         snapshots=snapshots,
     )
 
 
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """1-d chunks as one new array; an empty float array for no chunk."""
+    return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def _rows(source: Blocks, warmup: int | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """source's rows as (covariates, responses) chunks: the warm-up rows, then _PREFIX_BLOCK each.
+
+    The chunks are re-cut across the source's blocks, and only the last may
+    be shorter.  Each block is checked for finite values as it arrives, its
+    rows numbered from the start of the source.  A chunk's responses are
+    always a copy, so a kept chunk pins no block.
+
+    Raises:
+        NonFiniteInputError: some row holds NaN or inf.
+        InsufficientDataError: the source ends within the warm-up.
+    """
+    size = n0 = None
+    seen = 0
+    for xs, ys in source:
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        require_finite_rows(xs, ys, first=seen)
+        seen += ys.shape[0]
+        if size is None:
+            size = n0 = max(default_warmup(xs.shape[1]) if warmup is None else int(warmup), 0)
+        elif ys_left.size:
+            xs, ys = np.concatenate((xs_left, xs)), np.concatenate((ys_left, ys))
+        a = 0
+        while ys.shape[0] - a >= size:
+            yield xs[a : a + size], ys[a : a + size].copy()
+            a, size = a + size, _PREFIX_BLOCK
+        xs_left, ys_left = xs[a:], ys[a:]
+    if size is None:
+        raise InsufficientDataError("the source holds no rows")
+    if seen < n0:
+        raise InsufficientDataError(f"sample has {seen} rows but warm-up needs {n0}")
+    if ys_left.size:
+        yield xs_left, ys_left.copy()
+
+
 def _recursion_pass(
-    xs: np.ndarray, slices: np.ndarray, sir: SirState, want: set[int]
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Step sir in place over the rows after the warm-up; returns (u, snapshots)."""
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], sir: SirState, slicer: Slicer, want: set[int]
+) -> tuple[SirState, list[np.ndarray], list[np.ndarray], dict[int, np.ndarray]]:
+    """Step sir in place over the chunks of rows after the warm-up.
+
+    Returns (sir, u by chunk, responses by chunk, snapshots).
+    """
     moments, theta = sir.moments, sir.theta_hat
-    n0 = moments.n
-    snapshots = {n0: theta.copy()} if n0 in want else {}
-    xs = xs[n0:]
-    u = np.empty(xs.shape[0], dtype=np.float64)
-    for j, i in enumerate(slices[n0:].tolist()):
-        x = xs[j]
-        u[j] = theta @ x
-        # The warm-up leaves both slices non-empty, so only the rank-one
-        # check of step_terms can fail here.
-        advance(sir, x, i, rank_one_terms(moments, x))
-        if moments.n in want:
-            snapshots[moments.n] = theta.copy()
-    return u, snapshots
+    snapshots = {moments.n: theta.copy()} if moments.n in want else {}
+    us, kept = [], []
+    for xs, ys in chunks:
+        u = np.empty(xs.shape[0], dtype=np.float64)
+        for j, i in enumerate((slicer.slices_of(ys) - 1).tolist()):
+            x = xs[j]
+            u[j] = theta @ x
+            # The warm-up leaves both slices non-empty, so only the rank-one
+            # check of step_terms can fail here.
+            advance(sir, x, i, rank_one_terms(moments, x))
+            if moments.n in want:
+                snapshots[moments.n] = theta.copy()
+        us.append(u)
+        kept.append(ys)
+    return sir, us, kept, snapshots
 
 
 def _prefix_pass(
-    xs: np.ndarray, slices: np.ndarray, warm: MomentState, want: set[int]
-) -> tuple[SirState, np.ndarray, dict[int, np.ndarray]] | None:
-    """Stage 1 from prefix totals, _PREFIX_BLOCK rows at a time; returns (sir, u, snapshots).
+    head: Sample,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+    warm: MomentState,
+    slicer: Slicer,
+    want: set[int],
+) -> tuple[SirState, list[np.ndarray], list[np.ndarray], dict[int, np.ndarray]] | None:
+    """Stage 1 from prefix totals, a chunk of rows at a time.
+
+    Returns (sir, u by chunk, responses by chunk, snapshots).  head holds
+    the warm-up rows, warm their moments, and chunks the rows after them.
 
     Rows are centred on the warm-up mean m0, c_i = x_i - m0.  Before row
     k + 1 the pass carries four totals over the first k rows: the centred
@@ -241,37 +322,43 @@ def _prefix_pass(
     and count l_k of slice 1 (slice 2 sums to r_k - t_k).  Row k + 1 adds
     (k / (k + 1)) d d' to A, with d = c_{k+1} - r_k / k (Welford's update).
     Then z_1 - z_2 = t_k / l_k - (r_k - t_k) / (k - l_k) and
-    theta_k = Sigma_k^{-1} (z_1 - z_2) = A_k^{-1} k (z_1 - z_2).  A block
+    theta_k = Sigma_k^{-1} (z_1 - z_2) = A_k^{-1} k (z_1 - z_2).  A chunk
     forms the totals for all its rows by cumulative sums, then takes theta
-    from one batched np.linalg.solve.  theta_k projects row k + 1 and is
-    the snapshot at k; the returned state is read off the end totals.
+    from one batched np.linalg.solve, and only (A, r, t, l) carry into the
+    next chunk.  theta_k projects row k + 1 and is the snapshot at k; the
+    returned state is read off the end totals.
 
     Never raises: it returns None, for the recursion to rerun from the
-    warm-up and decide, as soon as A at a block start or at the end fails
-    _well_conditioned, some A_k in a block is not finite, or the batched
-    solve finds some A_k singular.  A only grows by positive semi-definite
-    terms, so in exact arithmetic the block-start check covers the block;
-    in floating point a far-out row can still overflow A or leave it
-    singular, which the last two checks catch.
+    warm-up and decide, when no row follows the warm-up, as soon as A at a
+    chunk start or at the end fails _well_conditioned, some A_k in a chunk
+    is not finite, or the batched solve finds some A_k singular.  A only
+    grows by positive semi-definite terms, so in exact arithmetic the
+    chunk-start check covers the chunk; in floating point a far-out row can
+    still overflow A or leave it singular, which the last two checks catch.
     """
-    n0, (n, p) = warm.n, xs.shape
+    n0, p = head.n, head.p
     m0 = warm.mean
-    head = xs[:n0] - m0
+    centred = head.covariates - m0
     # Row 0: the sum of all rows; row 1: of the rows in slice 1.
-    sums = np.stack((head.sum(axis=0), head[slices[:n0] == 0].sum(axis=0)))
-    scatter = head.T @ head - np.outer(sums[0], sums[0]) / n0
+    sums = np.stack(
+        (centred.sum(axis=0), centred[slicer.slices_of(head.responses) == 1].sum(axis=0))
+    )
+    scatter = centred.T @ centred - np.outer(sums[0], sums[0]) / n0
     low = int(warm.slice_counts[0])
 
-    u = np.empty(n - n0, dtype=np.float64)
-    snapshots: dict[int, np.ndarray] = {}
-    prefix = np.empty((min(_PREFIX_BLOCK, n - n0) + 1, p, p))
-    for a in range(n0, n, _PREFIX_BLOCK):
+    us, kept, snapshots = [], [], {}
+    prefix = None
+    a = n0
+    for xs, ys in chunks:
         if not _well_conditioned(scatter):
             return None
-        b = min(a + _PREFIX_BLOCK, n)
-        c, in_low = xs[a:b] - m0, slices[a:b] == 0
+        b = a + xs.shape[0]
+        if prefix is None:
+            # Every chunk but the last is as long as the first.
+            prefix = np.empty((b - a + 1, p, p))
+        c, in_low = xs - m0, slicer.slices_of(ys) == 1
         # Entry j of each running total is the total over rows < a + j; the
-        # last entry carries into the next block.  Summing a block apart
+        # last entry carries into the next chunk.  Summing a chunk apart
         # from the carried totals keeps each running sum short.
         rows = np.zeros((b - a + 1, 2, p))
         rows[1:, 0] = c
@@ -295,12 +382,15 @@ def _prefix_pass(
             theta = np.linalg.solve(scatters[:-1], (k * diff)[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             return None
-        u[a - n0 : b - n0] = np.einsum("kj,kj->k", theta, xs[a:b])
+        us.append(np.einsum("kj,kj->k", theta, xs))
+        kept.append(ys)
         for m in want.intersection(range(a, b)):
             snapshots[m] = theta[m - a].copy()
         scatter, sums, low = scatters[-1].copy(), totals[-1], int(lows[-1])
+        a = b
 
-    if not _well_conditioned(scatter):
+    n = a
+    if n == n0 or not _well_conditioned(scatter):
         return None
     inv_cov = np.linalg.inv(scatter / n)
     counts = np.array([low, n - low], dtype=np.int64)
@@ -315,7 +405,7 @@ def _prefix_pass(
     sir = SirState(moments=moments, theta_hat=direction_from_moments(moments))
     if n in want:
         snapshots[n] = sir.theta_hat.copy()
-    return sir, u, snapshots
+    return sir, us, kept, snapshots
 
 
 def _well_conditioned(centred: np.ndarray) -> bool:
@@ -601,13 +691,13 @@ def stream_step(state: StreamState, x: np.ndarray, y: float) -> StreamState:
 
 
 def run_stream(
-    sample: Sample,
+    source: Sample | Blocks,
     alpha: float = DEFAULT_ALPHA,
     kernel: KernelSpec | None = None,
     warmup: int | None = None,
     boundary: float | None = None,
 ) -> StreamState:
-    """Run the full pipeline over a sample in arrival order.
+    """Run the full pipeline over a sample, or a source of row blocks, in arrival order.
 
     The direction path runs first, then the log is filled from its
     projections in one vectorized pass.  The log's k, h and y, the counts
@@ -617,8 +707,10 @@ def run_stream(
 
     Parameters
     ----------
-    sample : Sample
+    source : Sample or re-iterable of (covariates, responses) row blocks
         All observations; the first `warmup` rows seed the batch warm-up.
+        A source, such as io.SampleBlocks, is folded in a chunk of rows at
+        a time and never held whole (see direction_path).
     warmup : int, optional
         Defaults to max(2 p, 30).  Must leave at least one streamed row if
         the sample is longer than the warm-up.
@@ -627,12 +719,13 @@ def run_stream(
     checkpoints=).
 
     Raises:
-        NonFiniteInputError: some row holds NaN or inf.
+        NonFiniteInputError: some row holds NaN or inf (a Sample is checked
+            once, up front).
         InsufficientDataError: the sample is shorter than the warm-up.
         SingularMatrixError, EmptySliceError, NumericalBreakdownError: as
             direction_path, so exactly where the per-arrival loop raises.
     """
-    path = direction_path(sample, warmup=warmup, boundary=boundary)
+    path = direction_path(source, warmup=warmup, boundary=boundary)
     state = _stream_state(path.sir, path.slicer, path.warmup_n, alpha, kernel)
     state.log.extend(path.projections, path.responses)
     return state

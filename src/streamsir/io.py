@@ -4,24 +4,28 @@ All floating-point values are written with the %.17g format, which is
 enough digits to round-trip an IEEE double exactly; reading back what was
 written reproduces the same bits.  CSV schemas are strict: exact headers,
 rectangular rows, finite numeric cells, log indices as decimal digits.
-Every CSV is read through _read_csv, and every one but the fit curve is
+Every CSV is read through _csv_blocks, and every one but the fit curve is
 written from columns through _write_table, which alone decides how a cell
 is written: integers and booleans as digits, floats with %.17g, NaN as an
 empty cell.  Both work a block of lines at a time, so no file's text is
-ever held whole.  numpy's C text reader parses a block's cells as float()
-does; a block whose result it cannot vouch for (see _cells) is read again
-a cell at a time with float(), which reports the first error.  JSON documents
-carry a schema_version field and are written with sorted keys and a
-trailing newline so byte-identical reruns are possible.
+ever held whole.  _read_csv, and read_sample_csv for samples, concatenate
+the parsed blocks; SampleBlocks hands a sample's blocks to the engine one
+at a time, so `fit` never holds the sample's rows whole either.  numpy's C
+text reader parses a block's cells as float() does; a block whose result
+it cannot vouch for (see _cells) is read again a cell at a time with
+float(), which reports the first error.  JSON documents carry a
+schema_version field and are written with sorted keys and a trailing
+newline so byte-identical reruns are possible.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,18 +115,19 @@ def _cells(text: str, names: Sequence[str], first_line: int, index: bool = False
     return _scan_cells(lines, names, first_line, index)
 
 
-def _read_csv(
+def _csv_blocks(
     path: str | Path, columns: Callable[[list[str]], Sequence[str]], index: bool = False
-) -> np.ndarray:
-    """The data rows of a CSV as a float array, converted _BLOCK_LINES lines at a time.
+) -> Iterator[np.ndarray]:
+    """The data rows of a CSV as float arrays, one per _BLOCK_LINES lines of the file.
 
     columns checks the header's cells and returns the column names.  Lines
     split as str.splitlines splits the whole text, and blocks are checked in
     file order, so the first error reported is the first in the file.  Only
     one block's text is held at a time; _cells converts it, in C where it
-    can vouch for the result and cell by cell where it cannot.
+    can vouch for the result and cell by cell where it cannot.  The first
+    block, the header's, may hold no row.
     """
-    header, blocks, line_no = None, [], 2
+    header, line_no = None, 2
     try:
         with open(path, encoding="utf-8") as f:
             while lines := list(islice(f, _BLOCK_LINES)):
@@ -131,12 +136,20 @@ def _read_csv(
                     first = text.splitlines(keepends=True)[0]
                     header, text = first.splitlines()[0].split(","), text[len(first) :]
                     names = columns(header)
-                blocks.append(_cells(text, names, line_no, index))
-                line_no += len(blocks[-1])
+                cells = _cells(text, names, line_no, index)
+                line_no += len(cells)
+                yield cells
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path!s}: {exc}") from exc
     if header is None:
         raise CsvFormatError("empty file: missing header")
+
+
+def _read_csv(
+    path: str | Path, columns: Callable[[list[str]], Sequence[str]], index: bool = False
+) -> np.ndarray:
+    """The data rows of a CSV as one float array: _csv_blocks, concatenated."""
+    blocks = list(_csv_blocks(path, columns, index))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -195,19 +208,42 @@ def _fixed_columns(*names: str) -> Callable[[list[str]], Sequence[str]]:
     return columns
 
 
+@dataclass(frozen=True)
+class SampleBlocks:
+    """A sample CSV as (covariates, responses) blocks of up to _BLOCK_LINES rows.
+
+    Each iteration reads the file again from the top, one block at a time,
+    so the rows are never held whole: engine.run_stream folds them in as
+    they come, and reads the file again where its prefix form hands back.
+    Each block's arrays are C-contiguous copies, so a block kept whole or
+    in part pins nothing else.
+
+    Raises, while it is iterated:
+        CsvFormatError: wrong header (in particular a missing final y
+            column), ragged row, or a non-numeric / non-finite cell, named
+            by its 1-based line, when its block is reached; "no data rows
+            after header" at the end of a file with none.
+    """
+
+    path: str | Path
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        rows = 0
+        for cells in _csv_blocks(self.path, _sample_columns):
+            rows += cells.shape[0]
+            yield cells[:, :-1].copy(), cells[:, -1].copy()
+        if rows == 0:
+            raise CsvFormatError("no data rows after header")
+
+
 def read_sample_csv(path: str | Path) -> Sample:
-    """Ingest a sample CSV, validating the schema.
+    """Ingest a sample CSV whole: the blocks of SampleBlocks, concatenated.
 
     Raises:
-        CsvFormatError: wrong header (in particular a missing final y
-            column), ragged row, or a non-numeric / non-finite cell; the
-            error names the offending 1-based line.
+        CsvFormatError: as SampleBlocks, for the first error in the file.
     """
-    cells = _read_csv(path, _sample_columns)
-    if cells.shape[0] == 0:
-        raise CsvFormatError("no data rows after header")
-    p = cells.shape[1] - 1
-    return Sample(cells[:, :p], cells[:, p])
+    xs, ys = zip(*SampleBlocks(path))
+    return Sample(np.concatenate(xs), np.concatenate(ys))
 
 
 def write_projection_log_csv(log: ProjectionLog, path: str | Path) -> None:

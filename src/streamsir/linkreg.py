@@ -30,10 +30,14 @@ from .errors import NonFiniteInputError, NoSupportError
 from .kernels import BandwidthSchedule, KernelSpec
 
 _INITIAL_CAPACITY = 64
+# Entries per bandwidth block when many entries are written at once.
+_H_BLOCK = 1 << 14
 
-# Most (point, entry) cells one window_sums call in curve takes, so its
-# temporaries stay near 2 MB however many points are asked for.
-_POINT_CELLS = 1 << 18
+# Most (point, entry) cells one window_sums call in curve takes, however
+# many points are asked for.  Each float temporary of a call, such as d and
+# |d|, takes 8 bytes a cell: 512 KiB at 2**16 (2 MiB each at 2**18).  With
+# the sample no longer held, these temporaries set fit's peak memory.
+_POINT_CELLS = 1 << 16
 
 
 def _non_finite_entry(k: int, u: float, y: float) -> NonFiniteInputError:
@@ -126,8 +130,12 @@ class ProjectionLog:
         self._k[rows] = indices
         self._u[rows] = projections
         self._y[rows] = responses
-        # The vectorized power gives the same bits as the scalar one push uses.
-        self._h[rows] = self.schedule.h(indices)
+        # The vectorized power gives the same bits as the scalar one push
+        # uses.  It takes _H_BLOCK entries at a time, so that its float
+        # temporaries do not grow with the entries written.
+        for a in range(rows.start, rows.stop, _H_BLOCK):
+            block = slice(a, min(a + _H_BLOCK, rows.stop))
+            self._h[block] = self.schedule.h(self._k[block])
         self._size += m
         self.next_index = int(indices[-1]) + 1
 

@@ -157,13 +157,16 @@ def finite_response(y: float) -> float:
     return y
 
 
-def require_finite_rows(xs: np.ndarray, ys: np.ndarray) -> None:
+def require_finite_rows(xs: np.ndarray, ys: np.ndarray, first: int = 0) -> None:
     """Check a whole batch at once; the error names the first bad row (0-based).
+
+    The batch's rows are numbered from first, so a block of a longer
+    stream names the row by its place in the stream.
 
     Raises:
         NonFiniteInputError: some covariate or response is NaN or infinite.
     """
     bad = ~(np.isfinite(xs).all(axis=1) & np.isfinite(ys))
     if bad.any():
-        row = int(np.argmax(bad))
+        row = first + int(np.argmax(bad))
         raise NonFiniteInputError(f"row {row} holds a NaN or infinite value")

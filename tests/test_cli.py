@@ -1,6 +1,8 @@
+import contextlib
 import json
 import subprocess
 import sys
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from streamsir import (
     stream_step,
     tabulated_kernel,
 )
+from streamsir import CsvFormatError, cli, io
+from streamsir.cli import run
 from streamsir.io import read_sample_csv, write_projection_log_csv, write_sample_csv
 
 
@@ -191,6 +195,83 @@ def test_fit_and_cv_take_an_outlier_stream_that_the_per_arrival_loop_takes(tmp_p
     write_projection_log_csv(state.log, tmp_path / "loop_log.csv")
     fitted = (tmp_path / "projection_log.csv").read_bytes()
     assert fitted == (tmp_path / "loop_log.csv").read_bytes()
+
+
+_FIT_ARTIFACTS = ("fit.json", "projection_log.csv", "grid_estimates.csv", "state.json")
+
+
+@pytest.mark.parametrize(
+    "p, n, warmup, outlier",
+    [
+        pytest.param(10, 3000, None, None, id="prefix"),
+        pytest.param(40, 700, None, None, id="recursion-p40"),
+        # The prefix form hands back, and the file is read a second time.
+        pytest.param(10, 3000, None, 1e9, id="hands-back"),
+        # The warm-up spans the file's first two read blocks.
+        pytest.param(10, 3000, 1500, None, id="warmup-1500"),
+        pytest.param(10, 30 + 2 * 512 + 1, None, None, id="one-past-a-chunk"),
+        pytest.param(10, 30, None, None, id="warm-up-only"),
+    ],
+)
+def test_fit_streams_a_file_with_the_bits_of_its_sample_in_memory(
+    tmp_path, monkeypatch, p, n, warmup, outlier
+):
+    # fit --input folds the file's blocks into stage 1 and never reads it
+    # whole; a synthetic fit runs the same rows as one in-memory Sample.
+    sample = draw(reference_model(p=p), n, 3)
+    if outlier is not None:
+        sample.covariates[1500] *= outlier
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    flags = [] if warmup is None else ["--warmup", str(warmup)]
+
+    def whole(path):
+        raise AssertionError("fit read the sample whole")
+
+    monkeypatch.setattr(io, "read_sample_csv", whole)
+    with contextlib.redirect_stdout(StringIO()):
+        assert run(["fit", "--input", str(tmp_path / "sample.csv"), "--out-dir",
+                    str(tmp_path / "file"), *flags]) == 0
+        monkeypatch.setattr(cli, "draw", lambda model, size, seed: sample)
+        assert run(["fit", "--p", str(p), "--n", str(n), "--out-dir",
+                    str(tmp_path / "memory"), *flags]) == 0
+    for name in _FIT_ARTIFACTS:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
+
+
+def _fit_error(tmp_path, name):
+    """The one stderr line of a refused fit --input run on tmp_path / name."""
+    r = run_cli(["fit", "--input", name], tmp_path)
+    assert r.returncode == 1 and r.stderr.count("\n") == 1, r.stderr
+    return r.stderr
+
+
+def test_a_file_error_wins_over_an_engine_error_raised_before_it(tmp_path):
+    # Row 1500 at 10^11 times its size: the prefix form hands back, and the
+    # recursion breaks down at n = 2085, in the file's third read block.  A
+    # malformed line four blocks further on is still the error fit reports,
+    # as when it read the whole file first.
+    sample = draw(reference_model(p=10), 3000, 3)
+    sample.covariates[1500] *= 1e11
+    write_sample_csv(sample, tmp_path / "breaks.csv")
+    assert _fit_error(tmp_path, "breaks.csv").startswith(
+        "NumericalBreakdownError: rank-one update denominator"
+    )
+    text = (tmp_path / "breaks.csv").read_text()
+    lines = text.splitlines(keepends=True)
+    (tmp_path / "malformed.csv").write_text(text + "".join(lines[1:1100]) + "1,2,oops\n")
+    with pytest.raises(CsvFormatError) as want:
+        read_sample_csv(tmp_path / "malformed.csv")
+    assert str(want.value).startswith("line 4101: ")
+    assert _fit_error(tmp_path, "malformed.csv") == f"CsvFormatError: {want.value}\n"
+
+
+def test_fit_refuses_an_empty_or_short_file_as_it_refuses_the_sample(tmp_path):
+    (tmp_path / "empty.csv").write_text("x1,x2,y\n")
+    assert _fit_error(tmp_path, "empty.csv") == "CsvFormatError: no data rows after header\n"
+    write_sample_csv(draw(reference_model(p=4), 20, 4), tmp_path / "short.csv")
+    assert _fit_error(tmp_path, "short.csv") == (
+        "InsufficientDataError: sample has 20 rows but warm-up needs 30\n"
+    )
 
 
 def test_fit_state_json_holds_the_streamed_moments(tmp_path):

@@ -36,6 +36,7 @@ from streamsir import (
     warm_start,
 )
 from streamsir import engine
+from streamsir.io import SampleBlocks, read_sample_csv, write_sample_csv
 
 
 def test_default_warmup():
@@ -281,6 +282,14 @@ def _recursion_path(sample, checkpoints=(), warmup=None):
     )
 
 
+def _prefix_form_runs(sample, warmup=None):
+    """Whether the prefix form takes the sample, rather than handing it back."""
+    rows = engine._rows(((sample.covariates, sample.responses),), warmup)
+    head = Sample(*next(rows))
+    sir, slicer = engine._warm_up(head, None)
+    return engine._prefix_pass(head, rows, sir.moments, slicer, set()) is not None
+
+
 @pytest.mark.parametrize("cond", [1e2, 1e4])
 def test_prefix_form_stays_within_aim3_of_the_recursion(cond):
     p, n = 10, 4000
@@ -292,9 +301,7 @@ def test_prefix_form_stays_within_aim3_of_the_recursion(cond):
     n0 = default_warmup(p) if cond <= 1e2 else 200
     rows = n0 if cond <= 1e2 else n
     sample = _conditioned(draw(reference_model(p=p), n, 70), rows, cond)
-    sir, slicer = engine._warm_up(sample.head(n0), None)
-    slices = slicer.slices_of(sample.responses) - 1
-    assert engine._prefix_pass(sample.covariates, slices, sir.moments, set()) is not None
+    assert _prefix_form_runs(sample, n0)
     prefixes = tuple(int(k) for k in np.linspace(n0 + 1, n - 1, 4))
     fast = direction_path(sample, warmup=n0, checkpoints=prefixes)
     slow = _recursion_path(sample, checkpoints=prefixes, warmup=n0)
@@ -476,14 +483,12 @@ def test_run_stream_refuses_exactly_what_the_per_arrival_loop_refuses(p, seed, s
     assert fast_error == slow_error
     if slow_error is not None:
         return
-    sir, slicer = engine._warm_up(sample.head(default_warmup(p)), None)
-    slices = slicer.slices_of(sample.responses) - 1
-    if engine._prefix_pass(sample.covariates, slices, sir.moments, set()) is None:
+    if not _prefix_form_runs(sample):
         _assert_same_arrays(_engine_arrays(fast), _engine_arrays(slow))
     elif kind != "shift":
         # Shifted by 1e8, the two forms sit about 1e-7 apart (and as far
         # from batch_sir), past aim 3's bound; no other stream here does.
-        _assert_within_aim3(fast, slow, sample.covariates[sir.moments.n :])
+        _assert_within_aim3(fast, slow, sample.covariates[default_warmup(p) :])
     if kind == "scale":
         # theta for c x is theta / c, in both forms.
         for run in (run_stream, _per_arrival_loop):
@@ -828,3 +833,109 @@ def test_a_later_breakdown_names_its_replication_and_n_without_a_warning(monkeyp
         # The per-arrival loop refuses the same row of that sample.
         with pytest.raises(NumericalBreakdownError, match=r"at n = 151$"):
             _recursion_path(samples[2], checkpoints=(100, 200))
+
+
+class _Blocks:
+    """A sample re-cut into row blocks of the given sizes, cycled; counts its reads."""
+
+    def __init__(self, sample, sizes):
+        self.sample, self.sizes, self.reads = sample, sizes, 0
+
+    def __iter__(self):
+        self.reads += 1
+        a, i = 0, 0
+        while a < self.sample.n:
+            b = a + self.sizes[i % len(self.sizes)]
+            yield self.sample.covariates[a:b], self.sample.responses[a:b]
+            a, i = b, i + 1
+
+
+_CHUNK_ROWS = engine._PREFIX_BLOCK
+
+
+@pytest.mark.parametrize(
+    "p, n, warmup, outlier, reads",
+    [
+        pytest.param(10, 3000, None, None, 1, id="prefix"),
+        pytest.param(40, 700, None, None, 1, id="recursion-p40"),
+        # The prefix form hands back, and the source is read a second time.
+        pytest.param(10, 3000, None, 1e9, 2, id="hands-back"),
+        # The warm-up spans two blocks of the file reader's size.
+        pytest.param(10, 3000, 1500, None, 1, id="warmup-1500"),
+        pytest.param(10, 30 + 2 * _CHUNK_ROWS + 1, None, None, 1, id="one-past-a-chunk"),
+        # No streamed row: the prefix form hands back, and the warm-up stands.
+        pytest.param(10, 30, None, None, 2, id="warm-up-only"),
+    ],
+)
+@pytest.mark.parametrize("sizes", [(1023, 1024), (1, 37, 700)], ids=["reader", "ragged"])
+def test_a_block_source_gives_the_bits_of_its_sample(p, n, warmup, outlier, reads, sizes):
+    sample = draw(reference_model(p=p), n, 3)
+    if outlier is not None:
+        sample.covariates[1500] *= outlier
+    n0 = default_warmup(p) if warmup is None else warmup
+    checkpoints = (n0, n0 + 1, n0 + _CHUNK_ROWS, n0 + _CHUNK_ROWS + 1, 1500, n)
+    blocks = _Blocks(sample, sizes)
+    got = direction_path(blocks, warmup=warmup, checkpoints=checkpoints)
+    assert blocks.reads == reads
+    want = direction_path(sample, warmup=warmup, checkpoints=checkpoints)
+    _assert_same_arrays(_path_arrays(got), _path_arrays(want))
+    _assert_same_arrays(
+        _engine_arrays(run_stream(blocks, alpha=0.3, warmup=warmup)),
+        _engine_arrays(run_stream(sample, alpha=0.3, warmup=warmup)),
+    )
+
+
+def test_a_block_source_keeps_copies_of_its_responses():
+    # Views would pin every block the source yields.
+    sample = draw(reference_model(p=4), 1100, 5)
+    path = direction_path(_Blocks(sample, (100,)))
+    assert path.responses.base is None and path.projections.base is None
+    assert not np.shares_memory(path.responses, sample.responses)
+
+
+def test_a_block_source_is_refused_as_its_sample_is():
+    sample = draw(reference_model(p=4), 600, 6)
+    short = sample.head(20)
+    with pytest.raises(InsufficientDataError) as want:
+        run_stream(short)
+    with pytest.raises(InsufficientDataError) as got:
+        run_stream(_Blocks(short, (7,)))
+    assert str(got.value) == str(want.value) == "sample has 20 rows but warm-up needs 30"
+    # A block is checked as it arrives, its rows numbered from the source's first.
+    sample.covariates[450, 2] = np.inf
+    with pytest.raises(NonFiniteInputError, match="^row 450 holds"):
+        run_stream(_Blocks(sample, (100,)))
+    with pytest.raises(InsufficientDataError, match="no rows"):
+        run_stream(())
+    # The hand-back reads the source again, so a one-shot iterator is refused.
+    with pytest.raises(TypeError, match="re-iterable"):
+        run_stream(iter(_Blocks(sample, (100,))))
+
+
+def test_run_stream_over_a_csv_holds_no_more_than_the_log_and_projections(tmp_path):
+    # Folding the file's blocks into stage 1, run_stream's traced peak sits
+    # where it fills the log: the path's projections and responses, the
+    # log's k, u, y and h, and extend's index range, 7 floats a row.  So it
+    # grows with n by less than 6 floats a row plus 1 MiB.  Reading the
+    # sample whole first holds its blocks and their concatenation, 22 floats
+    # a row at p = 10, and fails the same check.
+    def peak(path, read):
+        tracemalloc.start()
+        try:
+            run_stream(read(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sizes, paths = (20000, 80000), []
+    for n in sizes:
+        paths.append(tmp_path / f"{n}.csv")
+        write_sample_csv(draw(reference_model(p=10), n, 9), paths[-1])
+    # Untraced first runs, so that no one-time allocation counts.
+    for read in (SampleBlocks, read_sample_csv):
+        run_stream(read(paths[0]))
+    bound = 6 * 8 * (sizes[1] - sizes[0]) + 2**20
+    streamed = [peak(path, SampleBlocks) for path in paths]
+    whole = [peak(path, read_sample_csv) for path in paths]
+    assert streamed[1] - streamed[0] <= bound, streamed
+    assert whole[1] - whole[0] > bound, whole
