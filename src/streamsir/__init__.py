@@ -38,7 +38,6 @@ from .sir import (
     batch_sir,
     direction_distance,
     direction_from_moments,
-    recursive_step,
     warm_start,
 )
 from .simulate import Sample, SingleIndexModel, draw, reference_link, reference_model
@@ -98,7 +97,6 @@ __all__ = [
     "predict_next",
     "projected_density",
     "rate_study",
-    "recursive_step",
     "reference_link",
     "reference_model",
     "run_stream",

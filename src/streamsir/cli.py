@@ -34,7 +34,7 @@ from .engine import run_stream
 from .errors import ConfigError, StreamSirError
 from .kernels import KernelSpec, epanechnikov, tabulated_kernel, BandwidthSchedule
 from .linkreg import curve
-from .simulate import Sample, SingleIndexModel, draw, reference_model
+from .simulate import SingleIndexModel, draw, reference_model
 from .studies import (
     StudyConfig,
     convergence_study,
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="random seed")
 
     def synthetic(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--model", help="synthetic model name (reference)")
         sp.add_argument("--n", type=int, help="synthetic sample size")
         sp.add_argument("--p", type=int, help="synthetic covariate dimension")
         sp.add_argument("--noise-std", type=float, help="synthetic noise level")
@@ -169,12 +168,6 @@ def _model_from_config(cfg: EngineConfig) -> SingleIndexModel:
     return reference_model(p=cfg.p, noise_std=cfg.noise_std)
 
 
-def _obtain_sample(cfg: EngineConfig) -> Sample:
-    if cfg.input is not None:
-        return io.read_sample_csv(cfg.input)
-    return draw(_model_from_config(cfg), cfg.n, cfg.seed)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _engine_overrides(args))
     if cfg.input is not None:
@@ -257,7 +250,10 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     if not span < _MAX_CV_GRID - 0.5:
         raise StreamSirError(f"the exponent grid would hold more than {_MAX_CV_GRID} points")
     count = round(span)
-    sample = _obtain_sample(cfg)
+    if cfg.input is not None:
+        sample = io.read_sample_csv(cfg.input)
+    else:
+        sample = draw(_model_from_config(cfg), cfg.n, cfg.seed)
     # Rounding keeps accumulated steps on clean decimal values.
     grid = [round(args.grid_min + i * args.grid_step, 10) for i in range(count + 1)]
     grid = [a for a in grid if a <= args.grid_max + 1e-12]

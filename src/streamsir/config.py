@@ -2,7 +2,9 @@
 
 One setting per line, `key = value`, with `#` comments and blank lines
 ignored.  Values are parsed as JSON where possible (numbers, arrays,
-booleans) and fall back to bare strings, so paths need no quoting.
+booleans) and fall back to bare strings.  A string setting keeps its text
+as written unless JSON reads a string from it, so paths need no quoting:
+`out_dir = 2026` names the directory 2026.
 Unknown keys are rejected rather than ignored: a typo that silently
 reverts a setting to its default is worse than an error.  Flags given on
 the command line override file values.
@@ -22,7 +24,6 @@ from .engine import DEFAULT_ALPHA
 from .errors import ConfigError
 
 _KERNELS = ("epanechnikov", "tabulated")
-_MODELS = ("reference",)
 _MAX_GRID = 10**6  # largest estimate grid `fit` reads and writes
 
 
@@ -43,7 +44,6 @@ class EngineConfig:
     grid_max: float = 3.0
     grid_count: int = 121
     seed: int = 0
-    model: str = "reference"
     n: int = 1000
     p: int = 10
     noise_std: float = 1.0
@@ -59,7 +59,7 @@ class EngineConfig:
 
 _INT_KEYS = {"warmup", "grid_count", "seed", "n", "p"}
 _FLOAT_KEYS = {"alpha", "boundary", "grid_min", "grid_max", "noise_std"}
-_STR_KEYS = {"kernel", "kernel_table", "model", "input", "out_dir"}
+_STR_KEYS = {"kernel", "kernel_table", "input", "out_dir"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
@@ -98,6 +98,8 @@ def parse_config_text(text: str) -> dict[str, Any]:
         try:
             raw: Any = json.loads(value_text)
         except json.JSONDecodeError:
+            raw = value_text
+        if key in _STR_KEYS and not isinstance(raw, str):
             raw = value_text
         out[key] = _coerce(key, raw)
     return out
@@ -138,10 +140,6 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
             raise ConfigError(f"{key} must be finite, got {value!r}", key=key)
     if cfg.grid_count > 1 and not (cfg.grid_min < cfg.grid_max):
         raise ConfigError("grid_min must be below grid_max", key="grid_min")
-    if cfg.model not in _MODELS:
-        raise ConfigError(
-            f"model must be one of {', '.join(_MODELS)}, got {cfg.model!r}", key="model"
-        )
     if cfg.n < 1:
         raise ConfigError("n must be positive", key="n")
     if cfg.p < 4:

@@ -13,11 +13,11 @@ _pair_sums holds the one summation rule behind every estimate read from
 the log: each sum is the sequential left-to-right float64 sum, from 0.0,
 of the entries whose window covers the point, in arrival order.  The rule
 does not depend on how many points one call takes or how their pairs were
-found.  window_sums gathers the pairs of a dense difference block for it:
-evaluate reads one point that way, and curve reads many (the fit curve,
-predict, the study checkpoints), so a curve value equals evaluate at that
-point bit for bit.  The cross-validation replay finds its pairs by a sorted
-search and calls _pair_sums directly.
+found, and every reader calls it directly.  evaluate and curve gather the
+in-window pairs of a dense difference block: evaluate for one point, curve
+for many (the fit curve, predict, the study checkpoints), so a curve value
+equals evaluate at that point bit for bit.  The cross-validation replay
+finds its pairs by a sorted search.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ _INITIAL_CAPACITY = 64
 # Entries per bandwidth block when many entries are written at once.
 _H_BLOCK = 1 << 14
 
-# Most (point, entry) cells one window_sums call in curve takes, however
-# many points are asked for.  Each float temporary of a call, such as d and
-# |d|, takes 8 bytes a cell: 512 KiB at 2**16 (2 MiB each at 2**18).  With
-# the sample no longer held, these temporaries set fit's peak memory.
+# A chunk of curve takes _POINT_CELLS // m points of an m-entry log, and at
+# least one, so it holds at most max(_POINT_CELLS, m) (point, entry) cells.
+# Each float temporary of a chunk, such as d and |d|, takes 8 bytes a cell:
+# 512 KiB at 2**16 cells.  With the sample no longer held, these temporaries
+# set fit's peak memory; past 2**16 entries they grow with the log.
 _POINT_CELLS = 1 << 16
 
 
@@ -209,35 +210,16 @@ def _pair_sums(
     return num, den, contributing
 
 
-def window_sums(
-    kernel: KernelSpec, d: np.ndarray, inside: np.ndarray, h: np.ndarray, y: np.ndarray,
-    count: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per-row kernel sums over the marked entries of a difference block.
-
-    d[r, j] = x_r - u_j has shape (rows, width), and inside marks the
-    entries each row sees; h and y hold the width entries' bandwidths and
-    responses.  The marked pairs are gathered row-major, so each row's
-    entries sit in arrival order, and _pair_sums takes the sums.  Returns
-    _pair_sums' (numerator, denominator, contributing); only curve asks for
-    the count.
-    """
-    rows, width = d.shape
-    idx = np.flatnonzero(inside)
-    # A one-row call (evaluate) skips the integer division: its row is 0.
-    row = idx // width if rows > 1 else np.zeros(idx.size, np.intp)
-    col = idx - row * width if rows > 1 else idx
-    return _pair_sums(kernel, row, d.ravel()[idx], h[col], y[col], rows, count)
-
-
 def curve(
     kernel: KernelSpec, points: np.ndarray, u: np.ndarray, h: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The estimate of the log (u_k, h_k, y_k) at many points, with evaluate's bits.
 
-    Each point's sums are window_sums over the entries whose window covers
-    it (|x - u_k| <= R h_k), taken over chunks of at most _POINT_CELLS
-    (point, entry) cells.
+    Each point's sums are _pair_sums over the entries whose window covers
+    it (|x - u_k| <= R h_k), gathered row-major from a chunk's difference
+    block, so each point's entries sit in arrival order.  A chunk takes
+    _POINT_CELLS // m points of the m-entry log and at least one, so it
+    holds at most max(_POINT_CELLS, m) (point, entry) cells.
 
     Returns (estimates, denominators, contributing), each of shape
     (points,): NaN estimates where the denominator is <= 0, which an empty
@@ -262,8 +244,11 @@ def curve(
     for a in range(0, points.size, step):
         rows = slice(a, a + step)
         d = points[rows, None] - u
-        num[rows], den[rows], count[rows] = window_sums(
-            kernel, d, np.abs(d) <= reach, h, y, count=True
+        idx = np.flatnonzero(np.abs(d) <= reach)
+        row = idx // u.size
+        col = idx - row * u.size
+        num[rows], den[rows], count[rows] = _pair_sums(
+            kernel, row, d.ravel()[idx], h[col], y[col], d.shape[0], count=True
         )
     ok = den > 0.0
     est[ok] = num[ok] / den[ok]
@@ -273,10 +258,10 @@ def curve(
 def evaluate(log: ProjectionLog, x: float) -> float:
     """Regression estimate at projection value x from the current log.
 
-    The sums are window_sums over the entries whose window covers x
-    (|x - u_k| <= R h_k).  The result is a convex combination of logged
-    responses, so it lies in [min y_k, max y_k] over the entries with
-    positive weight.
+    The sums are _pair_sums over the entries whose window covers x
+    (|x - u_k| <= R h_k), in arrival order.  The result is a convex
+    combination of logged responses, so it lies in [min y_k, max y_k] over
+    the entries with positive weight.
 
     Raises:
         NonFiniteInputError: x is NaN or infinite.
@@ -290,11 +275,13 @@ def evaluate(log: ProjectionLog, x: float) -> float:
         raise NoSupportError("projection log is empty", nearest_u=None)
     u = log.projections
     h = log.bandwidths
-    d = (x - u)[None, :]
+    d = x - u
     # R h is h itself when R = 1 (Epanechnikov): skip that O(m) product.
     radius = log.kernel.support_radius
-    inside = np.abs(d) <= (h if radius == 1.0 else radius * h)
-    num, den, _ = window_sums(log.kernel, d, inside, h, log.responses)
+    idx = np.flatnonzero(np.abs(d) <= (h if radius == 1.0 else radius * h))
+    num, den, _ = _pair_sums(
+        log.kernel, np.zeros(idx.size, np.intp), d[idx], h[idx], log.responses[idx], 1
+    )
     if den[0] <= 0.0:
         raise NoSupportError(
             f"no kernel support at {x!r}", nearest_u=float(u[np.argmin(np.abs(d))])

@@ -15,9 +15,9 @@ from streamsir import (
     StudyConfig,
     convergence_study,
     direction_from_moments,
-    recursive_step,
     reference_model,
 )
+from streamsir.sir import recursive_step
 
 import _acceptance_report
 

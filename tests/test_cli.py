@@ -302,10 +302,12 @@ def test_abbreviated_flags_are_rejected(tmp_path):
     assert r.returncode == 2
 
 
-def test_unknown_model_is_a_config_error(tmp_path):
-    r = run_cli(["simulate", "--model", "mystery"], tmp_path)
-    assert r.returncode == 1
-    assert "ConfigError" in r.stderr
+@pytest.mark.parametrize("command", ["simulate", "fit", "cv"])
+def test_model_flag_is_a_usage_error(tmp_path, command):
+    # The synthetic model is always the reference one: no flag names it.
+    r = run_cli([command, "--model", "reference"], tmp_path)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --model" in r.stderr
 
 
 _TRIANGLE_XS = np.linspace(-1.0, 1.0, 201)

@@ -100,8 +100,10 @@ def test_grid_validation():
 
 
 def test_model_parameters():
-    with pytest.raises(ConfigError, match="model"):
-        validate_config(EngineConfig(model="other"))
+    # The synthetic model is always the reference one: no key names it.
+    with pytest.raises(ConfigError, match="unknown key 'model'") as exc:
+        parse_config_text("model = reference\n")
+    assert exc.value.key == "model"
     with pytest.raises(ConfigError, match="n must be positive"):
         validate_config(EngineConfig(n=0))
     with pytest.raises(ConfigError, match="at least 4"):
@@ -138,6 +140,22 @@ def test_numeric_strings_coerce():
     assert values["alpha"] == 0.5
     assert isinstance(values["grid_min"], float) and values["grid_min"] == -1.0
     assert isinstance(values["n"], int) and values["n"] == 2000
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("out_dir = 2026", "2026"), ("kernel_table = 1e3", "1e3"), ("input = null", "null"),
+     ("input = true", "true"), ("out_dir = [1, 2]", "[1, 2]"),
+     ('input = "data set.csv"', "data set.csv")],
+)
+def test_string_keys_keep_their_text_unless_json_reads_a_string(text, value):
+    key = text.split()[0]
+    assert parse_config_text(text + "\n") == {key: value}
+
+
+def test_an_empty_quoted_string_is_refused():
+    with pytest.raises(ConfigError, match="key 'out_dir' needs a non-empty string"):
+        parse_config_text('out_dir = ""\n')
 
 
 @pytest.mark.parametrize("key", ["grid_count", "seed", "n", "p", "warmup"])

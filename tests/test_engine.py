@@ -27,7 +27,6 @@ from streamsir import (
     evaluate,
     init_stream,
     predict_next,
-    recursive_step,
     reference_model,
     run_stream,
     select_alpha,
@@ -35,6 +34,7 @@ from streamsir import (
     tabulated_kernel,
     warm_start,
 )
+from streamsir.sir import recursive_step
 from streamsir import engine
 from streamsir.io import SampleBlocks, read_sample_csv, write_sample_csv
 

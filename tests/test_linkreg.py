@@ -20,7 +20,6 @@ from streamsir import (
     theoretical_std,
 )
 from streamsir import linkreg
-from streamsir.linkreg import window_sums
 
 
 def _fresh_log(alpha=0.35, first_index=1):
@@ -350,6 +349,18 @@ def test_non_finite_points_are_refused_before_any_scan():
             evaluate(log, x)
 
 
+def _block_sums(kernel, d, inside, h, y, count=False):
+    """linkreg._pair_sums over the marked cells of a difference block
+    d[r, j] = x_r - u_j, gathered row-major as curve gathers them."""
+    rows, width = d.shape
+    idx = np.flatnonzero(inside)
+    row = idx // width
+    col = idx - row * width
+    return linkreg._pair_sums(kernel, row, d.ravel()[idx], h[col], y[col], rows, count)
+
+
+# The window sums of the next two tests are each row's kernel sums over the
+# entries whose window it lies in, as _pair_sums takes them.
 @pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
 def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
     rng = np.random.default_rng(29)
@@ -367,7 +378,7 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
     inside[1, 0] = True
     # A caller may mask more than the windows, as the CV replay's triangle does.
     inside[2:] &= rng.random((xs.size - 2, width)) < 0.7
-    num, den, count = window_sums(kernel, d, inside, h, y, count=True)
+    num, den, count = _block_sums(kernel, d, inside, h, y, count=True)
     assert num.shape == den.shape == count.shape == (xs.size,)
     assert not inside[0].any() and num[0] == den[0] == 0.0 and count[0] == 0
     assert num[1] == den[1] == 0.0 and count[1] == 0
@@ -380,13 +391,13 @@ def test_window_sums_match_a_dense_exact_sum_row_by_row(kernel):
         assert abs(num[r] / den[r] - math.fsum(w * y) / want_den) <= 1e-12 * scale, r
         assert abs(den[r] - want_den) <= 1e-12 * want_den, r
     for r in range(xs.size):
-        # A one-row block takes its own path, with the same bits.
-        one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y, count=True)
+        # A one-row block gives the same bits.
+        one = _block_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y, count=True)
         assert one[0][0] == num[r] and one[1][0] == den[r] and one[2][0] == count[r], r
         # Without count, the same sums and no count.
-        bare = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y)
+        bare = _block_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y)
         assert bare[0][0] == num[r] and bare[1][0] == den[r] and bare[2] is None, r
-    bare = window_sums(kernel, d, inside, h, y)
+    bare = _block_sums(kernel, d, inside, h, y)
     assert np.array_equal(bare[0], num) and np.array_equal(bare[1], den) and bare[2] is None
 
 
@@ -407,14 +418,14 @@ def test_window_sums_of_a_block_are_its_rows_one_by_one(kernel, rows, width):
     inside = (np.abs(d) <= radius * h) & (rng.random((rows, width)) < 0.8)
     inside[rows // 2] = False
     inside[rows // 2, 0] = True
-    num, den, count = window_sums(kernel, d, inside, h, y, count=True)
+    num, den, count = _block_sums(kernel, d, inside, h, y, count=True)
     assert num.shape == den.shape == count.shape == (rows,)
     for r in range(rows):
         idx = np.flatnonzero(inside[r])
         w = np.asarray(kernel.eval(d[r, idx] / h[idx])) / h[idx]
         assert num[r] == _sequential_sum(w * y[idx]) and den[r] == _sequential_sum(w), r
         assert count[r] == np.count_nonzero(w), r
-        one = window_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y, count=True)
+        one = _block_sums(kernel, d[r : r + 1], inside[r : r + 1], h, y, count=True)
         assert one[0][0] == num[r] and one[1][0] == den[r] and one[2][0] == count[r], r
     for r in (0, rows // 2):
         assert num[r] == den[r] == 0.0 and count[r] == 0, r
@@ -470,8 +481,8 @@ def test_curve_equals_evaluate_and_a_dense_exact_sum(kernel):
 
 
 def test_curve_chunks_keep_the_bits(monkeypatch):
-    # Chunks of one point take window_sums' one-row path; any chunking
-    # gives the same arrays.
+    # Chunks of one point, as a log past _POINT_CELLS entries takes, and
+    # any other chunking give the same arrays.
     rng = np.random.default_rng(8)
     log = _fresh_log(alpha=0.3)
     log.extend(rng.standard_normal(500), rng.standard_normal(500))

@@ -12,8 +12,8 @@ from streamsir import (
     Slicer,
     batch_moments,
     direction_from_moments,
-    recursive_step,
 )
+from streamsir.sir import recursive_step
 from conftest import stepped_moments
 
 

@@ -12,10 +12,10 @@ from streamsir import (
     direction_distance,
     direction_paths,
     draw,
-    recursive_step,
     reference_model,
     warm_start,
 )
+from streamsir.sir import recursive_step
 
 
 def _median_slicer(sample, n0):
