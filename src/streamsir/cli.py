@@ -23,12 +23,11 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
-from .config import EngineConfig, load_config
+from .config import SETTINGS, EngineConfig, load_config
 from .crossval import select_alpha
 from .engine import run_stream
 from .errors import ConfigError, StreamSirError
@@ -66,59 +65,26 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
+    parsers = {}
+    for name, (_, text, keys) in _COMMANDS.items():
+        sp = parsers[name] = sub.add_parser(name, allow_abbrev=False, help=text)
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--out-dir", help="artifact output directory")
-        sp.add_argument("--seed", type=int, help="random seed")
+        sp.add_argument("--out-dir", help=SETTINGS["out_dir"][1])
+        for key in keys:
+            kind, help_text = SETTINGS[key]
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
 
-    def synthetic(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--n", type=int, help="synthetic sample size")
-        sp.add_argument("--p", type=int, help="synthetic covariate dimension")
-        sp.add_argument("--noise-std", type=float, help="synthetic noise level")
-
-    def data_source(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--input", help="sample CSV to ingest instead of simulating")
-        synthetic(sp)
-
-    def engine_opts(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--alpha", type=float, help="bandwidth exponent")
-        sp.add_argument("--warmup", type=int, help="warm-up length")
-        sp.add_argument("--boundary", type=float, help="slice boundary override")
-        sp.add_argument("--kernel", help="kernel name (epanechnikov or tabulated)")
-        sp.add_argument("--kernel-table", help="x,k CSV for the tabulated kernel")
-
-    sp = sub.add_parser("simulate", allow_abbrev=False, help="draw a synthetic sample to sample.csv")
-    common(sp)
-    synthetic(sp)
-
-    sp = sub.add_parser("fit", allow_abbrev=False, help="run the sequential engine; write fit artifacts")
-    common(sp)
-    data_source(sp)
-    engine_opts(sp)
-    sp.add_argument("--grid-min", type=float, help="left end of the estimate grid")
-    sp.add_argument("--grid-max", type=float, help="right end of the estimate grid")
-    sp.add_argument("--grid-count", type=int, help="number of grid points")
-
-    sp = sub.add_parser("predict", allow_abbrev=False, help="evaluate a saved projection log at points")
-    common(sp)
+    sp = parsers["predict"]
     sp.add_argument("--log", required=True, help="projection log CSV written by fit")
     sp.add_argument("--at", required=True, help="comma-separated projection values")
-    sp.add_argument("--alpha", type=float, help="bandwidth exponent used by the fit")
-    sp.add_argument("--kernel", help="kernel name used by the fit")
-    sp.add_argument("--kernel-table", help="x,k CSV for the tabulated kernel")
 
-    sp = sub.add_parser("cv", allow_abbrev=False, help="score a grid of bandwidth exponents")
-    common(sp)
-    data_source(sp)
-    sp.add_argument("--warmup", type=int, help="warm-up length")
+    # cv takes no curve grid, so --grid-min/--grid-max name its exponent grid.
+    sp = parsers["cv"]
     sp.add_argument("--grid-min", type=float, default=0.1, help="smallest exponent")
     sp.add_argument("--grid-max", type=float, default=0.6, help="largest exponent")
     sp.add_argument("--grid-step", type=float, default=0.025, help="grid spacing")
-    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored")
 
-    sp = sub.add_parser("study", allow_abbrev=False, help="run a Monte Carlo study")
-    common(sp)
+    sp = parsers["study"]
     sp.add_argument(
         "--kind",
         required=True,
@@ -127,13 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--sizes", help="comma-separated checkpoint sizes")
     sp.add_argument("--reps", type=int, help="number of replications")
-    sp.add_argument("--alpha", type=float, help="bandwidth exponent")
-    sp.add_argument("--n", type=int, help="sample size for single-size studies")
-    sp.add_argument("--p", type=int, help="model dimension")
-    sp.add_argument("--noise-std", type=float, help="model noise level")
-    sp.add_argument("--warmup", type=int, help="warm-up length")
-    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     sp.add_argument("--eval-count", type=int, default=10, help="number of evaluation points")
+
+    for name in ("cv", "study"):
+        parsers[name].add_argument("--workers", type=int, default=1, help="accepted and ignored")
     return parser
 
 
@@ -146,12 +109,6 @@ def _resolve_out_dir(args: argparse.Namespace, cfg: EngineConfig) -> Path:
     except OSError as exc:
         raise StreamSirError(f"cannot create output directory {out!s}: {exc}") from None
     return path
-
-
-def _engine_overrides(args: argparse.Namespace, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
-    """The config keys this subcommand has flags for; --out-dir resolves on its own."""
-    take = [f.name for f in fields(EngineConfig) if f.name != "out_dir"]
-    return {k: getattr(args, k) for k in take if k not in exclude and hasattr(args, k)}
 
 
 def _load_kernel(cfg: EngineConfig) -> KernelSpec:
@@ -168,10 +125,7 @@ def _model_from_config(cfg: EngineConfig) -> SingleIndexModel:
     return reference_model(p=cfg.p, noise_std=cfg.noise_std)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _engine_overrides(args))
-    if cfg.input is not None:
-        raise ConfigError("simulate draws a synthetic sample and reads no input", key="input")
+def _cmd_simulate(args: argparse.Namespace, cfg: EngineConfig) -> int:
     sample = draw(_model_from_config(cfg), cfg.n, cfg.seed)
     out = _resolve_out_dir(args, cfg)
     io.write_sample_csv(sample, out / "sample.csv")
@@ -179,8 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _engine_overrides(args))
+def _cmd_fit(args: argparse.Namespace, cfg: EngineConfig) -> int:
     # A file is folded into stage 1 a block at a time, and a draw is held
     # only by run_stream, so no sample outlives the call.
     blocks = io.SampleBlocks(cfg.input) if cfg.input is not None else None
@@ -220,8 +173,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _engine_overrides(args))
+def _cmd_predict(args: argparse.Namespace, cfg: EngineConfig) -> int:
     kernel = _load_kernel(cfg)
     log = io.read_projection_log_csv(args.log, kernel, BandwidthSchedule(alpha=cfg.alpha))
     try:
@@ -237,9 +189,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cv(args: argparse.Namespace) -> int:
-    # --grid-min/--grid-max mean the exponent grid here, not the curve grid.
-    cfg = load_config(args.config, _engine_overrides(args, exclude=("grid_min", "grid_max")))
+def _cmd_cv(args: argparse.Namespace, cfg: EngineConfig) -> int:
     kernel = _load_kernel(cfg)
     if not all(math.isfinite(v) for v in (args.grid_min, args.grid_max, args.grid_step)):
         raise StreamSirError("--grid-min, --grid-max and --grid-step must be finite")
@@ -267,8 +217,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _engine_overrides(args))
+def _cmd_study(args: argparse.Namespace, cfg: EngineConfig) -> int:
     if cfg.kernel != "epanechnikov":
         raise StreamSirError(f"study supports only the epanechnikov kernel, got {cfg.kernel!r}")
     model = _model_from_config(cfg)
@@ -302,22 +251,40 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
+_SYNTHETIC = ("seed", "n", "p", "noise_std")
+
+# name -> (handler, help, the settings it takes a flag for).  A subcommand
+# whose settings lack `input` refuses one from its config file.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "draw a synthetic sample to sample.csv", _SYNTHETIC),
+    "fit": (
+        _cmd_fit,
+        "run the sequential engine; write fit artifacts",
+        ("input", *_SYNTHETIC, "alpha", "warmup", "boundary", "kernel", "kernel_table",
+         "grid_min", "grid_max", "grid_count"),
+    ),
+    "predict": (
+        _cmd_predict,
+        "evaluate a saved projection log at points",
+        ("alpha", "kernel", "kernel_table"),
+    ),
+    "cv": (_cmd_cv, "score a grid of bandwidth exponents", ("input", *_SYNTHETIC, "warmup")),
+    "study": (_cmd_study, "run a Monte Carlo study", (*_SYNTHETIC, "alpha", "warmup")),
+}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "fit": _cmd_fit,
-        "predict": _cmd_predict,
-        "cv": _cmd_cv,
-        "study": _cmd_study,
-    }
+    args = _build_parser().parse_args(argv)
+    handler, _, keys = _COMMANDS[args.command]
     try:
         # cv and study parse --workers only so that existing command lines keep working.
         if getattr(args, "workers", 1) < 1:
             raise StreamSirError("workers must be at least 1")
-        return handlers[args.command](args)
+        cfg = load_config(args.config, {key: getattr(args, key) for key in keys})
+        if cfg.input is not None and "input" not in keys:
+            raise ConfigError(f"{args.command} reads no input sample", key="input")
+        return handler(args, cfg)
     except StreamSirError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

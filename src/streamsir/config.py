@@ -1,8 +1,8 @@
 """Flat key=value configuration files shared by the command-line tools.
 
 One setting per line, `key = value`, with `#` comments and blank lines
-ignored.  Values are parsed as JSON where possible (numbers, arrays,
-booleans) and fall back to bare strings.  A string setting keeps its text
+ignored.  Values are parsed as JSON where possible and fall back to bare
+strings.  A string setting keeps its text
 as written unless JSON reads a string from it, so paths need no quoting:
 `out_dir = 2026` names the directory 2026.
 Unknown keys are rejected rather than ignored: a typo that silently
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -57,20 +57,34 @@ class EngineConfig:
         return np.linspace(self.grid_min, self.grid_max, self.grid_count)
 
 
-_INT_KEYS = {"warmup", "grid_count", "seed", "n", "p"}
-_FLOAT_KEYS = {"alpha", "boundary", "grid_min", "grid_max", "noise_std"}
-_STR_KEYS = {"kernel", "kernel_table", "input", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# Every configuration key, one per EngineConfig field: key -> (type, flag help).
+SETTINGS: dict[str, tuple[type, str]] = {
+    "alpha": (float, "bandwidth exponent"),
+    "warmup": (int, "warm-up length"),
+    "boundary": (float, "slice boundary override"),
+    "kernel": (str, "kernel name (epanechnikov or tabulated)"),
+    "kernel_table": (str, "x,k CSV for the tabulated kernel"),
+    "grid_min": (float, "left end of the estimate grid"),
+    "grid_max": (float, "right end of the estimate grid"),
+    "grid_count": (int, "number of grid points"),
+    "seed": (int, "random seed"),
+    "n": (int, "synthetic sample size"),
+    "p": (int, "synthetic covariate dimension"),
+    "noise_std": (float, "synthetic noise level"),
+    "input": (str, "sample CSV to ingest instead of simulating"),
+    "out_dir": (str, "artifact output directory"),
+}
 
 
 def _coerce(key: str, raw: Any) -> Any:
-    if key in _INT_KEYS:
+    kind = SETTINGS[key][0]
+    if kind is int:
         # is_integer() is False for NaN and the infinities, which int() cannot take.
         integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
         if isinstance(raw, bool) or not integral:
             raise ConfigError(f"key {key!r} needs an integer, got {raw!r}", key=key)
         return int(raw)
-    if key in _FLOAT_KEYS:
+    if kind is float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"key {key!r} needs a number, got {raw!r}", key=key)
         return float(raw)
@@ -91,7 +105,7 @@ def parse_config_text(text: str) -> dict[str, Any]:
         key, _, value_text = body.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _ALL_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}", key=key)
         if not value_text:
             raise ConfigError(f"line {line_no}: key {key!r} has no value", key=key)
@@ -99,7 +113,7 @@ def parse_config_text(text: str) -> dict[str, Any]:
             raw: Any = json.loads(value_text)
         except json.JSONDecodeError:
             raw = value_text
-        if key in _STR_KEYS and not isinstance(raw, str):
+        if SETTINGS[key][0] is str and not isinstance(raw, str):
             raw = value_text
         out[key] = _coerce(key, raw)
     return out
@@ -158,11 +172,10 @@ def load_config(path: str | Path | None, overrides: dict[str, Any]) -> EngineCon
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!s}: {exc}") from exc
         values.update(parse_config_text(text))
-    known = {f.name for f in fields(EngineConfig)}
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in known:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown key {key!r}", key=key)
         values[key] = _coerce(key, value)
     return validate_config(replace(EngineConfig(), **values))

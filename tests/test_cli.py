@@ -19,6 +19,7 @@ from streamsir import (
 )
 from streamsir import CsvFormatError, cli, io
 from streamsir.cli import run
+from streamsir.config import SETTINGS
 from streamsir.io import read_sample_csv, write_projection_log_csv, write_sample_csv
 
 
@@ -310,6 +311,13 @@ def test_model_flag_is_a_usage_error(tmp_path, command):
     assert "unrecognized arguments: --model" in r.stderr
 
 
+def test_predict_seed_flag_is_a_usage_error(tmp_path):
+    # predict reads a saved log and draws nothing, so it takes no seed.
+    r = run_cli(["predict", "--log", "log.csv", "--at", "0", "--seed", "1"], tmp_path)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --seed" in r.stderr
+
+
 _TRIANGLE_XS = np.linspace(-1.0, 1.0, 201)
 _TRIANGLE_KS = 1.0 - np.abs(_TRIANGLE_XS)
 _TRIANGLE_ROWS = [f"{x:.17g},{k:.17g}" for x, k in zip(_TRIANGLE_XS, _TRIANGLE_KS)]
@@ -443,6 +451,44 @@ def test_simulate_refuses_an_input(tmp_path, args):
     assert r.returncode != 0
     assert len(r.stderr.splitlines()) == 1 and "input" in r.stderr, r.stderr
     assert not (tmp_path / "sample.csv").exists()
+
+
+_STUDY = ["study", "--kind", "scatter", "--n", "200", "--reps", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["predict", "--log", "log.csv", "--at", "0"], "input = nothere.csv\n"),
+        (_STUDY, "input = nothere.csv\n"),
+        # With an input set, only the engine would refuse this warm-up.
+        (_STUDY, "input = nothere.csv\nwarmup = 5\n"),
+    ],
+    ids=["predict", "study", "study-warmup"],
+)
+def test_predict_and_study_refuse_a_config_input(tmp_path, args, config):
+    # Only fit and cv read a sample; an input the others would ignore is refused.
+    (tmp_path / "a.cfg").write_text(config)
+    (tmp_path / "log.csv").write_text("k,u,y\n1,0.0,1.0\n")
+    r = run_cli(args + ["--config", "a.cfg", "--out-dir", "od/new"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("ConfigError: ") and "input" in r.stderr, r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "od").exists()
+
+
+_REQUIRED = {"predict": ["--log", "log.csv", "--at", "0"], "study": ["--kind", "rate"]}
+
+
+def test_each_listed_setting_has_a_flag_of_its_type():
+    parser = cli._build_parser()
+    for name, (_, _, keys) in cli._COMMANDS.items():
+        for key in keys:
+            assert key in SETTINGS, (name, key)
+            kind = SETTINGS[key][0]
+            flag = "--" + key.replace("_", "-")
+            args = parser.parse_args([name, *_REQUIRED.get(name, []), flag, "7"])
+            assert getattr(args, key) == kind("7"), (name, key)
 
 
 def test_an_output_path_that_is_a_file_is_a_one_line_error(tmp_path):

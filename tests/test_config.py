@@ -1,11 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from streamsir import ConfigError
 from streamsir.config import (
+    SETTINGS,
     EngineConfig,
     load_config,
     parse_config_text,
@@ -22,6 +23,10 @@ def test_defaults_from_empty_document():
     assert cfg.kernel == "epanechnikov"
     assert cfg.n == 1000 and cfg.p == 10
     assert cfg.seed == 0
+
+
+def test_settings_declare_every_config_field():
+    assert list(SETTINGS) == [f.name for f in fields(EngineConfig)]
 
 
 def test_comments_and_blank_lines_ignored():
