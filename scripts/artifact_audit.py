@@ -29,10 +29,12 @@ log, from the tabulated fit's log and from the --input fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
 missing-heavy rate and convergence studies (sizes 32,40,2000, 7
-replications); and scatter at p = 10 and 20.  cv and study run in one
-process whatever --workers says, so the workers 2 and 3 runs check that
-the flag changes no artifact.  That is 105 artifacts with the kernel
-table, plus the two other reader inputs.
+replications); 7-replication rate studies at sizes 64,129 and 64,159,
+whose draws end on a row that a block of 128 rows leaves alone (from the
+first row, and after the 30-row warm-up); and scatter at p = 10 and 20.
+cv and study run in one process whatever --workers says, so the workers
+2 and 3 runs check that the flag changes no artifact.  That is 113
+artifacts with the kernel table, plus the two other reader inputs.
 
 With --compare, the script reads two such output directories instead and
 prints, for every artifact whose sha256 differs, the largest relative
@@ -156,6 +158,11 @@ def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
         ("rate-7reps-w3",
          [*study, "--kind", "rate", "--sizes", "250,500,1000", "--reps", "7", "--workers", "3"]),
         ("rate-missing", [*study, "--kind", "rate", *MISSING_HEAVY]),
+        # Draws that end on a lone row: after 128-row blocks from the first
+        # row (129 rows), and after the 30-row warm-up block then 128-row
+        # blocks, as the checkpoint studies cut them (159 rows).
+        ("rate-lone-row-129", [*study, "--kind", "rate", "--sizes", "64,129", "--reps", "7"]),
+        ("rate-lone-row-159", [*study, "--kind", "rate", "--sizes", "64,159", "--reps", "7"]),
         ("convergence-missing", [*study, "--kind", "convergence", *MISSING_HEAVY]),
         ("scatter-p10", [*study, "--kind", "scatter", "--p", "10"]),
         ("scatter-p20", [*study, "--kind", "scatter", "--p", "20"]),

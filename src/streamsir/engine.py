@@ -36,12 +36,14 @@ refuse a stream.
 direction_paths runs the recursion over R samples of equal length at once,
 on stacked (R, ...) arrays, with the bits of init_stream then stream_step
 per sample; the other Monte Carlo studies use it for their replications.
-It reads the samples _STEP_CHUNK rows at a time into one step-major
-buffer, so beyond the projections it returns its memory does not grow
-with n.  Its slice counts depend only on the slice labels, so they and
-the factors built from them are computed for a whole chunk before its
-steps, and each step writes its stacked products into buffers allocated
-once.
+It takes Samples or block sources that know their length, such as
+simulate.DrawBlocks, cuts each through _rows as direction_path does, and
+reads them _STEP_CHUNK rows at a time into one step-major buffer, so
+beyond the projections and responses it returns its memory does not grow
+with n, and a source is never held whole.  Its slice counts depend only
+on the slice labels, so they and the factors built from them are
+computed for a whole chunk before its steps, and each step writes its
+stacked products into buffers allocated once.
 init_stream, stream_step and predict_next are the per-arrival API over the same
 recursion step: stream_step advances the StreamState it is given in place
 and returns that same object.  run_stream(source, alpha, kernel, warmup,
@@ -211,9 +213,9 @@ def direction_path(
     if isinstance(source, Sample):
         # A short sample is refused before its rows are checked.
         _warmup_length(source, warmup)
-        source = ((source.covariates, source.responses),)
     elif iter(source) is source:
         raise TypeError("direction_path reads its source again to hand back: pass a re-iterable")
+    source = _blocks(source)
     rows = _rows(source, warmup)
     head = Sample(*next(rows))
     sir, slicer = _warm_up(head, boundary)
@@ -243,19 +245,22 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0)
 
 
-def _rows(source: Blocks, warmup: int | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """source's rows as (covariates, responses) chunks: the warm-up rows, then _PREFIX_BLOCK each.
+def _rows(
+    source: Blocks, warmup: int | None, chunk: int = _PREFIX_BLOCK
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """source's rows as (covariates, responses) chunks: the warm-up rows, then `chunk` rows each.
 
     The chunks are re-cut across the source's blocks, and only the last may
     be shorter.  Each block is checked for finite values as it arrives, its
     rows numbered from the start of the source.  A chunk's responses are
-    always a copy, so a kept chunk pins no block.
+    always a copy, so a kept chunk pins no block, and once a block's rows
+    are all handed out no frame here holds it.
 
     Raises:
         NonFiniteInputError: some row holds NaN or inf.
         InsufficientDataError: the source ends within the warm-up.
     """
-    size = n0 = None
+    size = n0 = left = None
     seen = 0
     for xs, ys in source:
         xs = np.ascontiguousarray(xs, dtype=np.float64)
@@ -264,19 +269,20 @@ def _rows(source: Blocks, warmup: int | None) -> Iterator[tuple[np.ndarray, np.n
         seen += ys.shape[0]
         if size is None:
             size = n0 = max(default_warmup(xs.shape[1]) if warmup is None else int(warmup), 0)
-        elif ys_left.size:
-            xs, ys = np.concatenate((xs_left, xs)), np.concatenate((ys_left, ys))
+        elif left is not None:
+            xs, ys = np.concatenate((left[0], xs)), np.concatenate((left[1], ys))
         a = 0
         while ys.shape[0] - a >= size:
             yield xs[a : a + size], ys[a : a + size].copy()
-            a, size = a + size, _PREFIX_BLOCK
-        xs_left, ys_left = xs[a:], ys[a:]
+            a, size = a + size, chunk
+        left = (xs[a:], ys[a:]) if a < ys.shape[0] else None
+        del xs, ys
     if size is None:
         raise InsufficientDataError("the source holds no rows")
     if seen < n0:
         raise InsufficientDataError(f"sample has {seen} rows but warm-up needs {n0}")
-    if ys_left.size:
-        yield xs_left, ys_left.copy()
+    if left is not None:
+        yield left[0], left[1].copy()
 
 
 def _recursion_pass(
@@ -424,23 +430,29 @@ def _well_conditioned(centred: np.ndarray) -> bool:
 
 
 def direction_paths(
-    samples: Sequence[Sample],
+    sources: Sequence[Sample | Blocks],
     warmup: int | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> list[DirectionPath]:
     """Run the direction recursion over R samples of equal length, all at once.
 
-    Path r equals init_stream on the warm-up of samples[r] followed by one
-    stream_step per row, bit for bit; direction_path gives that too where
-    it steps the recursion, and otherwise matches it within 1e-12.  The R
-    states are held as stacked arrays: theta and the mean (R, p), the
-    inverse (R, p, p) and the slice means (R, 2, p).
+    Each source is a Sample, or a re-iterable source of (covariates,
+    responses) row blocks whose len() is its row count, such as
+    simulate.DrawBlocks.  Path r equals init_stream on the warm-up of
+    source r followed by one stream_step per row, bit for bit;
+    direction_path gives that too where it steps the recursion, and
+    otherwise matches it within 1e-12.  The R states are held as stacked
+    arrays: theta and the mean (R, p), the inverse (R, p, p) and the slice
+    means (R, 2, p).
 
-    The rows are read _STEP_CHUNK at a time: a chunk of every sample is
-    stacked into one (chunk, R, p) buffer, so each step reads a contiguous
-    (R, p) row and the memory held does not grow with n, apart from the
-    (R, n - n0) projections; path r's projections are row r of that
-    array, not a copy.  The slice counts follow from the slice labels
+    Each source is cut by _rows, as direction_path cuts its source: the
+    warm-up rows, then _STEP_CHUNK rows at a time.  A chunk of every source
+    is copied into one step-major (chunk, R, p) buffer, so each step reads
+    a contiguous (R, p) row, and the responses into an (R, n - n0) array.
+    So beyond that array and the (R, n - n0) projections the memory held
+    does not grow with n: a source is read a chunk at a time and never
+    held whole.  Path r's projections and responses are row r of those
+    arrays, not copies.  The slice counts follow from the slice labels
     alone, so _step_factors forms a chunk's before its steps, as
     cumulative sums on slice 1's count carried over from the chunk before
     (the warm-up's for the first), and with them each step's count
@@ -461,28 +473,31 @@ def direction_paths(
     means viewed as (2 R, p), and m_old + phi_h / (c + 1) is written back.
 
     Raises:
-        ValueError: no samples, or samples of different shapes.
-        NonFiniteInputError: some row holds NaN or inf; checked for every
-            sample before any stepping, and the message names the sample.
+        ValueError: no samples, or samples of different lengths or numbers
+            of covariates, or a source that does not hold len() rows.
+        NonFiniteInputError: some row holds NaN or inf, and the message
+            names the sample.  A Sample is checked whole before any
+            stepping; a source a block at a time, as it is read.
         InsufficientDataError: the samples are shorter than the warm-up.
         NumericalBreakdownError: a rank-one denominator is not finite and
             positive; the message names the replication and n.
+        TypeError: a source has no len().
     """
-    if not samples:
+    if not sources:
         raise ValueError("direction_paths needs at least one sample")
-    shape = samples[0].covariates.shape
-    for r, sample in enumerate(samples):
-        if sample.covariates.shape != shape:
-            raise ValueError(
-                f"sample {r} has shape {sample.covariates.shape}, sample 0 has {shape}"
-            )
-        try:
-            require_finite_rows(sample.covariates, sample.responses)
-        except NonFiniteInputError as exc:
-            raise NonFiniteInputError(f"sample {r}: {exc}") from None
-    n0 = _warmup_length(samples[0], warmup)
-    sirs, slicers = zip(*(_warm_up(sample.head(n0), None) for sample in samples))
-    reps, p = len(samples), shape[1]
+    lengths = [source.n if isinstance(source, Sample) else len(source) for source in sources]
+    for r, length in enumerate(lengths):
+        if length != lengths[0]:
+            raise ValueError(f"sample {r} has {length} rows, sample 0 has {lengths[0]}")
+    length = lengths[0]
+    readers = [_rows(_blocks(source), warmup, _STEP_CHUNK) for source in sources]
+    heads = [Sample(*_next_rows(rows, r)) for r, rows in enumerate(readers)]
+    for r, head in enumerate(heads):
+        if head.p != heads[0].p:
+            raise ValueError(f"sample {r} has {head.p} covariates, sample 0 has {heads[0].p}")
+    n0, reps, p = heads[0].n, len(heads), heads[0].p
+    sirs, slicers = zip(*(_warm_up(head, None) for head in heads))
+    del heads
 
     theta = np.stack([sir.theta_hat for sir in sirs])
     mean = np.stack([sir.moments.mean for sir in sirs])
@@ -490,7 +505,8 @@ def direction_paths(
     means = np.stack([sir.moments.slice_means for sir in sirs])
     # Slice 1's running count, carried from chunk to chunk.
     low = np.array([sir.moments.slice_counts[0] for sir in sirs], dtype=np.float64)
-    steps = shape[0] - n0
+    bounds = np.array([slicer.boundary for slicer in slicers])
+    steps = length - n0
 
     # One buffer per intermediate, with fixed row (R, 1, p) and column
     # (R, p, 1) views for the stacked products.
@@ -504,28 +520,32 @@ def direction_paths(
     outer = np.empty((reps, p, p))
     # A chunk of rows, step-major, so each step reads a contiguous (R, p) row.
     chunk = np.empty((min(_STEP_CHUNK, steps), reps, p))
-    u = np.empty((reps, steps), dtype=np.float64)
+    u, y = np.empty((2, reps, steps))
 
     want = {int(c) for c in checkpoints}
     snapshots: dict[int, np.ndarray] = {}
     if n0 in want:
         snapshots[n0] = theta.copy()
     n = n0
-    for a in range(n0, shape[0], _STEP_CHUNK):
-        b = min(a + _STEP_CHUNK, shape[0])
-        xs = np.stack([sample.covariates[a:b] for sample in samples], axis=1, out=chunk[: b - a])
-        ys = [sample.responses[a:b] for sample in samples]
-        slices = np.stack([slicer.slices_of(y) - 1 for slicer, y in zip(slicers, ys)], axis=1)
+    for a in range(n0, length, _STEP_CHUNK):
+        b = min(a + _STEP_CHUNK, length)
+        xs, ys = chunk[: b - a], y[:, a - n0 : b - n0]
+        for r, rows in enumerate(readers):
+            xs[:, r], ys[r] = _next_rows(rows, r, b - a)
+        # Slicer.slices_of - 1 for every sample at once, step-major: 0 at or
+        # below the sample's boundary, 1 above it.
+        slices = np.where(np.ascontiguousarray(ys.T) <= bounds, 0, 1)
         c_new, scale, grow, low = _step_factors(slices, low, a)
         # Each row's receiving slice as a row of the slice means viewed as (2 R, p).
-        rows = np.add(slices, 2 * np.arange(reps), out=slices)
+        rows_at = np.add(slices, 2 * np.arange(reps), out=slices)
         x_col = xs[:, :, :, None]
         u_out = u.T[a - n0 : b - n0, :, None, None]
         for j in range(b - a):
+            x, at, g = xs[j], rows_at[j], grow[j]
             np.matmul(theta_row, x_col[j], out=u_out[j])
             n += 1
             # sir.rank_one_terms
-            np.subtract(xs[j], mean, out=phi)
+            np.subtract(x, mean, out=phi)
             np.matmul(inv, phi_col, out=w_col)
             np.matmul(phi_row, w_col, out=denom)
             denom += n
@@ -536,14 +556,14 @@ def direction_paths(
                     f"positive at n = {n} in replication {r}"
                 )
             # sir.advance: theta, then the moments
-            flat_means.take(rows[j], axis=0, out=m_old)
-            np.subtract(xs[j], m_old, out=phi_h)
+            flat_means.take(at, axis=0, out=m_old)
+            np.subtract(x, m_old, out=phi_h)
             np.matmul(inv, phi_h_col, out=v_col)
             np.matmul(w_row, phi_h_col, out=cross)
             np.matmul(phi_row, theta_col, out=along)
             along /= denom
             theta -= np.multiply(along_r, w, out=tmp)
-            theta *= grow[j]
+            theta *= g
             cross /= denom
             v -= np.multiply(cross_r, w, out=tmp)
             v *= scale[j]
@@ -551,12 +571,15 @@ def direction_paths(
             np.multiply(w_col, w_row, out=outer)
             outer /= denom
             inv -= outer
-            inv *= grow[j]
+            inv *= g
             mean += np.divide(phi, n, out=tmp)
             np.divide(phi_h, c_new[j], out=tmp)
-            flat_means[rows[j]] = np.add(m_old, tmp, out=m_old)
+            flat_means[at] = np.add(m_old, tmp, out=m_old)
             if n in want:
                 snapshots[n] = theta.copy()
+    for r, rows in enumerate(readers):
+        if next(rows, None) is not None:
+            raise ValueError(f"sample {r} does not hold as many rows as its len()")
     counts = np.stack((low, n - low), axis=1).astype(np.int64)
 
     return [
@@ -574,11 +597,37 @@ def direction_paths(
             slicer=slicers[r],
             warmup_n=n0,
             projections=u[r],
-            responses=sample.responses[n0:],
+            responses=y[r],
             snapshots={k: snap[r].copy() for k, snap in snapshots.items()},
         )
-        for r, sample in enumerate(samples)
+        for r in range(reps)
     ]
+
+
+def _blocks(source: Sample | Blocks) -> Blocks:
+    """A Sample as a source of one block; a source as it is."""
+    return ((source.covariates, source.responses),) if isinstance(source, Sample) else source
+
+
+def _next_rows(
+    rows: Iterator[tuple[np.ndarray, np.ndarray]], r: int, count: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next chunk of sample r's rows, of count rows if count is given; errors name sample r.
+
+    Raises:
+        NonFiniteInputError: the chunk's block holds NaN or inf.
+        ValueError: the chunk is not count rows long, or the source has
+            ended: its len() is not its row count.
+    """
+    try:
+        chunk = next(rows)
+    except NonFiniteInputError as exc:
+        raise NonFiniteInputError(f"sample {r}: {exc}") from None
+    except StopIteration:
+        chunk = None
+    if chunk is None or count not in (None, chunk[1].shape[0]):
+        raise ValueError(f"sample {r} does not hold as many rows as its len()")
+    return chunk
 
 
 def _step_factors(

@@ -18,7 +18,10 @@ isolation.  The checkpoint studies step their replications in order,
 _REP_BLOCK at a time, through one batched direction pass per chunk
 (engine.direction_paths), which gives each replication the same bits as
 running it alone; so the isolation holds bit for bit, and the chunk size
-changes no artifact.  Replications run in this process.  Evaluation points
+changes no artifact.  The pass reads each replication from a draw source
+(simulate.DrawBlocks, with draw's bits) a chunk of rows at a time, so no
+study holds its replications' samples, only their projections and
+responses.  Replications run in this process.  Evaluation points
 come from a dedicated seeded draw that is independent of every
 replication seed.  All randomness flows through these two rules, which
 makes every artifact byte-reproducible from (config, seed); records.csv
@@ -50,7 +53,7 @@ from .engine import DEFAULT_ALPHA, DirectionPath, default_warmup, direction_path
 from .kernels import BandwidthSchedule, epanechnikov
 from .linkreg import curve, theoretical_std
 from .sir import direction_distance
-from .simulate import SingleIndexModel, draw
+from .simulate import DrawBlocks, SingleIndexModel, draw
 from .io import write_json, write_records_csv
 
 # Not called here: the per-layer tracer (perfbench/tracing.py) patches these
@@ -70,8 +73,8 @@ HISTOGRAM_EDGES = np.linspace(-4.0, 4.0, 25)
 KS_CRIT_1PCT = 1.6276236115189502
 
 # Most replications one direction_paths call steps together.  A block's
-# samples and paths are released before the next block is drawn, so the
-# study holds one block of samples at a time, whatever n_reps is.
+# paths are released before the next block is read, so the study holds
+# one block's projections and responses at a time, whatever n_reps is.
 _REP_BLOCK = 64
 
 # Bootstrap resamples behind the rate study's slope interval.
@@ -313,18 +316,20 @@ def _run_checkpoint_study(
     """(rep, size, point) estimates, (rep, size) direction distances, and the
     points' true projections and true curve values.
 
-    Replication rep draws its sample with seed config.seed XOR rep; the
-    replications go through direction_paths in order, _REP_BLOCK at a time,
-    and each block is released before the next is drawn.
+    Replication rep reads its rows from a DrawBlocks source with seed
+    config.seed XOR rep, whose head block is the warm-up, so each chunk the
+    pass reads lies within one block; the replications go through
+    direction_paths in order, _REP_BLOCK at a time, and each block of
+    paths is released before the next is read.
     """
     model, sizes, pts = config.model, config.sizes, config.eval_points
     rows = []
     for lo in range(0, config.n_reps, _REP_BLOCK):
         reps = range(lo, min(lo + _REP_BLOCK, config.n_reps))
-        samples = [draw(model, sizes[-1], config.seed ^ rep) for rep in reps]
-        paths = direction_paths(samples, warmup=config.warmup, checkpoints=sizes)
+        sources = [DrawBlocks(model, sizes[-1], config.seed ^ rep, head=config.warmup) for rep in reps]
+        paths = direction_paths(sources, warmup=config.warmup, checkpoints=sizes)
         rows += [_checkpoint_rows(path, config) for path in paths]
-        del samples, paths
+        del paths
     est, dd = zip(*rows)
     u_true = pts if pts.ndim == 1 else pts @ model.direction
     f_true = np.asarray(model.link(u_true), dtype=np.float64)

@@ -35,6 +35,7 @@ from streamsir import (
     warm_start,
 )
 from streamsir.sir import recursive_step
+from streamsir.simulate import DrawBlocks
 from streamsir import engine
 from streamsir.io import SampleBlocks, read_sample_csv, write_sample_csv
 
@@ -792,9 +793,10 @@ def test_direction_paths_across_chunk_edges(reps, steps):
 
 
 def test_direction_paths_memory_does_not_grow_with_the_stream():
-    # Beyond the (R, n - n0) projections it returns, the pass holds one
-    # chunk of rows and the stacked states: at the rate-study shape its own
-    # traced peak stays small, and flat from n = 2000 to n = 8000.
+    # Beyond the (R, n - n0) projections and responses it returns, the pass
+    # holds one chunk of rows and the stacked states: at the rate-study
+    # shape its own traced peak stays small, and flat from n = 2000 to
+    # n = 8000.
     def own_peak_mib(n):
         samples = [draw(reference_model(p=10), n, 11 ^ r) for r in range(40)]
         tracemalloc.start()
@@ -803,7 +805,8 @@ def test_direction_paths_memory_does_not_grow_with_the_stream():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return (peak - sum(path.projections.nbytes for path in paths)) / 2**20
+        returned = sum(path.projections.nbytes + path.responses.nbytes for path in paths)
+        return (peak - returned) / 2**20
 
     short, long = own_peak_mib(2000), own_peak_mib(8000)
     assert short < 3.0
@@ -911,6 +914,55 @@ def test_a_block_source_is_refused_as_its_sample_is():
     with pytest.raises(TypeError, match="re-iterable"):
         run_stream(iter(_Blocks(sample, (100,))))
 
+
+
+class _SizedBlocks(_Blocks):
+    """_Blocks with a len(), as direction_paths needs; it may state a wrong length."""
+
+    def __init__(self, sample, sizes, length=None):
+        super().__init__(sample, sizes)
+        self.length = sample.n if length is None else length
+
+    def __len__(self):
+        return self.length
+
+
+def test_direction_paths_over_block_sources_give_the_bits_of_their_samples():
+    # Draw sources with and without a warm-up head block, ragged sources and
+    # Samples in one call: each path has the bits of its sample's path.
+    model, n0 = reference_model(p=10), default_warmup(10)
+    n = n0 + 2 * _CHUNK + 7
+    samples = [draw(model, n, 20 + r) for r in range(5)]
+    sources = [
+        DrawBlocks(model, n, 20, head=n0),
+        DrawBlocks(model, n, 21, rows=16),
+        _SizedBlocks(samples[2], (1, 37, 700)),
+        samples[3],
+        _SizedBlocks(samples[4], (n0 + _CHUNK,)),
+    ]
+    checkpoints = (n0, n0 + 1, n0 + _CHUNK, n)
+    want = direction_paths(samples, checkpoints=checkpoints)
+    got = direction_paths(sources, checkpoints=checkpoints)
+    for a, b in zip(got, want):
+        _assert_same_arrays(_path_arrays(a), _path_arrays(b))
+    assert [source.reads for source in sources if isinstance(source, _Blocks)] == [1, 1]
+
+
+def test_direction_paths_refuse_a_source_of_the_wrong_length_or_with_a_bad_row():
+    sample = draw(reference_model(p=4), 600, 6)
+    other = draw(reference_model(p=4), 600, 7)
+    with pytest.raises(ValueError, match="sample 1 has 599 rows, sample 0 has 600"):
+        direction_paths([sample, _SizedBlocks(other.head(599), (100,))])
+    # A source whose len() is not its row count, short or long.
+    for rows, length in ((598, 599), (600, 599), (599, 598), (599, 600)):
+        with pytest.raises(ValueError, match="sample 1 does not hold as many rows as its len()"):
+            direction_paths([sample.head(length), _SizedBlocks(other.head(rows), (100,), length)])
+    with pytest.raises(TypeError):
+        direction_paths([sample, _Blocks(other, (100,))])
+    # A source's block is checked as it is read, its rows numbered from its first.
+    other.covariates[450, 2] = np.inf
+    with pytest.raises(NonFiniteInputError, match="^sample 1: row 450 holds"):
+        direction_paths([sample, _SizedBlocks(other, (100,))])
 
 def test_run_stream_over_a_csv_holds_no_more_than_the_log_and_projections(tmp_path):
     # Folding the file's blocks into stage 1, run_stream's traced peak sits

@@ -372,9 +372,9 @@ def test_replication_blocks_are_contiguous_bounded_and_near_equal(
     calls = []
     real = studies.direction_paths
 
-    def recorder(samples, **kwargs):
-        calls.append([sample.covariates for sample in samples])
-        return real(samples, **kwargs)
+    def recorder(sources, **kwargs):
+        calls.append([np.concatenate([xs for xs, _ in source]) for source in sources])
+        return real(sources, **kwargs)
 
     monkeypatch.setattr(studies, "_REP_BLOCK", block)
     monkeypatch.setattr(studies, "direction_paths", recorder)
@@ -390,8 +390,8 @@ def test_replication_blocks_are_contiguous_bounded_and_near_equal(
 
 
 def test_a_two_block_study_holds_one_block_at_a_time(model_m, monkeypatch):
-    # Each block's samples and paths are released before the next block is
-    # drawn, so a study of two blocks peaks where a study of one does.
+    # Each block's paths are released before the next block is read, so a
+    # study of two blocks peaks where a study of one does.
     monkeypatch.setattr(studies, "_REP_BLOCK", 16)
 
     def peak(n_reps):
@@ -406,6 +406,29 @@ def test_a_two_block_study_holds_one_block_at_a_time(model_m, monkeypatch):
     peak(1)  # leaves first-call allocations out of the comparison
     assert peak(32) <= 1.1 * peak(16)
 
+
+
+def test_a_checkpoint_study_holds_no_replications_sample(model_m):
+    # The replications are read from draw sources a chunk of rows at a time.
+    # At the rate study's benchmark shape (40 replications to n = 2000) the
+    # traced peak is at most half of the 8.24 MiB it reached while it held
+    # every replication's drawn sample, and from n = 2000 to n = 8000 it
+    # grows by no more than the projections and responses it keeps, plus
+    # 1 MiB.
+    def peak(sizes, n_reps=40):
+        config = StudyConfig(model=model_m, sizes=sizes, n_reps=n_reps, seed=11)
+        tracemalloc.start()
+        try:
+            studies._run_checkpoint_study(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak((250, 500), n_reps=1)  # leaves first-call allocations out of the comparison
+    short = peak((250, 500, 1000, 2000))
+    long = peak((250, 500, 1000, 2000, 8000))
+    assert short <= 8.24 / 2 * 2**20, short / 2**20
+    assert long - short <= 40 * (8000 - 2000) * 2 * 8 + 2**20, (long - short) / 2**20
 
 def test_ks_critical_value_equals_scipy():
     assert KS_CRIT_1PCT == float(sps.kstwobign.ppf(0.99))
