@@ -714,22 +714,28 @@ def predict_next(state: StreamState, x: np.ndarray) -> float:
 
     Projects on the current direction estimate and evaluates the current
     log, exactly the quantities a later stream_step(state, x, y) would use.
+    x is checked first (moments.finite_covariates), then projected; a
+    wrongly shaped x raises numpy's error at the projection.  evaluate's
+    own checks follow.  Nothing changes either way.
 
     Raises:
         NonFiniteInputError: x holds NaN or inf.
         NoSupportError: the projection falls outside all kernel windows.
     """
-    u = float(state.theta_hat @ finite_covariates(x))
-    return evaluate(state.log, u)
+    return evaluate(state.log, float(state.sir.theta_hat @ finite_covariates(x)))
 
 
 def stream_step(state: StreamState, x: np.ndarray, y: float) -> StreamState:
     """Absorb one observation in place: log it on the previous direction, then advance.
 
     Returns the state it was given, so `state = stream_step(state, x, y)`
-    reads as a step.  Every check (NonFiniteInputError, EmptySliceError,
-    NumericalBreakdownError) runs before anything changes, so a call that
-    raises leaves the direction, the moments and the log as they were.
+    reads as a step.  Every check runs before anything changes, so a call
+    that raises leaves the direction, the moments and the log as they
+    were.  They run in this order: x is finite, then y (NonFiniteInputError,
+    so a bad x wins over a bad y); both slices are non-empty
+    (EmptySliceError); the rank-one denominator is finite and positive
+    (NumericalBreakdownError, where a wrongly shaped x raises numpy's
+    error); the projection is finite (the log's NonFiniteInputError).
     """
     x, y = finite_covariates(x), finite_response(y)
     sir = state.sir

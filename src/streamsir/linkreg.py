@@ -34,10 +34,11 @@ _INITIAL_CAPACITY = 64
 _H_BLOCK = 1 << 14
 
 # A chunk of curve takes _POINT_CELLS // m points of an m-entry log, and at
-# least one, so it holds at most max(_POINT_CELLS, m) (point, entry) cells.
-# Each float temporary of a chunk, such as d and |d|, takes 8 bytes a cell:
-# 512 KiB at 2**16 cells.  With the sample no longer held, these temporaries
-# set fit's peak memory; past 2**16 entries they grow with the log.
+# least one; past _POINT_CELLS entries its one point meets the log a block
+# of _POINT_CELLS entries at a time.  So a difference block holds at most
+# _POINT_CELLS (point, entry) cells, and each of its float temporaries,
+# such as d and |d|, takes 8 bytes a cell: 512 KiB at 2**16 cells.  With
+# the sample no longer held, these temporaries set fit's peak memory.
 _POINT_CELLS = 1 << 16
 
 
@@ -106,10 +107,10 @@ class ProjectionLog:
         """Record one projected observation; returns its arrival index."""
         if not (math.isfinite(u) and math.isfinite(y)):
             raise _non_finite_entry(self.next_index, u, y)
-        if self._size == self._k.size:
+        i = self._size
+        if i == self._k.size:
             self._reserve(1)
         k = self.next_index
-        i = self._size
         self._k[i] = k
         self._u[i] = u
         self._y[i] = y
@@ -218,8 +219,12 @@ def curve(
     Each point's sums are _pair_sums over the entries whose window covers
     it (|x - u_k| <= R h_k), gathered row-major from a chunk's difference
     block, so each point's entries sit in arrival order.  A chunk takes
-    _POINT_CELLS // m points of the m-entry log and at least one, so it
-    holds at most max(_POINT_CELLS, m) (point, entry) cells.
+    _POINT_CELLS // m points of the m-entry log and at least one.  Past
+    _POINT_CELLS entries, its one point meets a block of _POINT_CELLS
+    entries at a time, and the blocks' pairs are joined in block order, so
+    they too sit in arrival order; a block holds at most _POINT_CELLS
+    (point, entry) cells, and what grows with the log is the in-window
+    pairs alone.
 
     Returns (estimates, denominators, contributing), each of shape
     (points,): NaN estimates where the denominator is <= 0, which an empty
@@ -243,12 +248,17 @@ def curve(
     step = max(1, _POINT_CELLS // u.size)
     for a in range(0, points.size, step):
         rows = slice(a, a + step)
-        d = points[rows, None] - u
-        idx = np.flatnonzero(np.abs(d) <= reach)
-        row = idx // u.size
-        col = idx - row * u.size
+        parts = []
+        for b in range(0, u.size, _POINT_CELLS):
+            cols = slice(b, b + _POINT_CELLS)
+            d = points[rows, None] - u[cols]
+            idx = np.flatnonzero(np.abs(d) <= reach[cols])
+            row = idx // d.shape[1]
+            col = idx - row * d.shape[1]
+            parts.append((row, d.ravel()[idx], h[cols][col], y[cols][col]))
+        pairs = parts[0] if len(parts) == 1 else [np.concatenate(field) for field in zip(*parts)]
         num[rows], den[rows], count[rows] = _pair_sums(
-            kernel, row, d.ravel()[idx], h[col], y[col], d.shape[0], count=True
+            kernel, *pairs, d.shape[0], count=True
         )
     ok = den > 0.0
     est[ok] = num[ok] / den[ok]
@@ -263,6 +273,9 @@ def evaluate(log: ProjectionLog, x: float) -> float:
     combination of logged responses, so it lies in [min y_k, max y_k] over
     the entries with positive weight.
 
+    The checks run in this order, before the log is read: x is finite,
+    then the log is not empty.  The log's arrays are read once, in place.
+
     Raises:
         NonFiniteInputError: x is NaN or infinite.
         NoSupportError: no entry's kernel window covers x (also raised for
@@ -271,16 +284,17 @@ def evaluate(log: ProjectionLog, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise NonFiniteInputError(f"evaluation point must be finite, got {x!r}")
-    if len(log) == 0:
+    m = log._size
+    if m == 0:
         raise NoSupportError("projection log is empty", nearest_u=None)
-    u = log.projections
-    h = log.bandwidths
+    u = log._u[:m]
+    h = log._h[:m]
     d = x - u
     # R h is h itself when R = 1 (Epanechnikov): skip that O(m) product.
     radius = log.kernel.support_radius
-    idx = np.flatnonzero(np.abs(d) <= (h if radius == 1.0 else radius * h))
+    idx = (np.abs(d) <= (h if radius == 1.0 else radius * h)).nonzero()[0]
     num, den, _ = _pair_sums(
-        log.kernel, np.zeros(idx.size, np.intp), d[idx], h[idx], log.responses[idx], 1
+        log.kernel, np.zeros(idx.size, np.intp), d[idx], h[idx], log._y[idx], 1
     )
     if den[0] <= 0.0:
         raise NoSupportError(

@@ -136,10 +136,17 @@ def batch_moments(sample: Sample, slicer: Slicer) -> MomentState:
 def finite_covariates(x: np.ndarray) -> np.ndarray:
     """x as a float64 array, refusing NaN and infinite entries.
 
+    A row is first screened by the Python sum of its entries, which no NaN
+    or infinite entry leaves finite and which raises no floating-point
+    warning; the entrywise check runs only when that sum is not finite,
+    which an overflowing sum of finite entries also gives.
+
     Raises:
         NonFiniteInputError: some entry of x is NaN or infinite.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1 and math.isfinite(sum(x.tolist())):
+        return x
     if not np.isfinite(x).all():
         raise NonFiniteInputError(f"covariate vector holds NaN or inf: {x!r}")
     return x

@@ -105,9 +105,9 @@ def step_terms(state: SirState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         NumericalBreakdownError: the rank-one denominator n + rho is not
             finite and positive.
     """
-    counts = state.moments.slice_counts
-    if int(counts[0]) <= 0 or int(counts[1]) <= 0:
-        h_empty = 1 if int(counts[0]) <= 0 else 2
+    low, high = state.moments.slice_counts.tolist()
+    if low <= 0 or high <= 0:
+        h_empty = 1 if low <= 0 else 2
         raise EmptySliceError(
             f"cannot step the recursion while slice {h_empty} is empty", h_empty
         )
@@ -144,7 +144,8 @@ def advance(
     phi, w, denom = terms
     m, theta = state.moments, state.theta_hat
     n_new = m.n + 1
-    c_old = int(m.slice_counts[i])
+    grow = n_new / (n_new - 1.0)
+    c_new = m.slice_counts.item(i) + 1
     phi_h = x - m.slice_means[i]
     v = m.inv_cov @ phi_h
     # w' phi_h equals phi' inv phi_h by symmetry of the maintained inverse.
@@ -152,17 +153,17 @@ def advance(
     sign = -1.0 if i == 0 else 1.0
 
     theta -= (float(phi @ theta) / denom) * w
-    theta *= n_new / (n_new - 1.0)
+    theta *= grow
     v -= (cross / denom) * w
-    v *= sign * n_new / ((c_old + 1) * (n_new - 1.0))
+    v *= sign * n_new / (c_new * (n_new - 1.0))
     theta -= v
 
     m.inv_cov -= w[:, None] * w / denom
-    m.inv_cov *= n_new / (n_new - 1.0)
+    m.inv_cov *= grow
     m.mean += phi / n_new
     m.n = n_new
-    m.slice_means[i] += phi_h / (c_old + 1)
-    m.slice_counts[i] = c_old + 1
+    m.slice_means[i] += phi_h / c_new
+    m.slice_counts[i] = c_new
 
 
 def recursive_step(state: SirState, x: np.ndarray, y: float, slicer: Slicer) -> SirState:

@@ -19,6 +19,7 @@ from streamsir import (
     append,
     batch_moments,
     batch_sir,
+    curve,
     default_warmup,
     direction_path,
     direction_paths,
@@ -138,17 +139,6 @@ def test_run_stream_rejects_short_samples():
     sample = draw(reference_model(p=4), 20, 9)
     with pytest.raises(InsufficientDataError):
         run_stream(sample)  # default warm-up is 30
-
-
-def test_predict_next_matches_log_evaluation():
-    model = reference_model(p=4)
-    sample = draw(model, 80, 12)
-    state = init_stream(sample.head(30))
-    for i in range(30, 79):
-        state = stream_step(state, sample.covariates[i], float(sample.responses[i]))
-    x = sample.covariates[79]
-    u = float(state.theta_hat @ x)
-    assert predict_next(state, x) == evaluate(state.log, u)
 
 
 def _engine_arrays(state):
@@ -565,6 +555,131 @@ def test_non_finite_arrival_is_refused_without_touching_state(arrival, target, b
     # The stream carries on from the untouched state.
     good = stream_step(state, sample.covariates[arrival], float(sample.responses[arrival]))
     assert np.all(np.isfinite(good.theta_hat))
+
+
+def test_predict_next_matches_log_evaluation():
+    # At every arrival, with either kernel, the prediction is evaluate and
+    # the curve of the log as it stood before that arrival, bit for bit,
+    # and the loop ends on direction_paths' state.
+    sample = draw(reference_model(p=10), 2000, 12)
+    n0 = default_warmup(10)
+    batched = _path_arrays(direction_paths([sample])[0])
+    for kernel in (epanechnikov(), _TABLE):
+        state = init_stream(sample.head(n0), kernel=kernel)
+        predicted = np.full(sample.n - n0, np.nan)
+        points = np.empty(sample.n - n0)
+        for j, i in enumerate(range(n0, sample.n)):
+            x = sample.covariates[i]
+            points[j] = float(state.theta_hat @ x)
+            try:
+                predicted[j] = predict_next(state, x)
+            except NoSupportError:
+                pass
+            else:
+                assert predicted[j] == evaluate(state.log, points[j])
+            state = stream_step(state, x, float(sample.responses[i]))
+        log = state.log
+        want = np.array([
+            curve(kernel, points[j : j + 1], log.projections[:j], log.bandwidths[:j],
+                  log.responses[:j])[0][0]
+            for j in range(points.size)
+        ])
+        assert np.isfinite(predicted).sum() > 1900
+        assert np.array_equal(predicted.view(np.int64), want.view(np.int64)), kernel.name
+        assert np.array_equal(points.view(np.int64), log.projections.view(np.int64))
+        got = _path_arrays(engine.DirectionPath(
+            sir=state.sir, slicer=state.slicer, warmup_n=n0, projections=log.projections,
+            responses=log.responses, snapshots={},
+        ))
+        assert got.keys() == batched.keys()
+        for key in batched:
+            assert np.array_equal(np.asarray(got[key]).view(np.int64),
+                                  np.asarray(batched[key]).view(np.int64)), key
+
+
+_GOOD_Y = float(_GUARD_SAMPLE.responses[45])
+
+
+def _bad_row(at, value, y=_GOOD_Y):
+    """A refusal case for a row whose entry `at` is value: both calls refuse x."""
+    x = _GUARD_SAMPLE.covariates[45].copy()
+    x[at] = value
+    refusal = (NonFiniteInputError, f"covariate vector holds NaN or inf: {x!r}")
+    return x, y, refusal, refusal, []
+
+
+# (x, y, predict_next's refusal, stream_step's refusal, stream_step's
+# warnings).  A refusal is (type, message), with message None for numpy's
+# own errors, and "predict" for a NoSupportError at the projection; a None
+# refusal is a call not made, since predict_next takes no response.
+_REFUSALS = {
+    "nan": _bad_row(1, np.nan),
+    "+inf": _bad_row(0, np.inf),
+    "-inf": _bad_row(3, -np.inf),
+    "y": (_GUARD_SAMPLE.covariates[45], np.nan, None,
+          (NonFiniteInputError, "response nan is not finite"), []),
+    "x and y": _bad_row(2, np.inf, y=-np.inf),
+    "5 at p = 4": (np.ones(5), _GOOD_Y, (ValueError, None), (ValueError, None), []),
+    "shape (4, 1)": (np.ones((4, 1)), _GOOD_Y, (TypeError, None), (TypeError, None), []),
+    "overflow": (1e306 * np.ones(4), _GOOD_Y, (NoSupportError, "predict"),
+                 (NumericalBreakdownError,
+                  "rank-one update denominator inf is not finite and positive at n = 41"),
+                 [(RuntimeWarning, "overflow encountered in matmul")]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_per_arrival_refusals_keep_their_type_message_order_and_warnings(case):
+    x, y, predict_refusal, step_refusal, step_warnings = _REFUSALS[case]
+    calls = [(lambda state: predict_next(state, x), predict_refusal, []),
+             (lambda state: stream_step(state, x, y), step_refusal, step_warnings)]
+    for call, refusal, expected_warnings in calls:
+        if refusal is None:
+            continue
+        state = init_stream(_GUARD_SAMPLE.head(30))
+        for i in range(30, 40):
+            stream_step(state, _GUARD_SAMPLE.covariates[i], float(_GUARD_SAMPLE.responses[i]))
+        before = _engine_arrays(state)
+        kind, message = refusal
+        if message == "predict":
+            message = f"no kernel support at {float(state.theta_hat @ x)!r}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(kind) as refused:
+                call(state)
+        assert refused.type is kind
+        if message is not None:
+            assert str(refused.value) == message
+        assert [(w.category, str(w.message)) for w in caught] == expected_warnings
+        _assert_same_arrays(_engine_arrays(state), before)
+
+
+def test_the_per_arrival_api_reads_and_writes_the_log_through_engine_names(monkeypatch):
+    # perfbench/tracing.py times linkreg.evaluate and linkreg.append by
+    # patching these two engine attributes, so each arrival must call them.
+    calls = {"evaluate": 0, "append": 0}
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    sample = draw(reference_model(p=10), 80, 31)
+    state = init_stream(sample.head(30))
+    for i in range(30, 80):
+        x = sample.covariates[i]
+        try:
+            predict_next(state, x)
+        except NoSupportError:
+            pass
+        state = stream_step(state, x, float(sample.responses[i]))
+    assert calls == {"evaluate": 50, "append": 50}
 
 
 @pytest.mark.parametrize("row", [3, 45])

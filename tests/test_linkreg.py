@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,3 +503,50 @@ def test_curve_refuses_non_finite_points():
             _curve(log, [0.0, bad])
     with pytest.raises(NonFiniteInputError):
         _curve(_fresh_log(), [np.nan])
+
+
+def _long_log(size, seed):
+    """A log past _POINT_CELLS entries: standard normal projections and responses."""
+    rng = np.random.default_rng(seed)
+    log = _fresh_log(first_index=31)
+    log.extend(rng.standard_normal(size), rng.standard_normal(size) + 0.5)
+    return log
+
+
+def test_curve_past_point_cells_has_evaluates_bits():
+    # Past _POINT_CELLS entries each point meets the log a block at a time;
+    # its pairs are still in arrival order, so it keeps evaluate's bits.
+    log = _long_log(linkreg._POINT_CELLS + 5000, 33)
+    u, h = log.projections, log.bandwidths
+    points = np.concatenate((
+        np.random.default_rng(34).uniform(-3.0, 3.0, 12),
+        u[[0, linkreg._POINT_CELLS - 1, linkreg._POINT_CELLS, u.size - 1]],
+        [u[-1] + h[-1], u[linkreg._POINT_CELLS] - h[linkreg._POINT_CELLS], 40.0],
+    ))
+    est, den, count = _curve(log, points)
+    want = np.full(points.size, np.nan)
+    for j, x in enumerate(points.tolist()):
+        try:
+            want[j] = evaluate(log, x)
+        except NoSupportError:
+            assert den[j] == 0.0 and count[j] == 0
+    assert np.isnan(want).sum() == 1  # the far point
+    assert np.array_equal(est.view(np.int64), want.view(np.int64))
+
+
+def test_curve_past_point_cells_holds_one_block_and_the_in_window_pairs():
+    # Each float temporary of a block takes 8 bytes a cell and its mask one:
+    # 17 bytes a cell at _POINT_CELLS cells, whatever the log's length.
+    # Beyond that only the in-window pairs grow, at a few dozen bytes each.
+    log = _long_log(1 << 18, 35)
+    u, h = log.projections, log.bandwidths
+    points = np.array([-0.5, 0.0, 0.3])
+    pairs = max(int(np.count_nonzero(np.abs(x - u) <= h)) for x in points.tolist())
+    assert pairs > 1000
+    tracemalloc.start()
+    try:
+        _curve(log, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * linkreg._POINT_CELLS + 128 * pairs + (64 << 10)
