@@ -11,7 +11,7 @@ the script itself fixes, so those digests move with the reader and
 nothing else.  The reader inputs are the kernel table, which the runs
 also read, and `reader/projection_log.csv` and `reader/sample.csv`: 1500
 rows each of seeded pseudo-random values written with `%.17g`, so the
-reader converts more than one block of 1024 lines.  The lists of two
+reader converts several blocks of 256 lines.  The lists of two
 checkouts compare with a single `diff`:
 
     git archive <parent> | tar -x -C /tmp/parent
@@ -24,7 +24,11 @@ with 37 grid points, at 20000 grid points (several write blocks), with
 a tabulated triangle kernel (the table is written to
 `<dir>/kernel_table.csv`) and at p = 40, where the direction pass steps
 the recursion; simulate at n = 5000, and fit on that
-sample.csv through --input; predict at 41 points from the default fit's
+sample.csv through --input, at the defaults, at 3000 grid points (three
+grid blocks, each folding the log back in from fit's temporary copy),
+and on a copy with row 1500's covariates times 1e9 (`outlier.csv`, which
+the script writes into that run's directory), where the prefix form hands
+back to the recursion; predict at 41 points from the default fit's
 log, from the tabulated fit's log and from the --input fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
@@ -33,8 +37,9 @@ replications); 7-replication rate studies at sizes 64,129 and 64,159,
 whose draws end on a row that a block of 128 rows leaves alone (from the
 first row, and after the 30-row warm-up); and scatter at p = 10 and 20.
 cv and study run in one process whatever --workers says, so the workers
-2 and 3 runs check that the flag changes no artifact.  That is 113
-artifacts with the kernel table, plus the two other reader inputs.
+2 and 3 runs check that the flag changes no artifact.  That is 131
+files with the kernel table and the two outlier inputs, plus the two
+other reader inputs.
 
 With --compare, the script reads two such output directories instead and
 prints, for every artifact whose sha256 differs, the largest relative
@@ -73,6 +78,7 @@ TRIANGLE_TABLE = "x,k\n-1.5,0\n0,0.6666666666666666\n1.5,0\n"
 READER_LOG = "reader/projection_log.csv"
 READER_SAMPLE = "reader/sample.csv"
 READER_ROWS = 1500
+OUTLIER_ROW, OUTLIER_SCALE = 1500, 1e9
 # Run with the checkout's streamsir: the sha256 of the float64 bytes its
 # reader returns for each path in argv (a log's indices, projections and
 # responses; a sample's covariates and responses; a table's x and k).
@@ -124,6 +130,22 @@ def write_reader_inputs(root: Path) -> list[str]:
     return list(files)
 
 
+def write_outlier_sample(run_dir: Path) -> None:
+    """Write run_dir/outlier.csv: the seed's simulate sample with one row's covariates scaled.
+
+    The cells are written with `%.17g`, as the sample writer writes a
+    sample whose row OUTLIER_ROW (0-based) was multiplied by OUTLIER_SCALE.
+    """
+    lines = (run_dir.parent / "simulate" / "sample.csv").read_text(encoding="utf-8").splitlines()
+    *xs, y = lines[OUTLIER_ROW + 1].split(",")
+    lines[OUTLIER_ROW + 1] = ",".join([*(f"{float(x) * OUTLIER_SCALE:.17g}" for x in xs), y])
+    (run_dir / "outlier.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Inputs the script writes into a run's directory before it runs.
+PREPARE = {"fit-input-outlier": write_outlier_sample}
+
+
 def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every run for one seed, each after the runs whose files it reads."""
     study = ["study", "--seed", str(seed)]
@@ -137,6 +159,9 @@ def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
         ("fit-p40", ["fit", "--seed", str(seed), "--p", "40"]),
         ("simulate", ["simulate", "--seed", str(seed), "--n", "5000"]),
         ("fit-input", ["fit", "--input", "../simulate/sample.csv"]),
+        ("fit-input-grid3000",
+         ["fit", "--input", "../simulate/sample.csv", "--grid-count", "3000"]),
+        ("fit-input-outlier", ["fit", "--input", "outlier.csv"]),
         ("predict", ["predict", "--log", "../fit/projection_log.csv", f"--at={PREDICT_AT}"]),
         ("predict-tabulated",
          ["predict", "--log", "../fit-tabulated/projection_log.csv", *tabulated,
@@ -321,6 +346,8 @@ def main() -> int:
         for name, argv in runs(seed, table):
             run_dir = root / f"seed{seed}" / name
             run_dir.mkdir(parents=True, exist_ok=True)
+            if name in PREPARE:
+                PREPARE[name](run_dir)
             done = subprocess.run(
                 [sys.executable, "-m", "streamsir", *argv, "--out-dir", "."],
                 cwd=run_dir, env=env, capture_output=True, text=True,

@@ -29,7 +29,7 @@ from typing import NoReturn, Sequence
 
 from .config import SETTINGS, EngineConfig, load_config
 from .crossval import select_alpha
-from .engine import run_stream
+from .engine import _path_fold
 from .errors import ConfigError, StreamSirError
 from .kernels import KernelSpec, epanechnikov, tabulated_kernel, BandwidthSchedule
 from .linkreg import curve
@@ -43,6 +43,10 @@ from .studies import (
     scatter_study,
 )
 from . import io
+
+# Not called here: the per-layer tracer (perfbench/tracing.py) patches this
+# name by module attribute, so it stays importable.
+from .engine import run_stream  # noqa: F401
 
 OUTDIR_ENV = "STREAMSIR_OUTDIR"
 
@@ -135,39 +139,42 @@ def _cmd_simulate(args: argparse.Namespace, cfg: EngineConfig) -> int:
 
 def _cmd_fit(args: argparse.Namespace, cfg: EngineConfig) -> int:
     # A file is folded into stage 1 a block at a time, and a draw is held
-    # only by run_stream, so no sample outlives the call.
+    # only by stage 1; the log goes to a temporary file as it is made.  So
+    # no sample and no log outlives a chunk, and nothing is written out
+    # until stage 1 has succeeded.
     blocks = io.SampleBlocks(cfg.input) if cfg.input is not None else None
-    try:
-        kernel = _load_kernel(cfg)
-        state = run_stream(
-            blocks or draw(_model_from_config(cfg), cfg.n, cfg.seed),
-            alpha=cfg.alpha, kernel=kernel, warmup=cfg.warmup, boundary=cfg.boundary,
+    with io._FitLog(cfg.alpha) as log:
+        try:
+            kernel = _load_kernel(cfg)
+            sir, slicer, n0, _ = _path_fold(
+                blocks or draw(_model_from_config(cfg), cfg.n, cfg.seed),
+                cfg.warmup, cfg.boundary, (), log, log.restart,
+            )
+        except StreamSirError:
+            # File errors win, as when the file was read before anything else:
+            # parse the whole file, so that a malformed one raises its own error.
+            for _ in blocks or ():
+                pass
+            raise
+        if log.error is not None:
+            raise log.error
+        out = _resolve_out_dir(args, cfg)
+        io.write_json(
+            {
+                "n": int(sir.moments.n),
+                "p": int(sir.theta_hat.size),
+                "alpha": float(cfg.alpha),
+                "kernel": kernel.name,
+                "theta_hat": [float(v) for v in sir.theta_hat],
+                "slice_counts": [int(c) for c in sir.moments.slice_counts],
+                "boundary": float(slicer.boundary),
+                "warmup_n": int(n0),
+            },
+            out / "fit.json",
         )
-    except StreamSirError:
-        # File errors win, as when the file was read before anything else:
-        # parse the whole file, so that a malformed one raises its own error.
-        for _ in blocks or ():
-            pass
-        raise
-    log = state.log
-    out = _resolve_out_dir(args, cfg)
-    io.write_json(
-        {
-            "n": int(state.n),
-            "p": int(state.theta_hat.size),
-            "alpha": float(cfg.alpha),
-            "kernel": kernel.name,
-            "theta_hat": [float(v) for v in state.theta_hat],
-            "slice_counts": [int(c) for c in state.sir.moments.slice_counts],
-            "boundary": float(state.slicer.boundary),
-            "warmup_n": int(state.warmup_n),
-        },
-        out / "fit.json",
-    )
-    io.write_projection_log_csv(log, out / "projection_log.csv")
-    read = partial(curve, kernel, u=log.projections, h=log.bandwidths, y=log.responses)
-    io.write_grid_csv(cfg.grid_points(), read, out / "grid_estimates.csv")
-    io.write_moment_state(state.sir.moments, state.slicer, out / "state.json")
+        log.copy(out / "projection_log.csv")
+        io.write_grid_csv(cfg.grid_points(), partial(log.curve, kernel), out / "grid_estimates.csv")
+        io.write_moment_state(sir.moments, slicer, out / "state.json")
     for name in ("fit.json", "projection_log.csv", "grid_estimates.csv", "state.json"):
         print(out / name)
     return 0

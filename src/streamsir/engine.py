@@ -26,11 +26,14 @@ their logs and scores from them.  It matches the recursion within 1e-12
 (u_k scaled by |theta| |x_k|), and steps the recursion itself above
 _PREFIX_MAX_P covariates.  It is a fold over row blocks: a Sample is one
 block, and a re-iterable source of blocks, such as a CSV file read by
-io.SampleBlocks, is re-cut into the same chunks, so `fit` never holds its
-input whole and a source gives the bits of the Sample of its rows.  The
-prefix form never refuses a stream: where it fails (a prefix covariance
-that is ill-conditioned, not positive definite, not finite or singular)
-it hands back, the source is read again from the top, and the recursion
+io.SampleBlocks, is re-cut into the same chunks, and a source gives the
+bits of the Sample of its rows.  The fold itself, _path_fold, hands each
+chunk's projections and responses on as it is made: direction_path keeps
+them, and `fit` (io._FitLog) writes them to a temporary file, so `fit`
+holds neither its input nor its log.  The prefix form never refuses a
+stream: where it fails (a prefix covariance that is ill-conditioned, not
+positive definite, not finite or singular) it hands back, what was handed
+on is dropped, the source is read again from the top, and the recursion
 reruns from the kept warm-up state, so only the recursion's own checks
 refuse a stream.
 direction_paths runs the recursion over R samples of equal length at once,
@@ -54,7 +57,7 @@ checkpoints=) for direction snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +83,9 @@ DEFAULT_ALPHA = 0.35
 # A re-iterable source of (covariates, responses) row blocks, such as
 # io.SampleBlocks: each iteration yields the rows again from the first.
 Blocks = Iterable[tuple[np.ndarray, np.ndarray]]
+# What _path_fold hands each chunk of stage 1 to: take(start, u, y).
+_Take = Callable[[int, np.ndarray, np.ndarray], None]
+
 
 # direction_path takes the prefix form only up to this many covariates.
 # Measured at n = 20000 and 30000 (one BLAS thread, pinned core, best of 3):
@@ -187,7 +193,8 @@ def direction_path(
     (covariates, responses) row blocks, such as io.SampleBlocks.  The rows
     are folded in as they come (_rows): the first warmup rows seed the
     batch warm-up, and the rest arrive in _PREFIX_BLOCK-row chunks however
-    the source cuts its blocks, so a source is never held whole.
+    the source cuts its blocks, so a source is never held whole.  This is
+    _path_fold, keeping every chunk's projections and responses.
 
     The recursive estimate after k rows is the batch SIR estimate on those
     k rows, so the projections come from prefix totals (_prefix_pass),
@@ -210,6 +217,32 @@ def direction_path(
         TypeError: source is an iterator, which cannot be read again.
         Whatever a source raises while it is read, such as CsvFormatError.
     """
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    sir, slicer, n0, snapshots = _path_fold(
+        source, warmup, boundary, checkpoints, lambda _, u, y: kept.append((u, y)), kept.clear
+    )
+    return DirectionPath(
+        sir, slicer, n0, _joined([u for u, _ in kept]), _joined([y for _, y in kept]), snapshots
+    )
+
+
+def _path_fold(
+    source: Sample | Blocks, warmup: int | None, boundary: float | None,
+    checkpoints: tuple[int, ...], take: _Take, restart: Callable[[], None],
+) -> tuple[SirState, Slicer, int, dict[int, np.ndarray]]:
+    """direction_path's stage 1, handing each chunk to take as it is made.
+
+    take(start, u, y) gets the projections and responses of rows start + 1,
+    ..., start + len(u), in arrival order, and the fold keeps no reference
+    to them.  Where the prefix form hands back, restart() drops every chunk
+    taken so far, and the recursion's chunks follow from the first row
+    after the warm-up.  So once this returns, take has had each row after
+    the warm-up once, with direction_path's bits; if it raises, take may
+    have had any prefix.
+
+    Returns (sir, slicer, warm-up length, snapshots); raises as
+    direction_path.
+    """
     if isinstance(source, Sample):
         # A short sample is refused before its rows are checked.
         _warmup_length(source, warmup)
@@ -222,22 +255,15 @@ def direction_path(
     want = {int(c) for c in checkpoints}
     path = None
     if head.p <= _PREFIX_MAX_P:
-        path = _prefix_pass(head, rows, sir.moments, slicer, want)
+        path = _prefix_pass(head, rows, sir.moments, slicer, want, take)
         if path is None:
             # The hand-back: read the source again, past the warm-up rows.
+            restart()
             rows = _rows(source, head.n)
             next(rows)
     if path is None:
-        path = _recursion_pass(rows, sir, slicer, want)
-    sir, us, ys, snapshots = path
-    return DirectionPath(
-        sir=sir,
-        slicer=slicer,
-        warmup_n=head.n,
-        projections=_joined(us),
-        responses=_joined(ys),
-        snapshots=snapshots,
-    )
+        path = _recursion_pass(rows, sir, slicer, want, take)
+    return path[0], slicer, head.n, path[1]
 
 
 def _joined(chunks: list[np.ndarray]) -> np.ndarray:
@@ -286,15 +312,14 @@ def _rows(
 
 
 def _recursion_pass(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]], sir: SirState, slicer: Slicer, want: set[int]
-) -> tuple[SirState, list[np.ndarray], list[np.ndarray], dict[int, np.ndarray]]:
-    """Step sir in place over the chunks of rows after the warm-up.
+    chunks: Blocks, sir: SirState, slicer: Slicer, want: set[int], take: _Take
+) -> tuple[SirState, dict[int, np.ndarray]]:
+    """Step sir in place over the chunks of rows after the warm-up, handing each to take.
 
-    Returns (sir, u by chunk, responses by chunk, snapshots).
+    Returns (sir, snapshots).
     """
     moments, theta = sir.moments, sir.theta_hat
     snapshots = {moments.n: theta.copy()} if moments.n in want else {}
-    us, kept = [], []
     for xs, ys in chunks:
         u = np.empty(xs.shape[0], dtype=np.float64)
         for j, i in enumerate((slicer.slices_of(ys) - 1).tolist()):
@@ -305,9 +330,8 @@ def _recursion_pass(
             advance(sir, x, i, rank_one_terms(moments, x))
             if moments.n in want:
                 snapshots[moments.n] = theta.copy()
-        us.append(u)
-        kept.append(ys)
-    return sir, us, kept, snapshots
+        take(moments.n - u.size, u, ys)
+    return sir, snapshots
 
 
 def _prefix_pass(
@@ -316,11 +340,12 @@ def _prefix_pass(
     warm: MomentState,
     slicer: Slicer,
     want: set[int],
-) -> tuple[SirState, list[np.ndarray], list[np.ndarray], dict[int, np.ndarray]] | None:
-    """Stage 1 from prefix totals, a chunk of rows at a time.
+    take: _Take,
+) -> tuple[SirState, dict[int, np.ndarray]] | None:
+    """Stage 1 from prefix totals, a chunk of rows at a time, handing each to take.
 
-    Returns (sir, u by chunk, responses by chunk, snapshots).  head holds
-    the warm-up rows, warm their moments, and chunks the rows after them.
+    Returns (sir, snapshots).  head holds the warm-up rows, warm their
+    moments, and chunks the rows after them.
 
     Rows are centred on the warm-up mean m0, c_i = x_i - m0.  Before row
     k + 1 the pass carries four totals over the first k rows: the centred
@@ -352,7 +377,7 @@ def _prefix_pass(
     scatter = centred.T @ centred - np.outer(sums[0], sums[0]) / n0
     low = int(warm.slice_counts[0])
 
-    us, kept, snapshots = [], [], {}
+    snapshots = {}
     prefix = None
     a = n0
     for xs, ys in chunks:
@@ -388,11 +413,12 @@ def _prefix_pass(
             theta = np.linalg.solve(scatters[:-1], (k * diff)[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             return None
-        us.append(np.einsum("kj,kj->k", theta, xs))
-        kept.append(ys)
         for m in want.intersection(range(a, b)):
             snapshots[m] = theta[m - a].copy()
-        scatter, sums, low = scatters[-1].copy(), totals[-1], int(lows[-1])
+        scatter, sums, low = scatters[-1].copy(), totals[-1].copy(), int(lows[-1])
+        # Hold only the buffer and theta while take works.
+        del c, rows, totals, r, t, d, diff
+        take(a, np.einsum("kj,kj->k", theta, xs), ys)
         a = b
 
     n = a
@@ -411,7 +437,7 @@ def _prefix_pass(
     sir = SirState(moments=moments, theta_hat=direction_from_moments(moments))
     if n in want:
         snapshots[n] = sir.theta_hat.copy()
-    return sir, us, kept, snapshots
+    return sir, snapshots
 
 
 def _well_conditioned(centred: np.ndarray) -> bool:

@@ -5,13 +5,16 @@ enough digits to round-trip an IEEE double exactly; reading back what was
 written reproduces the same bits.  CSV schemas are strict: exact headers,
 rectangular rows, finite numeric cells, log indices as decimal digits.
 Every CSV is read through _csv_blocks, and every one but the fit curve is
-written from columns through _write_table, which alone decides how a cell
-is written: integers and booleans as digits, floats with %.17g, NaN as an
-empty cell.  Both work a block of lines at a time, so no file's text is
-ever held whole.  _read_csv, and read_sample_csv for samples, concatenate
-the parsed blocks; SampleBlocks hands a sample's blocks to the engine one
-at a time, so `fit` never holds the sample's rows whole either.  numpy's C
-text reader parses a block's cells as float() does; a block whose result
+written from blocks of columns through _write_blocks, which alone decides
+how a cell is written: integers and booleans as digits, floats with %.17g,
+NaN as an empty cell.  Both work a block of lines at a time, so no file's
+text is ever held whole: a read block is _READ_LINES (256) lines, a write
+call _BLOCK_LINES (1024) rows.  _read_csv, and read_sample_csv for
+samples, concatenate the parsed blocks; SampleBlocks hands a sample's
+blocks to the engine one at a time, so `fit` never holds the sample's rows
+whole either, and _FitLog keeps fit's projection log in a temporary file
+as it grows, so `fit` holds no log.  numpy's C text reader parses a
+block's cells as float() does; a block whose result
 it cannot vouch for (see _cells) is read again a cell at a time with
 float(), which reports the first error.  JSON documents carry a
 schema_version field and are written with sorted keys and a trailing
@@ -20,18 +23,20 @@ newline so byte-identical reruns are possible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import tempfile
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, StreamSirError
 from .kernels import BandwidthSchedule, KernelSpec
-from .linkreg import ProjectionLog
+from .linkreg import ProjectionLog, _folded_curve, _non_finite_entry
 from .moments import MomentState, Slicer
 from .simulate import Sample
 
@@ -43,6 +48,10 @@ SCHEMA_VERSION = 1
 _INDEX_LIMIT = 2**53
 
 _BLOCK_LINES = 1024  # lines per write call, and grid points per read
+# Lines per read block.  `fit` folds a file into stage 1 as it reads it, so
+# one block's text, lines and cells are most of what the read holds; 256
+# lines parse as fast as 1024.
+_READ_LINES = 256
 
 
 def fmt(value: float) -> str:
@@ -118,7 +127,7 @@ def _cells(text: str, names: Sequence[str], first_line: int, index: bool = False
 def _csv_blocks(
     path: str | Path, columns: Callable[[list[str]], Sequence[str]], index: bool = False
 ) -> Iterator[np.ndarray]:
-    """The data rows of a CSV as float arrays, one per _BLOCK_LINES lines of the file.
+    """The data rows of a CSV as float arrays, one per _READ_LINES lines of the file.
 
     columns checks the header's cells and returns the column names.  Lines
     split as str.splitlines splits the whole text, and blocks are checked in
@@ -130,7 +139,7 @@ def _csv_blocks(
     header, line_no = None, 2
     try:
         with open(path, encoding="utf-8") as f:
-            while lines := list(islice(f, _BLOCK_LINES)):
+            while lines := list(islice(f, _READ_LINES)):
                 text = "".join(lines)
                 if header is None:
                     first = text.splitlines(keepends=True)[0]
@@ -154,19 +163,25 @@ def _read_csv(
 
 
 def _write_table(path: str | Path, columns: dict[str, np.ndarray]) -> None:
-    """Write equal-length 1-d columns as CSV: a header of the keys, then the rows.
+    """Write equal-length 1-d columns as CSV: a header of the keys, then the rows."""
+    _write_blocks(path, ",".join(columns), [list(columns.values())])
+
+
+def _write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write a CSV: the header line, then each block's equal-length 1-d columns as rows.
 
     Integer and boolean cells are written as digits, floats with %.17g and
     NaN as an empty cell, _BLOCK_LINES rows per write call.
     """
-    arrays = [np.asarray(a) for a in columns.values()]
-    row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(columns) + "\n")
-        for a in range(0, len(arrays[0]), _BLOCK_LINES):
-            rows = zip(*(c[a : a + _BLOCK_LINES].tolist() for c in arrays))
-            # %.17g writes NaN as "nan", and no other cell holds those letters.
-            f.write("".join([row % r for r in rows]).replace("nan", ""))
+        f.write(header + "\n")
+        for columns in blocks:
+            arrays = [np.asarray(a) for a in columns]
+            row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
+            for a in range(0, len(arrays[0]), _BLOCK_LINES):
+                rows = zip(*(c[a : a + _BLOCK_LINES].tolist() for c in arrays))
+                # %.17g writes NaN as "nan", and no other cell holds those letters.
+                f.write("".join([row % r for r in rows]).replace("nan", ""))
 
 
 def write_sample_csv(sample: Sample, path: str | Path) -> None:
@@ -210,11 +225,12 @@ def _fixed_columns(*names: str) -> Callable[[list[str]], Sequence[str]]:
 
 @dataclass(frozen=True)
 class SampleBlocks:
-    """A sample CSV as (covariates, responses) blocks of up to _BLOCK_LINES rows.
+    """A sample CSV as (covariates, responses) blocks of up to _READ_LINES rows.
 
     Each iteration reads the file again from the top, one block at a time,
-    so the rows are never held whole: engine.run_stream folds them in as
-    they come, and reads the file again where its prefix form hands back.
+    so the rows are never held whole: stage 1 (engine.direction_path, and
+    `fit`'s fold) takes them in as they come, and reads the file again
+    where its prefix form hands back.
     Each block's arrays are C-contiguous copies, so a block kept whole or
     in part pins nothing else.
 
@@ -246,9 +262,76 @@ def read_sample_csv(path: str | Path) -> Sample:
     return Sample(np.concatenate(xs), np.concatenate(ys))
 
 
+# Not called here: fit writes its log through _FitLog.  The per-layer tracer
+# (perfbench/tracing.py) patches this name by module attribute, so it stays.
 def write_projection_log_csv(log: ProjectionLog, path: str | Path) -> None:
     """Write a projection log as k,u,y rows."""
     _write_table(path, {"k": log.indices, "u": log.projections, "y": log.responses})
+
+
+class _FitLog(contextlib.AbstractContextManager):
+    """fit's projection log, taken from stage 1 a chunk at a time: engine._path_fold's take.
+
+    Each chunk's projections and responses go to an anonymous temporary
+    file as float64 (u, y) pairs, so fit holds neither its sample nor its
+    log; the entries' indices run on from the first one taken.  restart,
+    the prefix form's hand-back, drops every entry taken.  Once stage 1 is
+    done, curve folds the file back in, _BLOCK_LINES entries at a time, for
+    each of write_grid_csv's point blocks, and copy writes it out as
+    projection_log.csv, with the bytes write_projection_log_csv writes.
+    The text is made only there: made chunk by chunk, between the chunks of
+    the prefix form, it slowed fit by about 8%.  A non-finite projection is
+    kept as the error ProjectionLog would raise for it, for fit to raise
+    once stage 1 has succeeded, as when the log was filled after it.  An
+    OSError of the file is raised as StreamSirError.  The file is gone once
+    the log is closed; a with block closes it.
+    """
+
+    def __init__(self, alpha: float) -> None:
+        self.schedule = BandwidthSchedule(alpha=alpha)
+        self._file = _spooled(tempfile.TemporaryFile)
+        self.restart()
+
+    def __exit__(self, *exc: object) -> None:
+        _spooled(self._file.close)
+
+    def restart(self) -> None:
+        _spooled(self._file.seek, 0)
+        _spooled(self._file.truncate)
+        self.first, self.error = 1, None
+
+    def __call__(self, start: int, u: np.ndarray, y: np.ndarray) -> None:
+        if self.error is None and not np.isfinite(u).all():
+            i = int(np.argmin(np.isfinite(u)))
+            self.error = _non_finite_entry(start + 1 + i, float(u[i]), float(y[i]))
+        # The file holds entries first, ..., start, 16 bytes each.
+        self.first = start + 1 - self._file.tell() // 16
+        _spooled(self._file.write, np.stack((u, y), axis=1).tobytes())
+
+    def _entries(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The entries taken, as (k, u, y) blocks of up to _BLOCK_LINES entries."""
+        k = self.first
+        _spooled(self._file.seek, 0)
+        while data := _spooled(self._file.read, 16 * _BLOCK_LINES):
+            u, y = np.frombuffer(data).reshape(-1, 2).T
+            yield np.arange(k, k + u.size), u, y
+            k += u.size
+
+    def curve(self, kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """linkreg.curve's (estimates, denominators, contributing) of the entries taken."""
+        blocks = ((u, self.schedule.h(k), y) for k, u, y in self._entries())
+        return _folded_curve(kernel, points, blocks)
+
+    def copy(self, path: str | Path) -> None:
+        _write_blocks(path, "k,u,y", self._entries())
+
+
+def _spooled(op: Callable[..., Any], *args: Any) -> Any:
+    """op(*args), an operation on fit's temporary log file, raising an OSError as StreamSirError."""
+    try:
+        return op(*args)
+    except OSError as exc:
+        raise StreamSirError(f"cannot use fit's temporary log file: {exc}") from None
 
 
 def read_projection_log_csv(
@@ -282,8 +365,9 @@ def write_grid_csv(
     """Write the curve at points as x,f_hat,denominator,n_contributing rows.
 
     read maps points to linkreg.curve's (estimates, denominators,
-    contributing); it gets _BLOCK_LINES points at a time, each block once
-    the one before is written, so memory does not grow with the points.
+    contributing); it gets _BLOCK_LINES points at a time, in order from
+    the first, each block once the one before is written, so memory does
+    not grow with the points.
     Points no kernel window covers get f_hat = nan with denominator 0.
     """
     with open(path, "w", encoding="utf-8") as out:

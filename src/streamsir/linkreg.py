@@ -13,16 +13,21 @@ _pair_sums holds the one summation rule behind every estimate read from
 the log: each sum is the sequential left-to-right float64 sum, from 0.0,
 of the entries whose window covers the point, in arrival order.  The rule
 does not depend on how many points one call takes or how their pairs were
-found, and every reader calls it directly.  evaluate and curve gather the
-in-window pairs of a dense difference block: evaluate for one point, curve
-for many (the fit curve, predict, the study checkpoints), so a curve value
-equals evaluate at that point bit for bit.  The cross-validation replay
-finds its pairs by a sorted search.
+found, and every reader calls it directly.  evaluate and _folded_curve
+gather the in-window pairs of a dense difference block: evaluate for one
+point over the whole log, _folded_curve for many points over one block of
+entries at a time, carrying each point's sums from block to block.  So the
+sums are a fold over the log, as the estimator is a recursion: curve
+(predict, the study checkpoints) folds a log it holds, and `fit` folds
+its log back from a temporary file, a block at a time.  Either way a
+value equals evaluate at that point bit for bit.  The cross-validation
+replay finds its pairs by a sorted search.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -33,12 +38,11 @@ _INITIAL_CAPACITY = 64
 # Entries per bandwidth block when many entries are written at once.
 _H_BLOCK = 1 << 14
 
-# A chunk of curve takes _POINT_CELLS // m points of an m-entry log, and at
-# least one; past _POINT_CELLS entries its one point meets the log a block
-# of _POINT_CELLS entries at a time.  So a difference block holds at most
-# _POINT_CELLS (point, entry) cells, and each of its float temporaries,
-# such as d and |d|, takes 8 bytes a cell: 512 KiB at 2**16 cells.  With
-# the sample no longer held, these temporaries set fit's peak memory.
+# curve meets the log a block of at most _POINT_CELLS entries at a time, and
+# _folded_curve takes _POINT_CELLS // m points of an m-entry block, and at
+# least one.  So a difference block holds at most _POINT_CELLS (point,
+# entry) cells, and each of its float temporaries takes 8 bytes a cell:
+# 512 KiB at 2**16 cells.
 _POINT_CELLS = 1 << 16
 
 
@@ -187,7 +191,7 @@ def append(log: ProjectionLog, x_new: np.ndarray, y_new: float, theta_prev: np.n
 
 def _pair_sums(
     kernel: KernelSpec, row: np.ndarray, d: np.ndarray, h: np.ndarray, y: np.ndarray,
-    rows: int, count: bool = False,
+    rows: int, count: bool = False, carry: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Per-row kernel sums over gathered (row, d, h, y) pairs: the one summation rule.
 
@@ -196,7 +200,10 @@ def _pair_sums(
     order, while pairs of different rows may interleave.  w = K(d / h) / h,
     and one bincount per sum gives each row the sequential left-to-right
     float64 sums of its pairs, from 0.0.  That rule fixes the bits of every
-    estimate taken from the log, however the pairs were found.
+    estimate taken from the log, however the pairs were found.  carry, the
+    (numerator, denominator) of the entries before these, goes ahead of
+    them as one pair per row, so the sums continue where those left off:
+    0.0 plus a carried sum is that sum, and a sum from 0.0 is never -0.0.
 
     Returns (numerator, denominator, contributing), each of shape (rows,);
     contributing counts the pairs with a positive weight (kernels are
@@ -205,10 +212,49 @@ def _pair_sums(
     pairs sit only on window edges where K vanishes.
     """
     w = np.asarray(kernel.eval(d / h)) / h
-    num = np.bincount(row, weights=w * y, minlength=rows)
-    den = np.bincount(row, weights=w, minlength=rows)
     contributing = np.bincount(row[w != 0.0], minlength=rows) if count else None
+    wy = w * y
+    if carry is not None:
+        row = np.concatenate((np.arange(rows), row))
+        wy, w = np.concatenate((carry[0], wy)), np.concatenate((carry[1], w))
+    num = np.bincount(row, weights=wy, minlength=rows)
+    den = np.bincount(row, weights=w, minlength=rows)
     return num, den, contributing
+
+
+def _folded_curve(
+    kernel: KernelSpec, points: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """curve's (estimates, denominators, contributing) of a log given as (u, h, y) entry blocks.
+
+    Each block continues every point's sums over the blocks before it.  A
+    point's in-window pairs are gathered row-major from a difference block
+    of _POINT_CELLS // len(u) points and at least one, so they sit in
+    arrival order, and _pair_sums carries the sums on over them.  So a log
+    folded block by block, whatever the blocks, gives each point the bits
+    of one _pair_sums call over the whole log: the bits of evaluate.
+    """
+    num, den = np.zeros(points.size), np.zeros(points.size)
+    count = np.zeros(points.size, dtype=np.int64)
+    radius = kernel.support_radius
+    for u, h, y in blocks:
+        reach = h if radius == 1.0 else radius * h
+        step = max(1, _POINT_CELLS // u.size)
+        for a in range(0, points.size, step):
+            rows = slice(a, a + step)
+            x = points[rows]
+            # |x - u| overwrites the differences, and each pair's own x - u
+            # is taken again: the same bits, and one block-sized float array.
+            gap = x[:, None] - u
+            idx = np.flatnonzero(np.abs(gap, out=gap) <= reach)
+            row = idx // u.size
+            col = idx - row * u.size
+            num[rows], den[rows], seen = _pair_sums(
+                kernel, row, x[row] - u[col], h[col], y[col], x.size, count=True,
+                carry=(num[rows], den[rows]),
+            )
+            count[rows] += seen
+    return np.divide(num, den, out=np.full(points.size, np.nan), where=den > 0.0), den, count
 
 
 def curve(
@@ -217,14 +263,11 @@ def curve(
     """The estimate of the log (u_k, h_k, y_k) at many points, with evaluate's bits.
 
     Each point's sums are _pair_sums over the entries whose window covers
-    it (|x - u_k| <= R h_k), gathered row-major from a chunk's difference
-    block, so each point's entries sit in arrival order.  A chunk takes
-    _POINT_CELLS // m points of the m-entry log and at least one.  Past
-    _POINT_CELLS entries, its one point meets a block of _POINT_CELLS
-    entries at a time, and the blocks' pairs are joined in block order, so
-    they too sit in arrival order; a block holds at most _POINT_CELLS
-    (point, entry) cells, and what grows with the log is the in-window
-    pairs alone.
+    it (|x - u_k| <= R h_k), in arrival order: _folded_curve folds the log
+    in _POINT_CELLS entries at a time, each block continuing the sums of
+    the blocks before it.  A difference block holds at most _POINT_CELLS
+    (point, entry) cells, so what grows with the log is the in-window pairs
+    of one block alone.
 
     Returns (estimates, denominators, contributing), each of shape
     (points,): NaN estimates where the denominator is <= 0, which an empty
@@ -237,32 +280,8 @@ def curve(
     bad = ~np.isfinite(points)
     if bad.any():
         raise NonFiniteInputError(f"evaluation point must be finite, got {points[bad][0]!r}")
-    num = np.zeros(points.size)
-    den = np.zeros(points.size)
-    count = np.zeros(points.size, dtype=np.int64)
-    est = np.full(points.size, np.nan)
-    if u.size == 0:
-        return est, den, count
-    radius = kernel.support_radius
-    reach = h if radius == 1.0 else radius * h
-    step = max(1, _POINT_CELLS // u.size)
-    for a in range(0, points.size, step):
-        rows = slice(a, a + step)
-        parts = []
-        for b in range(0, u.size, _POINT_CELLS):
-            cols = slice(b, b + _POINT_CELLS)
-            d = points[rows, None] - u[cols]
-            idx = np.flatnonzero(np.abs(d) <= reach[cols])
-            row = idx // d.shape[1]
-            col = idx - row * d.shape[1]
-            parts.append((row, d.ravel()[idx], h[cols][col], y[cols][col]))
-        pairs = parts[0] if len(parts) == 1 else [np.concatenate(field) for field in zip(*parts)]
-        num[rows], den[rows], count[rows] = _pair_sums(
-            kernel, *pairs, d.shape[0], count=True
-        )
-    ok = den > 0.0
-    est[ok] = num[ok] / den[ok]
-    return est, den, count
+    cut = [slice(b, b + _POINT_CELLS) for b in range(0, u.size, _POINT_CELLS)]
+    return _folded_curve(kernel, points, ((u[c], h[c], y[c]) for c in cut))
 
 
 def evaluate(log: ProjectionLog, x: float) -> float:

@@ -1,7 +1,11 @@
 import contextlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -9,7 +13,10 @@ import pytest
 
 from _cli import child_env, run_cli
 from streamsir import (
+    BandwidthSchedule,
+    curve,
     draw,
+    epanechnikov,
     init_stream,
     reference_model,
     run_stream,
@@ -19,7 +26,7 @@ from streamsir import (
 )
 from streamsir import CsvFormatError, cli, io
 from streamsir.cli import run
-from streamsir.config import SETTINGS
+from streamsir.config import SETTINGS, EngineConfig
 from streamsir.io import read_sample_csv, write_projection_log_csv, write_sample_csv
 
 
@@ -239,6 +246,53 @@ def test_fit_streams_a_file_with_the_bits_of_its_sample_in_memory(
         assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
 
 
+@pytest.mark.parametrize("outlier", [None, 1e9], ids=["prefix", "hands-back"])
+def test_fit_grid_of_several_blocks_is_the_curve_of_its_log(tmp_path, outlier):
+    # fit folds its log back from its temporary file for each block of grid
+    # points; every block is linkreg.curve over the log fit wrote, also
+    # where the prefix form hands back.
+    sample = draw(reference_model(p=10), 3000, 3)
+    if outlier is not None:
+        sample.covariates[1500] *= outlier
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    count = 2 * io._BLOCK_LINES + 37
+    with contextlib.redirect_stdout(StringIO()):
+        assert run(["fit", "--input", str(tmp_path / "sample.csv"), "--grid-count", str(count),
+                    "--out-dir", str(tmp_path / "fit")]) == 0
+    log = io.read_projection_log_csv(
+        tmp_path / "fit" / "projection_log.csv", epanechnikov(), BandwidthSchedule(alpha=0.35)
+    )
+    read = partial(curve, log.kernel, u=log.projections, h=log.bandwidths, y=log.responses)
+    io.write_grid_csv(EngineConfig(grid_count=count).grid_points(), read, tmp_path / "curve.csv")
+    fitted = (tmp_path / "fit" / "grid_estimates.csv").read_bytes()
+    assert fitted == (tmp_path / "curve.csv").read_bytes()
+
+
+def test_one_fit_over_a_csv_holds_as_much_whatever_the_file_length(tmp_path):
+    # fit folds each chunk of rows into stage 1 and its temporary log file,
+    # and reads the log back a block at a time, so one run's traced peak
+    # does not grow with the file: by at most 256 KiB from 20000 to 80000
+    # rows.  Holding the log and the path's projections, it grew by about
+    # 1.7 MiB.
+    def peak(path):
+        tracemalloc.start()
+        try:
+            assert run(["fit", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    paths = []
+    for n in (20000, 80000):
+        paths.append(tmp_path / f"{n}.csv")
+        write_sample_csv(draw(reference_model(p=10), n, 9), paths[-1])
+    with contextlib.redirect_stdout(StringIO()):
+        # An untraced first run, so that no one-time allocation counts.
+        assert run(["fit", "--input", str(paths[0]), "--out-dir", str(tmp_path / "out")]) == 0
+        peaks = [peak(path) for path in paths]
+    assert peaks[1] - peaks[0] <= 256 << 10, peaks
+
+
 def _fit_error(tmp_path, name):
     """The one stderr line of a refused fit --input run on tmp_path / name."""
     r = run_cli(["fit", "--input", name], tmp_path)
@@ -248,8 +302,8 @@ def _fit_error(tmp_path, name):
 
 def test_a_file_error_wins_over_an_engine_error_raised_before_it(tmp_path):
     # Row 1500 at 10^11 times its size: the prefix form hands back, and the
-    # recursion breaks down at n = 2085, in the file's third read block.  A
-    # malformed line four blocks further on is still the error fit reports,
+    # recursion breaks down at n = 2085, in the file's ninth read block.  A
+    # malformed line eight blocks further on is still the error fit reports,
     # as when it read the whole file first.
     sample = draw(reference_model(p=10), 3000, 3)
     sample.covariates[1500] *= 1e11
@@ -264,6 +318,55 @@ def test_a_file_error_wins_over_an_engine_error_raised_before_it(tmp_path):
         read_sample_csv(tmp_path / "malformed.csv")
     assert str(want.value).startswith("line 4101: ")
     assert _fit_error(tmp_path, "malformed.csv") == f"CsvFormatError: {want.value}\n"
+
+
+@pytest.mark.parametrize(
+    "p, error",
+    [
+        pytest.param(10, "CsvFormatError: line 3001: y cell 'oops' is not numeric\n",
+                     id="bad-cell-in-the-last-read-block"),
+        # Row 1500 at 10^100 times its size: the recursion (p = 40) takes it,
+        # and a later rank-one denominator comes out negative.
+        pytest.param(40, "NumericalBreakdownError: rank-one update denominator "
+                     "-5.790294471610966e+178 is not finite and positive at n = 1504\n",
+                     id="stage-1-refuses-the-stream"),
+    ],
+)
+def test_a_fit_that_fails_after_rows_have_streamed_writes_nothing(tmp_path, p, error):
+    # Stage 1 has folded whole chunks of rows by the time either error is
+    # raised; the run still exits 1 with the error alone, and makes no
+    # output directory.
+    sample = draw(reference_model(p=p), 3000 if p == 10 else 2000, 3)
+    if p == 40:
+        sample.covariates[1500] *= 1e100
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    if p == 10:
+        text = (tmp_path / "sample.csv").read_text()
+        (tmp_path / "sample.csv").write_text(text[: text.rindex(",") + 1] + "oops\n")
+    r = run_cli(["fit", "--input", "sample.csv", "--out-dir", "od/new"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr == error
+    assert not (tmp_path / "od").exists()
+
+
+@pytest.mark.parametrize("spool", ["missing-directory", "full-disk"])
+def test_a_fit_whose_temporary_log_fails_exits_with_one_line(tmp_path, monkeypatch, capsys, spool):
+    # fit keeps its log in an anonymous temporary file.  A temporary
+    # directory that is gone, or a disk that fills up as stage 1 writes,
+    # ends the run with one error line and no output directory.
+    if spool == "missing-directory":
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "gone"))
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: open("/dev/full", "w+b"))
+    write_sample_csv(draw(reference_model(p=10), 3000, 3), tmp_path / "sample.csv")
+    argv = ["fit", "--input", str(tmp_path / "sample.csv"), "--out-dir", str(tmp_path / "od")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("StreamSirError: cannot use fit's temporary log file: ["), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "od").exists()
 
 
 def test_fit_refuses_an_empty_or_short_file_as_it_refuses_the_sample(tmp_path):

@@ -278,7 +278,7 @@ def _prefix_form_runs(sample, warmup=None):
     rows = engine._rows(((sample.covariates, sample.responses),), warmup)
     head = Sample(*next(rows))
     sir, slicer = engine._warm_up(head, None)
-    return engine._prefix_pass(head, rows, sir.moments, slicer, set()) is not None
+    return engine._prefix_pass(head, rows, sir.moments, slicer, set(), lambda *_: None) is not None
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e4])

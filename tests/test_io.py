@@ -270,8 +270,8 @@ def test_a_file_with_several_errors_reports_the_first(tmp_path, reader, text, me
     [
         ([5, 4], 3),
         ([1, 2, 2, 3], 4),
-        # Lines 2..1024 fill the first block with the header; 1025 opens the second.
-        ([*range(1, sio._BLOCK_LINES), 7, sio._BLOCK_LINES + 1], sio._BLOCK_LINES + 1),
+        # Lines 2..256 fill the first read block with the header; 257 opens the second.
+        ([*range(1, sio._READ_LINES), 7, sio._READ_LINES + 1], sio._READ_LINES + 1),
     ],
     ids=["decrease", "repeat", "decrease-opening-the-second-block"],
 )
@@ -286,7 +286,9 @@ def test_a_log_out_of_order_names_its_first_line_out_of_order(tmp_path, ks, line
 
 
 @pytest.mark.parametrize(
-    "lines", [sio._BLOCK_LINES - 1, sio._BLOCK_LINES, 2 * sio._BLOCK_LINES + 37]
+    "lines",
+    [sio._READ_LINES - 1, sio._READ_LINES, sio._BLOCK_LINES - 1, sio._BLOCK_LINES,
+     2 * sio._BLOCK_LINES + 37],
 )
 def test_a_sample_read_a_block_at_a_time_equals_a_cell_by_cell_read(tmp_path, lines):
     # The header shares the first block with the first data lines; rows
@@ -515,8 +517,8 @@ _LOG_INDEX_CASES = {
     "k-space": _cell_edit(lambda k: f" {k}", cell=0),
     "k-zero": _cell_edit(lambda k: "0", cell=0),
 }
-# File line 3 lies in the first block, with the header; the other in the second.
-_PARITY_LINES = {"first-block": 2, "second-block": sio._BLOCK_LINES + 4}
+# File line 3 lies in the first read block, with the header; the other in the second.
+_PARITY_LINES = {"first-block": 2, "second-block": sio._READ_LINES + 4}
 
 
 @pytest.mark.parametrize("where", list(_PARITY_LINES))
@@ -548,7 +550,7 @@ _SCRAPS = st.text(
     schema=st.sampled_from(
         [(("x1", "x2", "y"), False), (("k", "u", "y"), True), (("x", "k"), False)]
     ),
-    lead=st.sampled_from([0, 1, sio._BLOCK_LINES - 3]),
+    lead=st.sampled_from([0, 1, sio._READ_LINES - 3]),
     cells=st.lists(st.one_of(_NUMBERS, _NUMBERS, _SCRAPS, st.integers(0, 10**17).map(str)),
                    min_size=1, max_size=12),
     end=st.sampled_from(["\n", "\r\n", "\r"]),
@@ -571,7 +573,7 @@ def test_random_cells_read_as_a_cell_by_cell_float_read(tmp_path, schema, lead, 
 
 @pytest.mark.parametrize(
     "text",
-    ["x,k\n", "x,k\n\n", "x,k\n" + "1,0\n" * (sio._BLOCK_LINES - 1) + "\n\n"],
+    ["x,k\n", "x,k\n\n", "x,k\n" + "1,0\n" * (sio._READ_LINES - 1) + "\n\n"],
     ids=["header-only", "one-blank-line", "second-block-blank"],
 )
 def test_a_block_without_cells_is_read_as_float_reads_it(tmp_path, text):

@@ -495,6 +495,30 @@ def test_curve_chunks_keep_the_bits(monkeypatch):
             assert np.array_equal(got, want, equal_nan=True), cells
 
 
+@pytest.mark.parametrize("kernel", [epanechnikov(), _TABLE], ids=["epanechnikov", "tabulated"])
+@pytest.mark.parametrize(
+    "block, size", [(1, 300), (7, 2000), (512, 30000), ((1 << 16) + 3, (1 << 17) + 10)]
+)
+def test_curve_folded_over_entry_blocks_has_the_bits_of_the_whole_log(
+    monkeypatch, kernel, block, size
+):
+    # curve meets the log _POINT_CELLS entries at a time.  Whatever the
+    # block, each point's estimate, denominator and count equal those of
+    # one block holding the whole log, points no window covers included.
+    rng = np.random.default_rng(block)
+    log = ProjectionLog(kernel, BandwidthSchedule(alpha=0.35), first_index=31)
+    log.extend(rng.standard_normal(size), rng.standard_normal(size) + 0.5)
+    points = np.concatenate((rng.uniform(-3.0, 3.0, 9), log.projections[[0, -1]], [-40.0, 40.0]))
+    monkeypatch.setattr(linkreg, "_POINT_CELLS", size)
+    whole = _curve(log, points)
+    monkeypatch.setattr(linkreg, "_POINT_CELLS", block)
+    folded = _curve(log, points)
+    assert np.isnan(whole[0][-2:]).all() and not np.isnan(whole[0][:-2]).any()
+    for got, want in zip(folded, whole):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_curve_refuses_non_finite_points():
     log = _fresh_log()
     log.push(0.0, 1.0)
