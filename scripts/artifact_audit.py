@@ -28,7 +28,9 @@ sample.csv through --input, at the defaults, at 3000 grid points (three
 grid blocks, each folding the log back in from fit's temporary copy),
 and on a copy with row 1500's covariates times 1e9 (`outlier.csv`, which
 the script writes into that run's directory), where the prefix form hands
-back to the recursion; predict at 41 points from the default fit's
+back to the recursion, and on a copy whose lines end in CRLF (`crlf.csv`,
+written the same way), which the reader takes through universal newlines;
+predict at 41 points from the default fit's
 log, from the tabulated fit's log and from the --input fit's log; cv
 at workers 1 and 2; convergence (130 replications), rate and normality
 studies at workers 1 and 2; a 7-replication rate study at workers 3;
@@ -37,9 +39,9 @@ replications); 7-replication rate studies at sizes 64,129 and 64,159,
 whose draws end on a row that a block of 128 rows leaves alone (from the
 first row, and after the 30-row warm-up); and scatter at p = 10 and 20.
 cv and study run in one process whatever --workers says, so the workers
-2 and 3 runs check that the flag changes no artifact.  That is 131
-files with the kernel table and the two outlier inputs, plus the two
-other reader inputs.
+2 and 3 runs check that the flag changes no artifact.  That is 141
+files with the kernel table and the two outlier and two CRLF inputs,
+plus the two other reader inputs.
 
 With --compare, the script reads two such output directories instead and
 prints, for every artifact whose sha256 differs, the largest relative
@@ -142,8 +144,14 @@ def write_outlier_sample(run_dir: Path) -> None:
     (run_dir / "outlier.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_crlf_sample(run_dir: Path) -> None:
+    """Write run_dir/crlf.csv: the seed's simulate sample with each line ended by CRLF."""
+    lines = (run_dir.parent / "simulate" / "sample.csv").read_text(encoding="utf-8").splitlines()
+    (run_dir / "crlf.csv").write_bytes("".join(f"{line}\r\n" for line in lines).encode("utf-8"))
+
+
 # Inputs the script writes into a run's directory before it runs.
-PREPARE = {"fit-input-outlier": write_outlier_sample}
+PREPARE = {"fit-input-outlier": write_outlier_sample, "fit-input-crlf": write_crlf_sample}
 
 
 def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
@@ -162,6 +170,7 @@ def runs(seed: int, table: Path) -> list[tuple[str, list[str]]]:
         ("fit-input-grid3000",
          ["fit", "--input", "../simulate/sample.csv", "--grid-count", "3000"]),
         ("fit-input-outlier", ["fit", "--input", "outlier.csv"]),
+        ("fit-input-crlf", ["fit", "--input", "crlf.csv"]),
         ("predict", ["predict", "--log", "../fit/projection_log.csv", f"--at={PREDICT_AT}"]),
         ("predict-tabulated",
          ["predict", "--log", "../fit-tabulated/projection_log.csv", *tabulated,

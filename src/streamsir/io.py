@@ -7,18 +7,19 @@ rectangular rows, finite numeric cells, log indices as decimal digits.
 Every CSV is read through _csv_blocks, and every one but the fit curve is
 written from blocks of columns through _write_blocks, which alone decides
 how a cell is written: integers and booleans as digits, floats with %.17g,
-NaN as an empty cell.  Both work a block of lines at a time, so no file's
-text is ever held whole: a read block is _READ_LINES (256) lines, a write
-call _BLOCK_LINES (1024) rows.  _read_csv, and read_sample_csv for
-samples, concatenate the parsed blocks; SampleBlocks hands a sample's
-blocks to the engine one at a time, so `fit` never holds the sample's rows
-whole either, and _FitLog keeps fit's projection log in a temporary file
-as it grows, so `fit` holds no log.  numpy's C text reader parses a
-block's cells as float() does; a block whose result
-it cannot vouch for (see _cells) is read again a cell at a time with
-float(), which reports the first error.  JSON documents carry a
-schema_version field and are written with sorted keys and a trailing
-newline so byte-identical reruns are possible.
+NaN as an empty cell, a block of rows by one % of a repeated row template.
+Both work a block of lines at a time, so no file's text is ever held
+whole: a read block is _READ_LINES (256) lines, a write call _BLOCK_LINES
+(1024) rows.  _read_csv, and read_sample_csv for samples, concatenate the
+parsed blocks; SampleBlocks hands a sample's blocks to the engine one at a
+time, so `fit` never holds the sample's rows whole either, and _FitLog
+keeps fit's projection log in a temporary file as it grows, so `fit` holds
+no log.  numpy's C text reader parses a block's lines, as the file
+iterator splits them, as float() does; a block whose result it cannot
+vouch for (see _cells) is split again as str.splitlines splits it and read
+a cell at a time with float(), which reports the first error.  JSON
+documents carry a schema_version field and are written with sorted keys
+and a trailing newline so byte-identical reruns are possible.
 """
 
 from __future__ import annotations
@@ -93,22 +94,31 @@ def _scan_cells(lines: list[str], names: Sequence[str], first_line: int, index: 
     return cells
 
 
-def _cells(text: str, names: Sequence[str], first_line: int, index: bool = False) -> np.ndarray:
+def _cells(
+    lines: list[str], names: Sequence[str], first_line: int, index: bool = False
+) -> np.ndarray:
     """Data lines, the first on file line first_line, as a (lines, len(names)) float array.
 
+    lines are the file's lines as a text-mode file iterates them: universal
+    newlines translated, each ending in its newline but perhaps the last.
     np.loadtxt parses the cells in C with PyOS_string_to_double, the routine
     float() uses.  Its result is kept only for plain text, ASCII with no
     control character but tab and newline (loadtxt skips blank lines and
-    strips 0x1c-0x1f; str.splitlines also breaks lines at form feed, vertical
-    tab, U+0085 and U+2028), and only with one row per line, finite cells
-    and, with index set, first cells of decimal digits in [1, 2**53).  Any
-    other block goes to _scan_cells, which raises the first error of a
-    cell-by-cell read or reads what float() takes and loadtxt refuses (1_0).
+    strips 0x1c-0x1f), and only with one row per line, finite cells and,
+    with index set, first cells of decimal digits in [1, 2**53).  loadtxt
+    gets lines as given: in plain text, newline is the only character
+    where they break, so they are the lines str.splitlines makes of the
+    joined text (it also breaks at 0x0b, 0x0c, 0x1c-0x1e, U+0085, U+2028
+    and U+2029, which no plain text holds).  Any other block goes to
+    _scan_cells with the joined text split by str.splitlines, which raises
+    the first error of a cell-by-cell read or reads what float() takes and
+    loadtxt refuses (1_0).
     """
-    lines = text.splitlines()
+    text = "".join(lines)
     codes = np.frombuffer(text.encode(), np.uint8)
     # loadtxt skips empty lines, and warns if it finds no other.
-    if any(lines) and not (((codes < 32) & (codes != 9) & (codes != 10)) | (codes > 126)).any():
+    plain = not (((codes < 32) & (codes != 9) & (codes != 10)) | (codes > 126)).any()
+    if plain and text.strip("\n"):
         try:
             cells = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
@@ -121,7 +131,7 @@ def _cells(text: str, names: Sequence[str], first_line: int, index: bool = False
                 ok = digits.isdigit() and ks.min() >= 1 and ks.max() < _INDEX_LIMIT
             if ok:
                 return cells
-    return _scan_cells(lines, names, first_line, index)
+    return _scan_cells(text.splitlines(), names, first_line, index)
 
 
 def _csv_blocks(
@@ -130,22 +140,24 @@ def _csv_blocks(
     """The data rows of a CSV as float arrays, one per _READ_LINES lines of the file.
 
     columns checks the header's cells and returns the column names.  Lines
-    split as str.splitlines splits the whole text, and blocks are checked in
-    file order, so the first error reported is the first in the file.  Only
-    one block's text is held at a time; _cells converts it, in C where it
-    can vouch for the result and cell by cell where it cannot.  The first
-    block, the header's, may hold no row.
+    split as str.splitlines splits the whole text: _cells hands a block's
+    lines, as the file iterator splits them, to its C parse only where the
+    two splits agree.  The header ends where str.splitlines ends the first
+    line.  Blocks are checked in file order, so the first error reported is
+    the first in the file.  Only one block's lines are held at a time;
+    _cells converts them, in C where it can vouch for the result and cell
+    by cell where it cannot.  The first block, the header's, may hold no
+    row.
     """
     header, line_no = None, 2
     try:
         with open(path, encoding="utf-8") as f:
             while lines := list(islice(f, _READ_LINES)):
-                text = "".join(lines)
                 if header is None:
-                    first = text.splitlines(keepends=True)[0]
-                    header, text = first.splitlines()[0].split(","), text[len(first) :]
+                    first, *rest = lines[0].splitlines(keepends=True)
+                    header, lines[:1] = first.splitlines()[0].split(","), rest
                     names = columns(header)
-                cells = _cells(text, names, line_no, index)
+                cells = _cells(lines, names, line_no, index)
                 line_no += len(cells)
                 yield cells
     except OSError as exc:
@@ -171,7 +183,8 @@ def _write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence[np.nd
     """Write a CSV: the header line, then each block's equal-length 1-d columns as rows.
 
     Integer and boolean cells are written as digits, floats with %.17g and
-    NaN as an empty cell, _BLOCK_LINES rows per write call.
+    NaN as an empty cell, _BLOCK_LINES rows per write call, each formatted
+    by one % of the row template repeated over its rows.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
@@ -179,9 +192,13 @@ def _write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence[np.nd
             arrays = [np.asarray(a) for a in columns]
             row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
             for a in range(0, len(arrays[0]), _BLOCK_LINES):
-                rows = zip(*(c[a : a + _BLOCK_LINES].tolist() for c in arrays))
+                block = [c[a : a + _BLOCK_LINES].tolist() for c in arrays]
+                # The block's cells in row order: column j fills every len(block)-th slot.
+                cells = [None] * (len(block) * len(block[0]))
+                for j, column in enumerate(block):
+                    cells[j :: len(block)] = column
                 # %.17g writes NaN as "nan", and no other cell holds those letters.
-                f.write("".join([row % r for r in rows]).replace("nan", ""))
+                f.write((row * len(block[0]) % tuple(cells)).replace("nan", ""))
 
 
 def write_sample_csv(sample: Sample, path: str | Path) -> None:

@@ -2,8 +2,15 @@ import importlib.util
 import json
 from pathlib import Path
 
-from streamsir import BandwidthSchedule, epanechnikov
-from streamsir.io import read_kernel_table_csv, read_projection_log_csv, read_sample_csv
+import numpy as np
+
+from streamsir import BandwidthSchedule, draw, epanechnikov, reference_model
+from streamsir.io import (
+    read_kernel_table_csv,
+    read_projection_log_csv,
+    read_sample_csv,
+    write_sample_csv,
+)
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_audit.py"
 _spec = importlib.util.spec_from_file_location("artifact_audit", SCRIPT)
@@ -67,3 +74,17 @@ def test_reader_inputs_are_fixed_and_span_two_read_blocks(tmp_path):
     sample = read_sample_csv(tmp_path / "a" / artifact_audit.READER_SAMPLE)
     assert len(log) == sample.n == artifact_audit.READER_ROWS > 1024
     assert read_kernel_table_csv(tmp_path / "a" / "kernel_table.csv")[0].tolist() == [-1.5, 0.0, 1.5]
+
+
+def test_the_crlf_input_is_the_simulated_sample_with_crlf_line_ends(tmp_path):
+    sample = draw(reference_model(p=4), 40, 5)
+    (tmp_path / "simulate").mkdir()
+    write_sample_csv(sample, tmp_path / "simulate" / "sample.csv")
+    run_dir = tmp_path / "fit-input-crlf"
+    run_dir.mkdir()
+    artifact_audit.PREPARE["fit-input-crlf"](run_dir)
+    lf = (tmp_path / "simulate" / "sample.csv").read_bytes()
+    assert (run_dir / "crlf.csv").read_bytes() == lf.replace(b"\n", b"\r\n")
+    back = read_sample_csv(run_dir / "crlf.csv")
+    assert np.array_equal(back.covariates, sample.covariates)
+    assert np.array_equal(back.responses, sample.responses)

@@ -313,6 +313,84 @@ def test_prefix_form_stays_within_aim3_of_the_recursion(cond):
         assert fast_off <= max(slow_off, 64 * np.finfo(float).eps), k
 
 
+def _broadcast_product(einsum):
+    """np.einsum, but the prefix form's scatter increments made by the broadcast product."""
+    def product(spec, *operands, **kwargs):
+        if spec != "ki,kj->kij":
+            return einsum(spec, *operands, **kwargs)
+        d, _ = operands
+        return np.multiply(d[:, :, None], d[:, None, :], **kwargs)
+
+    return product
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prefix_scatter_increments_keep_the_bits_of_the_broadcast_product(seed):
+    # einsum writes 0 + d_i d_j, +0.0 where the product is -0.0; the running
+    # sums from +0.0, as _prefix_pass forms them, must not tell the two apart.
+    rng = np.random.default_rng(seed)
+    p = 6
+    d = rng.standard_normal((engine._PREFIX_BLOCK, p))
+    d[rng.random(d.shape) < 0.3] = 0.0
+    d[rng.random(d.shape) < 0.3] = -0.0
+    d[40:60] = d[39]
+    d[100:110] = 0.0
+    d[110:120] = -0.0
+    start = rng.standard_normal((p, p))
+    start = start @ start.T
+    sums, steps = [], []
+    for form in (np.einsum, _broadcast_product(np.einsum)):
+        scatters = np.empty((d.shape[0] + 1, p, p))
+        scatters[0] = 0.0
+        form("ki,kj->kij", d, d, out=scatters[1:])
+        steps.append(scatters[1:].copy())
+        np.cumsum(scatters, axis=0, out=scatters)
+        sums.append(scatters.copy())
+        scatters += start
+        sums.append(scatters)
+    # The increments do differ, in the sign of zeros only.
+    assert not np.array_equal(steps[0].view(np.int64), steps[1].view(np.int64))
+    assert np.array_equal(steps[0], steps[1])
+    assert np.array_equal(sums[0].view(np.int64), sums[2].view(np.int64))
+    assert np.array_equal(sums[1].view(np.int64), sums[3].view(np.int64))
+
+
+def test_rows_at_the_warm_up_mean_keep_the_prefix_form_on_the_recursion(monkeypatch):
+    # Warm-up rows in pairs m + v, m - v of integers centre to an exact zero
+    # sum, and later rows that equal the warm-up mean m in some coordinates
+    # centre to exact zeros there, so the scatter increments hold zeros of
+    # both signs.  Some later rows are m itself, and some repeat.
+    p, n0, n = 4, 30, 1600
+    rng = np.random.default_rng(74)
+    m = np.array([1.0, -2.0, 3.0, 0.0])
+    v = rng.integers(-5, 6, (n0 // 2, p)).astype(np.float64)
+    xs = np.empty((n, p))
+    xs[:n0] = np.concatenate((m + v, m - v))
+    xs[n0:] = m
+    xs[n0:, 1::2] += rng.standard_normal((n - n0, p // 2))
+    xs[n0::7] = m
+    xs[n0 + 300 : n0 + 340] = xs[n0 + 299]
+    sample = Sample(xs, xs[:, 1] + 0.5 * rng.standard_normal(n))
+    sir, _ = engine._warm_up(sample.head(n0), None)
+    assert np.array_equal(sir.moments.mean, m)
+    assert _prefix_form_runs(sample, n0)
+    checkpoints = (n0 + 1, 700, n - 1)
+    fast = direction_path(sample, warmup=n0, checkpoints=checkpoints)
+    slow = _recursion_path(sample, checkpoints=checkpoints, warmup=n0)
+    theta = slow.sir.theta_hat
+    assert _u_gap(fast.projections, slow.projections, sample.covariates[n0:], theta) <= _AIM3
+    assert _max_rel(fast.sir.theta_hat, theta) <= _AIM3
+    assert _max_rel(fast.sir.moments.inv_cov, slow.sir.moments.inv_cov) <= _AIM3
+    for k in checkpoints:
+        assert _max_rel(fast.snapshots[k], slow.snapshots[k]) <= _AIM3, k
+    # The broadcast product gives every bit the einsum increments give.
+    monkeypatch.setattr(np, "einsum", _broadcast_product(np.einsum))
+    product = direction_path(sample, warmup=n0, checkpoints=checkpoints)
+    for got, want in [*zip(_path_arrays(fast).values(), _path_arrays(product).values()),
+                      *((fast.snapshots[k], product.snapshots[k]) for k in checkpoints)]:
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("where", ["warm-up", "block-start", "end"])
 def test_an_ill_conditioned_prefix_takes_the_recursion_bit_for_bit(where):
     # One outlier row makes the later prefix covariances ill-conditioned:

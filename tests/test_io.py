@@ -401,6 +401,22 @@ def test_table_csv_over_several_blocks_matches_a_cell_by_cell_writer(tmp_path, c
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
+@pytest.mark.parametrize("count", [0, 1, sio._BLOCK_LINES - 1, sio._BLOCK_LINES,
+                                   sio._BLOCK_LINES + 1, 2 * sio._BLOCK_LINES + 1])
+def test_write_blocks_matches_a_per_row_format(tmp_path, count):
+    rng = np.random.default_rng(9)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310]
+    floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+    floats[: len(specials)] = specials[:count]
+    rng.shuffle(floats)
+    columns = [rng.integers(-(2**63), 2**63 - 1, count), rng.random(count) < 0.5, floats]
+    sio._write_blocks(tmp_path / "blocks.csv", "k,flag,value", [columns])
+    row = "%d,%d,%.17g\n"
+    text = "".join(row % r for r in zip(*(c.tolist() for c in columns)))
+    want = "k,flag,value\n" + text.replace("nan", "")
+    assert (tmp_path / "blocks.csv").read_bytes() == want.encode("utf-8")
+
+
 def _float_problem(cell, what, index):
     """Why one cell breaks the schema, or None: the rules as float() and int() apply them."""
     if index:
@@ -498,7 +514,8 @@ _PARITY_CASES = {
     **{
         f"control-{name}": _cell_edit(lambda c, ch=ch: c + ch)
         for name, ch in [("ff", "\f"), ("vt", "\v"), ("x1c", "\x1c"), ("x1f", "\x1f"),
-                         ("nul", "\x00"), ("nel", "\x85"), ("u2028", "\u2028")]
+                         ("x1d", "\x1d"), ("x1e", "\x1e"), ("nul", "\x00"), ("nel", "\x85"),
+                         ("u2028", "\u2028"), ("u2029", "\u2029")]
     },
     "hash": lambda lines, i: _joined(lines, i, "#" + lines[i]),
     "quoted-cell": _cell_edit(lambda c: f'"{c}"'),
@@ -537,9 +554,12 @@ def test_the_readers_match_a_cell_by_cell_float_read(tmp_path, kind, case, where
 
 
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Every character but newline where str.splitlines breaks a line, and others
+# the plain-text screen refuses.
 _SCRAPS = st.text(
-    alphabet=list("0123456789+-eE._ \t") + ["\f", "\v", "\x1c", "\x1f", "\x00", "\x85",
-                                           "\u2028", "\uff11", "\u0661", "\u00a0"],
+    alphabet=list("0123456789+-eE._ \t") + ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x1f",
+                                           "\x00", "\x85", "\u2028", "\u2029", "\uff11",
+                                           "\u0661", "\u00a0"],
     max_size=6,
 )
 
@@ -555,17 +575,22 @@ _SCRAPS = st.text(
                    min_size=1, max_size=12),
     end=st.sampled_from(["\n", "\r\n", "\r"]),
     final=st.booleans(),
+    blanks=st.sampled_from([0, 1, sio._READ_LINES]),
 )
-def test_random_cells_read_as_a_cell_by_cell_float_read(tmp_path, schema, lead, cells, end, final):
+def test_random_cells_read_as_a_cell_by_cell_float_read(
+    tmp_path, schema, lead, cells, end, final, blanks
+):
     # lead well-formed lines come first, so the drawn ones lie in the first
-    # block or across its edge.
+    # block or across its edge; blank lines, up to a whole block, come
+    # between.  The reference splits the whole text with str.splitlines.
     names, index = schema
     width = len(names)
     firsts = [str(i + 1) if index else "0.5" for i in range(lead)]
     plain = [",".join([first, *["-2.5"] * (width - 1)]) for first in firsts]
     drawn = [",".join(cells[a : a + width]) for a in range(0, len(cells), width)]
     path = tmp_path / "random.csv"
-    text = end.join([",".join(names), *plain, *drawn]) + (end if final else "")
+    lines = [",".join(names), *plain, *[""] * blanks, *drawn]
+    text = end.join(lines) + (end if final else "")
     path.write_bytes(text.encode("utf-8"))
     got = _outcome(lambda p: sio._read_csv(p, sio._fixed_columns(*names), index), path)
     assert _same_outcome(got, _outcome(lambda p: _float_read(p, names, index), path))
@@ -580,6 +605,16 @@ def test_a_block_without_cells_is_read_as_float_reads_it(tmp_path, text):
     # loadtxt warns when it finds no data line, and _outcome fails on that.
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8")
+    got = _outcome(lambda p: np.column_stack(read_kernel_table_csv(p)), path)
+    assert _same_outcome(got, _outcome(lambda p: _float_read(p, ("x", "k")), path))
+
+
+@pytest.mark.parametrize("rest", ["", "\n", "1,0\n", "1,0\n2,0\n", "1,0\f2,0\n"])
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_header_line_ends_where_str_splitlines_ends_it(tmp_path, brk, rest):
+    # The first file line holds the header and what follows the break.
+    path = tmp_path / "table.csv"
+    path.write_text(f"x,k{brk}{rest}3,4\n", encoding="utf-8")
     got = _outcome(lambda p: np.column_stack(read_kernel_table_csv(p)), path)
     assert _same_outcome(got, _outcome(lambda p: _float_read(p, ("x", "k")), path))
 
