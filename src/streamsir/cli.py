@@ -292,7 +292,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if cfg.input is not None and "input" not in keys:
             raise ConfigError(f"{args.command} reads no input sample", key="input")
         return handler(args, cfg)
-    except StreamSirError as exc:
+    except (StreamSirError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

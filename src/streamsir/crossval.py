@@ -134,8 +134,7 @@ def _replay(
     # window poke out of a smaller one's; such a level searches the chunk's
     # candidates again instead of filtering the previous level's pairs.
     nested = np.r_[False, np.all(h[1:] <= h[:-1], axis=1)]
-    radius = kernel.support_radius
-    reach = radius * h.max(axis=0)
+    reach = kernel.reach(h.max(axis=0))
     reach += (np.abs(u) + reach) * _SLACK
     num, den = np.empty_like(h), np.empty_like(h)
     step = max(_MIN_QUERIES, _REPLAY_CELLS // n)
@@ -146,7 +145,7 @@ def _replay(
                 j, q, d = _candidates(u, reach, a, b)
             hs = hl.take(j)
             # Indices then take: twice as fast as four boolean-mask copies.
-            inside = np.flatnonzero(np.abs(d) <= (hs if radius == 1.0 else radius * hs))
+            inside = np.flatnonzero(np.abs(d) <= kernel.reach(hs))
             j, q, d, hs = (x.take(inside) for x in (j, q, d, hs))
             num[level, a:b], den[level, a:b], _ = _pair_sums(kernel, q, d, hs, y.take(j), b - a)
     results = []

@@ -121,18 +121,6 @@ def default_warmup(p: int) -> int:
     return max(2 * p, 30)
 
 
-def _warmup_length(sample: Sample, warmup: int | None) -> int:
-    """The warm-up length to use on a sample; the default is max(2 p, 30).
-
-    Raises:
-        InsufficientDataError: the sample is shorter than the warm-up.
-    """
-    n0 = default_warmup(sample.p) if warmup is None else int(warmup)
-    if sample.n < n0:
-        raise InsufficientDataError(f"sample has {sample.n} rows but warm-up needs {n0}")
-    return n0
-
-
 @dataclass
 class StreamState:
     """Everything the engine carries between observations; stream_step steps it in place.
@@ -208,9 +196,11 @@ def direction_path(
     loop's error, and gives a source the bits of the Sample of its rows.
 
     Raises:
-        NonFiniteInputError: some row holds NaN or inf.  A Sample is checked
-            once, up front; a source a block at a time, as it is read.
-        InsufficientDataError: the sample is shorter than the warm-up.
+        NonFiniteInputError: some row holds NaN or inf.  A Sample is one
+            block, checked whole; a source a block at a time, as it is read.
+        InsufficientDataError: the sample is shorter than the warm-up; the
+            rows read are checked first, so a short sample is refused as
+            its one-block source is.
         SingularMatrixError, EmptySliceError: the warm-up's, from batch_moments.
         NumericalBreakdownError: a rank-one denominator of the recursion is
             not finite and positive.
@@ -243,10 +233,7 @@ def _path_fold(
     Returns (sir, slicer, warm-up length, snapshots); raises as
     direction_path.
     """
-    if isinstance(source, Sample):
-        # A short sample is refused before its rows are checked.
-        _warmup_length(source, warmup)
-    elif iter(source) is source:
+    if not isinstance(source, Sample) and iter(source) is source:
         raise TypeError("direction_path reads its source again to hand back: pass a re-iterable")
     source = _blocks(source)
     rows = _rows(source, warmup)
@@ -575,8 +562,9 @@ def direction_paths(
             n += 1
             # sir.rank_one_terms
             np.subtract(x, mean, out=phi)
-            np.matmul(inv, phi_col, out=w_col)
-            np.matmul(phi_row, w_col, out=denom)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(inv, phi_col, out=w_col)
+                np.matmul(phi_row, w_col, out=denom)
             denom += n
             if not (np.minimum.reduce(denom_flat) > 0.0 and np.maximum.reduce(denom_flat) < np.inf):
                 r = int(np.argmin((denom_flat > 0.0) & (denom_flat < np.inf)))
@@ -804,7 +792,7 @@ def run_stream(
 
     Raises:
         NonFiniteInputError: some row holds NaN or inf (a Sample is checked
-            once, up front).
+            whole, before its length).
         InsufficientDataError: the sample is shorter than the warm-up.
         SingularMatrixError, EmptySliceError, NumericalBreakdownError: as
             direction_path, so exactly where the per-arrival loop raises.

@@ -1,13 +1,15 @@
 """File formats: strict CSV schemas and versioned JSON snapshots.
 
-All floating-point values are written with the %.17g format, which is
-enough digits to round-trip an IEEE double exactly; reading back what was
-written reproduces the same bits.  CSV schemas are strict: exact headers,
+CSV floats are written with the %.17g format, which is enough digits to
+round-trip an IEEE double exactly; JSON floats are written by the json
+module as the shortest repr that reads back to the same double (0.35, not
+0.34999999999999998).  Either way, reading back what was written
+reproduces the same bits.  CSV schemas are strict: exact headers,
 rectangular rows, finite numeric cells, log indices as decimal digits.
-Every CSV is read through _csv_blocks, and every one but the fit curve is
-written from blocks of columns through _write_blocks, which alone decides
-how a cell is written: integers and booleans as digits, floats with %.17g,
-NaN as an empty cell, a block of rows by one % of a repeated row template.
+Every CSV is read through _csv_blocks and written from blocks of columns
+through _write_blocks, which alone decides how a cell is written: integers
+and booleans as digits, floats with %.17g, NaN as an empty cell (nan in
+the fit curve), a block of rows by one % of a repeated row template.
 Both work a block of lines at a time, so no file's text is ever held
 whole: a read block is _READ_LINES (256) lines, a write call _BLOCK_LINES
 (1024) rows.  _read_csv, and read_sample_csv for samples, concatenate the
@@ -179,12 +181,16 @@ def _write_table(path: str | Path, columns: dict[str, np.ndarray]) -> None:
     _write_blocks(path, ",".join(columns), [list(columns.values())])
 
 
-def _write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence[np.ndarray]]) -> None:
+def _write_blocks(
+    path: str | Path, header: str, blocks: Iterable[Sequence[np.ndarray]], nan: str = ""
+) -> None:
     """Write a CSV: the header line, then each block's equal-length 1-d columns as rows.
 
     Integer and boolean cells are written as digits, floats with %.17g and
-    NaN as an empty cell, _BLOCK_LINES rows per write call, each formatted
-    by one % of the row template repeated over its rows.
+    NaN as the nan text (an empty cell by default), _BLOCK_LINES rows per
+    write call, each formatted by one % of the row template repeated over
+    its rows.  The next block is taken from blocks only once the one
+    before is written, so a generator may compute each block then.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
@@ -198,7 +204,7 @@ def _write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence[np.nd
                 for j, column in enumerate(block):
                     cells[j :: len(block)] = column
                 # %.17g writes NaN as "nan", and no other cell holds those letters.
-                f.write((row * len(block[0]) % tuple(cells)).replace("nan", ""))
+                f.write((row * len(block[0]) % tuple(cells)).replace("nan", nan))
 
 
 def write_sample_csv(sample: Sample, path: str | Path) -> None:
@@ -387,12 +393,9 @@ def write_grid_csv(
     not grow with the points.
     Points no kernel window covers get f_hat = nan with denominator 0.
     """
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("x,f_hat,denominator,n_contributing\n")
-        for a in range(0, points.size, _BLOCK_LINES):
-            block = points[a : a + _BLOCK_LINES]
-            rows = zip(block.tolist(), *(c.tolist() for c in read(block)))
-            out.write("".join(f"{fmt(x)},{fmt(f)},{fmt(d)},{int(c)}\n" for x, f, d, c in rows))
+    blocks = (points[a : a + _BLOCK_LINES] for a in range(0, points.size, _BLOCK_LINES))
+    header = "x,f_hat,denominator,n_contributing"
+    _write_blocks(path, header, ((x, *read(x)) for x in blocks), nan="nan")
 
 
 def write_predictions_csv(points: Sequence[float], estimates: np.ndarray, path: str | Path) -> None:

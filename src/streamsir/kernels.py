@@ -46,6 +46,10 @@ class KernelSpec:
     nu2: float
     tau2: float
 
+    def reach(self, h: np.ndarray | float) -> np.ndarray | float:
+        """The window half-width R h; h itself when R = 1, which skips an O(m) product."""
+        return h if self.support_radius == 1.0 else self.support_radius * h
+
 
 def epanechnikov() -> KernelSpec:
     """Parabolic kernel (3/4)(1 - u^2) on [-1, 1].

@@ -236,9 +236,8 @@ def _folded_curve(
     """
     num, den = np.zeros(points.size), np.zeros(points.size)
     count = np.zeros(points.size, dtype=np.int64)
-    radius = kernel.support_radius
     for u, h, y in blocks:
-        reach = h if radius == 1.0 else radius * h
+        reach = kernel.reach(h)
         step = max(1, _POINT_CELLS // u.size)
         for a in range(0, points.size, step):
             rows = slice(a, a + step)
@@ -309,9 +308,7 @@ def evaluate(log: ProjectionLog, x: float) -> float:
     u = log._u[:m]
     h = log._h[:m]
     d = x - u
-    # R h is h itself when R = 1 (Epanechnikov): skip that O(m) product.
-    radius = log.kernel.support_radius
-    idx = (np.abs(d) <= (h if radius == 1.0 else radius * h)).nonzero()[0]
+    idx = (np.abs(d) <= log.kernel.reach(h)).nonzero()[0]
     num, den, _ = _pair_sums(
         log.kernel, np.zeros(idx.size, np.intp), d[idx], h[idx], log._y[idx], 1
     )

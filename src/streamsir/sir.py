@@ -85,8 +85,10 @@ def rank_one_terms(moments: MomentState, x: np.ndarray) -> tuple[np.ndarray, np.
     """
     n_new = moments.n + 1
     phi = x - moments.mean
-    w = moments.inv_cov @ phi
-    denom = n_new + float(phi @ w)
+    # A row whose rho overflows is refused below, not warned about here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = moments.inv_cov @ phi
+        denom = n_new + float(phi @ w)
     if not 0.0 < denom < math.inf:
         raise NumericalBreakdownError(
             f"rank-one update denominator {denom!r} is not finite and positive at n = {n_new}"

@@ -602,6 +602,52 @@ def test_an_output_path_that_is_a_file_is_a_one_line_error(tmp_path):
     assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
+def test_every_csv_artifact_is_written_by_the_one_cell_writer(tmp_path, monkeypatch, capsys):
+    # io._write_blocks alone decides how a CSV cell is written; a writer that
+    # formats its own rows would leave its file out of `written`.
+    written = []
+    write_blocks = io._write_blocks
+
+    def recording(path, *args, **kwargs):
+        written.append(os.path.normpath(path))
+        return write_blocks(path, *args, **kwargs)
+
+    monkeypatch.setattr(io, "_write_blocks", recording)
+    runs = {
+        "sim": ["simulate", "--n", "200"],
+        "fit": ["fit", "--input", str(tmp_path / "sim" / "sample.csv")],
+        "predict": ["predict", "--log", str(tmp_path / "fit" / "projection_log.csv"),
+                    "--at", "0,0.5"],
+        "study": ["study", "--kind", "rate", "--sizes", "100", "--reps", "2"],
+    }
+    for name, argv in runs.items():
+        assert run([*argv, "--out-dir", str(tmp_path / name)]) == 0, capsys.readouterr().err
+        csvs = sorted(str(path) for path in (tmp_path / name).glob("*.csv"))
+        assert csvs and all(path in written for path in csvs), (name, csvs)
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (["simulate", "--n", "50"], "sample.csv"),
+        (["fit", "--n", "200"], "fit.json"),
+        (["predict", "--log", "log.csv", "--at", "0"], "predictions.csv"),
+        (["cv", "--n", "200"], "cv.json"),
+        (["study", "--kind", "rate", "--sizes", "100", "--reps", "2"], "records.csv"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_a_failed_artifact_write_is_a_one_line_error(tmp_path, argv, artifact):
+    # An artifact path that is a directory fails its write, as a full disk would.
+    log = run_stream(draw(reference_model(p=4), 200, 1)).log
+    write_projection_log_csv(log, tmp_path / "log.csv")
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    r = run_cli([*argv, "--out-dir", "out"], tmp_path)
+    assert r.returncode == 1
+    path = os.path.join("out", artifact)
+    assert r.stderr == f"IsADirectoryError: [Errno 21] Is a directory: {path!r}\n", r.stderr
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -466,7 +466,7 @@ def test_an_overflowing_row_is_refused_by_the_recursion():
     sample = draw(reference_model(p=4), 200, 73)
     sample.covariates[100, 1] = 1e200
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalBreakdownError, match="n = 101") as refused:
             direction_path(sample)
         assert _outcome(lambda: _per_arrival_loop(sample))[1] == (refused.type, str(refused.value))
@@ -490,7 +490,7 @@ def test_an_infinite_rank_one_denominator_is_refused():
     # hands the sample back, refuses it with the per-arrival loop's message.
     sample, wide = _overflowing(4), _overflowing(engine._PREFIX_MAX_P + 1)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalBreakdownError, match="n = 101") as refused:
             direction_path(sample)
         assert _outcome(lambda: _per_arrival_loop(sample))[1] == (refused.type, str(refused.value))
@@ -702,7 +702,7 @@ _REFUSALS = {
     "overflow": (1e306 * np.ones(4), _GOOD_Y, (NoSupportError, "predict"),
                  (NumericalBreakdownError,
                   "rank-one update denominator inf is not finite and positive at n = 41"),
-                 [(RuntimeWarning, "overflow encountered in matmul")]),
+                 []),
 }
 
 
@@ -1097,6 +1097,17 @@ def test_a_block_source_is_refused_as_its_sample_is():
     with pytest.raises(InsufficientDataError) as got:
         run_stream(_Blocks(short, (7,)))
     assert str(got.value) == str(want.value) == "sample has 20 rows but warm-up needs 30"
+    # A short sample's rows are checked before its length, as its blocks' are
+    # and as init_stream checks its warm-up.
+    short = Sample(short.covariates.copy(), short.responses)
+    short.covariates[5, 1] = np.nan
+    refusals = []
+    for call in (lambda: run_stream(short), lambda: run_stream(_Blocks(short, (7,))),
+                 lambda: init_stream(short)):
+        with pytest.raises(NonFiniteInputError) as refused:
+            call()
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1] == refusals[2] and refusals[0].startswith("row 5 ")
     # A block is checked as it arrives, its rows numbered from the source's first.
     sample.covariates[450, 2] = np.inf
     with pytest.raises(NonFiniteInputError, match="^row 450 holds"):

@@ -349,14 +349,25 @@ def _one_shot_grid_csv(points, estimates, denominators, contributing, path):
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("count", [1, sio._BLOCK_LINES, 2 * sio._BLOCK_LINES + 37])
+@pytest.mark.parametrize(
+    "count", [1, sio._BLOCK_LINES, sio._BLOCK_LINES + 1, 2 * sio._BLOCK_LINES + 37, "edges"]
+)
 def test_grid_csv_over_several_blocks_matches_the_one_shot_writer(tmp_path, count):
     kernel = epanechnikov()
     log = ProjectionLog(kernel, BandwidthSchedule(alpha=0.35))
     rng = np.random.default_rng(5)
-    log.extend(rng.standard_normal(300), rng.standard_normal(300))
+    u, y = rng.standard_normal(300), rng.standard_normal(300)
+    if count == "edges":
+        u += 4.0 * np.sign(u)  # a gap: nan rows inside the range too
+    log.extend(u, y)
     # The ends lie outside every window, so some rows read nan.
-    points = np.linspace(-6.0, 6.0, count) if count > 1 else np.array([0.25])
+    if count == "edges":
+        # -0.0, the least subnormal, both edges of some windows and +-40.
+        edges = np.concatenate((log.projections[:40] - log.bandwidths[:40],
+                                log.projections[:40] + log.bandwidths[:40]))
+        points = np.concatenate((np.linspace(-40.0, 40.0, 951), [-0.0, 5e-324], edges))
+    else:
+        points = np.linspace(-6.0, 6.0, count) if count > 1 else np.array([0.25])
     calls = []
 
     def read(block):
@@ -367,7 +378,7 @@ def test_grid_csv_over_several_blocks_matches_the_one_shot_writer(tmp_path, coun
     _one_shot_grid_csv(points, *read(points), tmp_path / "whole.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     # One read per block of at most _BLOCK_LINES points, then the one-shot read.
-    assert len(calls) - 1 == -(-count // sio._BLOCK_LINES)
+    assert len(calls) - 1 == -(-points.size // sio._BLOCK_LINES)
     assert max(calls[:-1]) <= sio._BLOCK_LINES
 
 
